@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import EpidemicIndicators, indicators
 from .config import ScenarioConfig, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
@@ -36,14 +38,10 @@ SWEEP_COLUMNS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], template: str, rows) -> None:
+    """Write a header and one ``template % row`` line per row."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+    lines.extend(template % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", "utf-8")
 
 
@@ -51,26 +49,27 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _trajectory_rows(traj: Trajectory, population: float | None):
-    for idx, t in enumerate(traj.times):
-        row = [
-            float(t),
-            float(traj.s[idx]),
-            float(traj.i[idx]),
-            float(traj.rho[idx]),
-            float(traj.d[idx]),
-            traj.rate_at(float(t)),
-            float(traj.J[idx]),
-            float(traj.V[idx]),
-        ]
-        if population is not None:
-            row.extend(population * value for value in row[1:5])
-        yield row
+def _trajectory_rows(traj: Trajectory, population: float | None) -> np.ndarray:
+    """The CSV table: one row per sample, columns as in the header."""
+    times, policy = traj.times, traj.policy
+    # the rule of Trajectory.rate_at: min(k, l*s) before tau and before supply
+    # exhaustion, zero from either on
+    v = np.zeros(len(times))
+    if policy is not None:
+        live = times < policy.tau
+        if traj.exhaustion_time is not None:
+            live &= times < traj.exhaustion_time
+        v[live] = np.minimum(policy.k, policy.l * traj.s[live])
+    columns = [times, traj.values[:, :4], v, traj.values[:, 4:]]
+    if population is not None:
+        columns.append(population * traj.values[:, :4])
+    return np.column_stack(columns)
 
 
 def _write_trajectory(path: Path, traj: Trajectory, population: float | None) -> None:
     header = TRAJECTORY_COLUMNS + (HEADCOUNT_COLUMNS if population is not None else ())
-    _write_csv(path, header, _trajectory_rows(traj, population))
+    template = ",".join(["%.9g"] * len(header))
+    _write_csv(path, header, template, _trajectory_rows(traj, population).tolist())
 
 
 def _indicators_dict(ind: EpidemicIndicators) -> dict:
@@ -142,8 +141,7 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     config = load_config(args.config)
     result = minimize_tau(config.scenario, config.resources, config.tolerances)
-    policy = VaccinationPolicy(k=config.k, l=config.l, m=config.m, tau=result.tau_star)
-    traj = integrate(config.scenario, policy, config.tolerances)
+    traj = result.trajectory
 
     out = _out_dir(args, config)
     csv_name = args.prefix + "optimal_trajectory.csv"
@@ -168,8 +166,7 @@ def cmd_procure(args) -> int:
     # the supply limit is ignored on purpose: the question is how much to buy
     result = minimize_tau(config.scenario, (config.k, config.l, math.inf), config.tolerances)
     tau_pp, m_pp = result.tau_star, result.indicators.total_vaccinated
-    policy = VaccinationPolicy(k=config.k, l=config.l, m=math.inf, tau=tau_pp)
-    traj = integrate(config.scenario, policy, config.tolerances)
+    traj = result.trajectory
 
     out = _out_dir(args, config)
     csv_name = args.prefix + "procure_trajectory.csv"
@@ -207,7 +204,8 @@ def parse_values(spec: str) -> list[float]:
         if end < start:
             raise ValidationError(f"values: end {end} precedes start {start}")
         count = int(math.floor((end - start) / step + 1e-9)) + 1
-        return [start + idx * step for idx in range(count)]
+        # start + idx*step can round past end on the last point
+        return [min(start + idx * step, end) for idx in range(count)]
     try:
         return [float(p) for p in spec.split(",")]
     except ValueError as exc:
@@ -269,7 +267,8 @@ def cmd_sweep(args) -> int:
         )
 
     out = _out_dir(args, config)
-    _write_csv(out / (args.prefix + "sweep.csv"), SWEEP_COLUMNS, rows)
+    template = ",".join(["%s"] + ["%.9g"] * (len(SWEEP_COLUMNS) - 1))
+    _write_csv(out / (args.prefix + "sweep.csv"), SWEEP_COLUMNS, template, rows)
     return 0
 
 

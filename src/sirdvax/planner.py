@@ -44,10 +44,16 @@ class ObjectiveEvaluation:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Best duration found, its cost, indicators and trajectory.
+
+    ``evaluations`` counts the objective evaluations the search made.
+    """
+
     tau_star: float
     cost_star: float
     indicators: EpidemicIndicators
     evaluations: int
+    trajectory: Trajectory
 
 
 def objective(
@@ -143,6 +149,7 @@ def minimize_tau(
         cost_star=best.cost,
         indicators=indicators(best.trajectory),
         evaluations=evaluations,
+        trajectory=best.trajectory,
     )
 
 

@@ -10,6 +10,7 @@ from sirdvax import (
     Tolerances,
     VaccinationPolicy,
     ValidationError,
+    config_from_dict,
     indicators,
     integrate,
 )
@@ -51,6 +52,25 @@ class TestDuration:
         assert ind.peak_time < ind.duration < 15.0
         i_at = full_program_traj.state_at(ind.duration).state.i
         assert i_at == pytest.approx(1e-5, rel=1e-6)
+
+    def test_crossing_bracketed_by_the_samples(self):
+        # a fast epidemic that falls below the threshold within the horizon;
+        # the crossing is bracketed on the samples and refined on state_at,
+        # so both must agree on the sign at the bracket ends
+        config = config_from_dict(
+            {
+                "epidemic": {"alpha": 0.8641, "beta": 0.1359, "r": 14.776, "eps": 0.3347},
+                "cost": {"a": 4.466, "b": 55.81, "c": 241.6},
+                "resources": {"k": 0.1984, "l": 0.4881, "m": 0.149182},
+                "initial": {"s": 0.995262, "i": 0.004738, "rho": 0.0, "d": 0.0},
+                "T": 17.57,
+            }
+        )
+        policy = VaccinationPolicy(k=config.k, l=config.l, m=config.m, tau=2.74338)
+        traj = integrate(config.scenario, policy, config.tolerances)
+        ind = indicators(traj)
+        assert ind.peak_time < ind.duration < 17.57
+        assert traj.state_at(ind.duration).state.i == pytest.approx(1e-6, rel=1e-6)
 
     def test_disease_free_trajectory(self, disease_free):
         traj = integrate(disease_free, VaccinationPolicy(k=0.0, l=0.0, m=0.0, tau=0.0))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sirdvax import dump_config, load_config, objective
+from sirdvax import VaccinationPolicy, dump_config, integrate, load_config, objective
 from sirdvax.cli import main, parse_values
 
 TRAJECTORY_HEADER = "t,s,i,rho,d,v,J,V"
@@ -95,6 +95,31 @@ class TestSimulate:
         assert header == TRAJECTORY_HEADER.split(",") + ["S", "I", "R", "D"]
         assert float(rows[0][8]) == pytest.approx(999000.0)
 
+    @pytest.mark.parametrize(
+        "tau, m",
+        [
+            pytest.param(0.0, 2.949, id="no-program"),
+            pytest.param(15.0, 2.949, id="whole-horizon"),
+            pytest.param(7.5, 2.949, id="past-the-kink"),
+            pytest.param(15.0, 0.2, id="stock-out-on-capacity"),
+            pytest.param(15.0, 0.4, id="stock-out-on-willingness"),
+        ],
+    )
+    def test_rate_column_is_the_rate_in_effect_just_after_t(self, tmp_path, tau, m):
+        config = write_config(tmp_path, resources={"m": m})
+        out = tmp_path / "run"
+        rc = main(["simulate", "--config", str(config), "--tau", str(tau), "--out", str(out)])
+        assert rc == 0
+        loaded = load_config(config)
+        policy = VaccinationPolicy(k=loaded.k, l=loaded.l, m=loaded.m, tau=tau)
+        traj = integrate(loaded.scenario, policy, loaded.tolerances)
+        _, rows = read_csv(out / "trajectory.csv")
+        assert len(rows) == len(traj.times)
+        for t, row in zip(traj.times, rows):
+            assert row[0] == format(float(t), ".9g")
+            # nine significant digits; a zero rate is written as an exact 0
+            assert float(row[5]) == pytest.approx(traj.rate_at(float(t)), rel=1e-8, abs=0.0)
+
     def test_tau_beyond_horizon_exits_1(self, tmp_path):
         rc = main(["simulate", "--config", "variant1", "--tau", "20", "--out", str(tmp_path)])
         assert rc == 1
@@ -137,6 +162,24 @@ class TestOptimize:
         assert 0.0 <= summary["tau_star"] <= 15.0
         _, rows = read_csv(out / "optimal_trajectory.csv")
         assert all(float(row[7]) <= 0.5 + 1e-6 for row in rows)
+
+    @pytest.mark.parametrize(
+        "command, csv_name",
+        [("optimize", "optimal_trajectory.csv"), ("procure", "procure_trajectory.csv")],
+    )
+    def test_writes_the_optimizers_trajectory_without_integrating_again(
+        self, tmp_path, monkeypatch, command, csv_name
+    ):
+        import sirdvax.cli as cli_module
+
+        def explode(*args, **kwargs):
+            raise AssertionError("the command integrated again at the optimum")
+
+        monkeypatch.setattr(cli_module, "integrate", explode)
+        out = tmp_path / "run"
+        assert main([command, "--config", "variant1", "--out", str(out)]) == 0
+        _, rows = read_csv(out / csv_name)
+        assert len(rows) >= 1001
 
     def test_disease_free_returns_zero(self, tmp_path):
         config = write_config(
@@ -198,6 +241,20 @@ class TestSweep:
         assert parse_values("0:5:15") == [0.0, 5.0, 10.0, 15.0]
         assert parse_values("1,2.5") == [1.0, 2.5]
         assert parse_values("") == []
+
+    def test_range_ending_at_the_horizon_stops_at_it(self, tmp_path):
+        # 29 steps of 15/29 add up to 15.000000000000002 without the cap
+        spec = "0:0.5172413793103449:15"
+        values = parse_values(spec)
+        assert len(values) == 30 and values[-1] == 15.0
+        assert values[:-1] == [idx * 0.5172413793103449 for idx in range(29)]
+        assert parse_values("0:0.1:15") == [idx * 0.1 for idx in range(151)]
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", "tau", "--values", spec,
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 30 and float(rows[-1][1]) == 15.0
 
     def test_sweeping_the_stock(self, tmp_path):
         out = tmp_path / "run"

@@ -13,6 +13,7 @@ from sirdvax import (
     EVENT_PROGRAM_END,
     EVENT_RATE_KINK,
     EVENT_SUPPLY_EXHAUSTED,
+    IntegrationError,
     Scenario,
     SirdState,
     Tolerances,
@@ -22,6 +23,7 @@ from sirdvax import (
     integrate,
     state_at,
 )
+from sirdvax.solver import _clamp, _drift_band
 from oracles import rk4_reference
 
 # frozen from a 1e-11/1e-13 adaptive run cross-checked against the fixed-step
@@ -183,12 +185,11 @@ class TestDenseOutput:
         assert state.state.as_tuple() == scenario.initial.as_tuple()
         assert state.J == 0.0 and state.V == 0.0
 
-    def test_sample_points_exact(self, full_program_traj):
-        for idx in (1, 250, 500, 777, -1):
-            t = float(full_program_traj.times[idx])
-            row = full_program_traj.values[idx]
-            got = state_at(full_program_traj, t).as_vector()
-            assert np.array_equal(np.array(got), row)
+    def test_sample_points_exact(self, full_program_traj, tight_supply_traj):
+        for traj in (full_program_traj, tight_supply_traj):
+            for t, row in zip(traj.times, traj.values):
+                got = state_at(traj, float(t)).as_vector()
+                assert np.array_equal(np.array(got), row)
 
     def test_out_of_range_rejected(self, full_program_traj):
         with pytest.raises(DomainError):
@@ -262,3 +263,93 @@ class TestFinalSizeRelation:
         r0 = epidemic.transmission_rate
         residual = math.log(s_inf / 0.999) - r0 * (s_inf - 0.999 - 0.001)
         assert abs(residual) <= 1e-3
+
+
+def clamp_row_by_row(rows, atol, stock, capped):
+    """The per-row repair rule the array clamp replaced, kept as its reference."""
+    band = _drift_band(atol)
+    out = rows.copy()
+    for row, is_capped in zip(out, capped):
+        for idx in range(4):
+            if row[idx] < 0.0 or row[idx] > 1.0:
+                if row[idx] < -band or row[idx] > 1.0 + band:
+                    raise IntegrationError(f"compartment {idx}: {row[idx]}")
+                row[idx] = min(max(row[idx], 0.0), 1.0)
+        for idx in (4, 5):
+            if row[idx] < 0.0:
+                if row[idx] < -band:
+                    raise IntegrationError(f"accumulator: {row[idx]}")
+                row[idx] = 0.0
+        cap = stock if is_capped else math.inf
+        if row[5] > cap:
+            if row[5] > cap + band:
+                raise IntegrationError(f"usage: {row[5]}")
+            row[5] = cap
+    return out
+
+
+class TestSampleClamp:
+    ATOL = 1e-9
+    STOCK = 0.2
+
+    def drifted_rows(self, n=400):
+        # values inside [0, 1] and [0, stock], each pushed out by up to half
+        # the drift band with probability 1/2 (both signs)
+        band = _drift_band(self.ATOL)
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(0.0, 1.0, size=(n, 6))
+        rows[:, 4] *= 50.0
+        rows[:, 5] *= self.STOCK
+        rows[::7, :] = 0.0
+        rows[3::7, :4] = 1.0
+        rows[5::7, 5] = self.STOCK
+        drift = rng.uniform(-0.5 * band, 0.5 * band, size=rows.shape)
+        rows += np.where(rng.uniform(size=rows.shape) < 0.5, drift, 0.0)
+        capped = np.arange(n) >= n // 2
+        return rows, capped
+
+    def test_repairs_in_band_drift_exactly_as_the_per_row_rule(self):
+        rows, capped = self.drifted_rows()
+        got = _clamp(rows, self.ATOL, self.STOCK, capped)
+        expected = clamp_row_by_row(rows, self.ATOL, self.STOCK, capped)
+        assert np.array_equal(got, expected)
+        assert not np.array_equal(got, rows)  # the drift was real
+        assert got[:, :4].min() >= 0.0 and got[:, :4].max() <= 1.0
+        assert got[:, 4:].min() >= 0.0
+        assert got[capped, 5].max() <= self.STOCK
+
+    def test_single_row_with_a_scalar_flag(self):
+        rows, capped = self.drifted_rows()
+        for j in (0, 3, 5, 250, 397):
+            got = _clamp(rows[j : j + 1], self.ATOL, self.STOCK, bool(capped[j]))
+            assert np.array_equal(got, _clamp(rows, self.ATOL, self.STOCK, capped)[j : j + 1])
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            pytest.param(0, -1.01, id="s-below"),
+            pytest.param(1, 1.0 + 1.01, id="i-above"),
+            pytest.param(3, -1.01, id="d-below"),
+            pytest.param(4, -1.01, id="J-negative"),
+            pytest.param(5, -1.01, id="V-negative"),
+        ],
+    )
+    def test_refuses_excursions_beyond_the_band(self, column, value):
+        # value is in units of the band beyond the nearest bound
+        band = _drift_band(self.ATOL)
+        rows, capped = self.drifted_rows()
+        bound = 1.0 if value > 1.0 else 0.0
+        rows[17, column] = bound + (value - bound) * band
+        with pytest.raises(IntegrationError):
+            _clamp(rows, self.ATOL, self.STOCK, capped)
+        with pytest.raises(IntegrationError):
+            clamp_row_by_row(rows, self.ATOL, self.STOCK, capped)
+
+    def test_usage_over_the_stock_is_refused_only_after_exhaustion(self):
+        band = _drift_band(self.ATOL)
+        rows, capped = self.drifted_rows()
+        rows[:, 5] = self.STOCK + 1.01 * band
+        with pytest.raises(IntegrationError):
+            _clamp(rows, self.ATOL, self.STOCK, capped)
+        uncapped = _clamp(rows, self.ATOL, self.STOCK, np.zeros(len(rows), dtype=bool))
+        assert np.array_equal(uncapped[:, 5], rows[:, 5])
