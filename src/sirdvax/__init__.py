@@ -40,7 +40,6 @@ from .solver import (
     Tolerances,
     Trajectory,
     integrate,
-    state_at,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +79,6 @@ __all__ = [
     "minimize_tau",
     "objective",
     "procurement_plan",
-    "state_at",
     "treatment_cost_rate",
     "vaccination_rate",
 ]

@@ -1,9 +1,13 @@
 """Cost-optimal vaccination-program duration and procurement planning.
 
 The decision variable is the single scalar tau (how long the program runs).
-The objective is evaluated by simulation, so the search is derivative-free:
-a coarse pre-scan brackets the best basin and a bounded golden-section /
-parabolic refinement polishes it.
+The objective is evaluated by simulation, so the search is derivative-free.
+Every candidate program follows the same always-on run until it ends, so one
+such run gives the stock cap and every candidate's state at its end; a coarse
+scan then costs all candidates at once with one batched solve of their
+uncontrolled tails and brackets the best basin.  A bounded golden-section /
+parabolic refinement polishes it with exact simulations, which alone decide
+the returned duration and cost.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from scipy.optimize import minimize_scalar
 from .analysis import EpidemicIndicators, indicators
 from .errors import ValidationError
 from .model import Scenario, VaccinationPolicy
-from .solver import Tolerances, Trajectory, integrate
+from .solver import Tolerances, Trajectory, integrate, stopped_program_costs
 
-#: Pre-scan resolution used to bracket the best basin before refinement.
+#: Scan resolution used to bracket the best basin before refinement.
 PRESCAN_POINTS = 64
 
 #: Default absolute tolerance on the optimal duration.
@@ -46,7 +50,8 @@ class ObjectiveEvaluation:
 class OptimizationResult:
     """Best duration found, its cost, indicators and trajectory.
 
-    ``evaluations`` counts the objective evaluations the search made.
+    ``evaluations`` counts the durations the search costed: the points of the
+    batched scan plus the exact objective evaluations.
     """
 
     tau_star: float
@@ -83,6 +88,23 @@ def objective(
     return ObjectiveEvaluation(tau=tau, cost=cost, trajectory=traj, feasible=feasible)
 
 
+def _always_on(
+    scenario: Scenario, resources: Resources, tol: Tolerances
+) -> tuple[float, Trajectory | None]:
+    """``feasible_tau_max`` and the always-on run (tau = T) it is read from.
+
+    With no stock there is no program to run: the cap is 0 and the run None.
+    """
+    k, l, m = resources
+    if m == 0.0:
+        return 0.0, None
+    policy = VaccinationPolicy(k=k, l=l, m=m, tau=scenario.T)
+    traj = integrate(scenario, policy, tol)
+    if traj.exhaustion_time is not None:
+        return traj.exhaustion_time, traj
+    return scenario.T, traj
+
+
 def feasible_tau_max(
     scenario: Scenario, resources: Resources, tol: Tolerances = Tolerances()
 ) -> float:
@@ -91,16 +113,9 @@ def feasible_tau_max(
     Smallest t with V(t) = m under the always-on policy (tau = T), or T if the
     stock is never exhausted.  V is nondecreasing, so the crossing is unique.
     """
-    k, l, m = resources
-    if m == 0.0:
-        return 0.0
-    if not math.isfinite(m):
+    if not math.isfinite(resources[2]):
         return scenario.T
-    policy = VaccinationPolicy(k=k, l=l, m=m, tau=scenario.T)
-    traj = integrate(scenario, policy, tol)
-    if traj.exhaustion_time is not None:
-        return traj.exhaustion_time
-    return scenario.T
+    return _always_on(scenario, resources, tol)[0]
 
 
 def minimize_tau(
@@ -112,25 +127,32 @@ def minimize_tau(
 ) -> OptimizationResult:
     """Find the duration minimizing the total cost on [0, feasible_tau_max].
 
-    A ``PRESCAN_POINTS``-point uniform scan guards against multimodality and
-    brackets the best basin; bounded golden-section/parabolic refinement then
-    polishes to ``opt_tol``.  The returned cost never exceeds any probed value.
+    One always-on run (tau = T) gives the cap ``feasible_tau_max`` and the
+    state at every candidate end of the program.  A ``PRESCAN_POINTS``-point
+    uniform scan of [0, cap], costed by ``stopped_program_costs`` in one
+    batched tail solve, guards against multimodality and brackets the best
+    basin.  Bounded golden-section/parabolic refinement on the scan's
+    neighbours of its best point then polishes to ``opt_tol`` with exact
+    ``objective`` runs, and the best point of the scan is run exactly too.
+    Exact runs are memoised, so no duration is integrated twice.  The
+    returned duration, cost and trajectory are those of the best exact run,
+    so the returned cost never exceeds any exactly evaluated one.
     """
-    evaluations = 0
+    exact: dict[float, ObjectiveEvaluation] = {}
 
     def j(tau: float) -> ObjectiveEvaluation:
-        nonlocal evaluations
-        evaluations += 1
-        return objective(tau, scenario, resources, tol, horizon)
+        if tau not in exact:
+            exact[tau] = objective(tau, scenario, resources, tol, horizon)
+        return exact[tau]
 
-    cap = feasible_tau_max(scenario, resources, tol)
+    cap, always_on = _always_on(scenario, resources, tol)
     if cap <= 0.0:
+        scanned = 0
         best = j(0.0)
     else:
         grid = np.linspace(0.0, cap, PRESCAN_POINTS)
-        scanned = [j(tau) for tau in grid]
-        costs = [ev.cost for ev in scanned]
-        k_best = int(np.argmin(costs))
+        scanned = len(grid)
+        k_best = int(np.argmin(stopped_program_costs(always_on, grid, horizon)))
         lo = grid[max(k_best - 1, 0)]
         hi = grid[min(k_best + 1, len(grid) - 1)]
         refined = minimize_scalar(
@@ -140,7 +162,8 @@ def minimize_tau(
             options={"xatol": opt_tol},
         )
         best = j(float(refined.x))
-        for candidate in scanned:
+        j(float(grid[k_best]))
+        for candidate in exact.values():
             if candidate.cost < best.cost:
                 best = candidate
 
@@ -148,7 +171,7 @@ def minimize_tau(
         tau_star=best.tau,
         cost_star=best.cost,
         indicators=indicators(best.trajectory),
-        evaluations=evaluations,
+        evaluations=scanned + len(exact),
         trajectory=best.trajectory,
     )
 

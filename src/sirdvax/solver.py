@@ -23,6 +23,7 @@ from .model import (
     Scenario,
     SirdState,
     VaccinationPolicy,
+    _rhs_values,
     treatment_cost_rate,
     vaccination_rate,
 )
@@ -142,10 +143,6 @@ class Trajectory:
     def V(self) -> np.ndarray:
         return self.values[:, 5]
 
-    @property
-    def states(self) -> list[AugmentedState]:
-        return [self._to_state(row) for row in self.values]
-
     @staticmethod
     def _to_state(row: np.ndarray) -> AugmentedState:
         return AugmentedState(
@@ -192,11 +189,6 @@ class Trajectory:
         return vaccination_rate(t, self.state_at(t).state.s, self.policy, exhausted)
 
 
-def state_at(trajectory: Trajectory, t: float) -> AugmentedState:
-    """Interpolated state of a trajectory at time t (exact at sample points)."""
-    return trajectory.state_at(t)
-
-
 def _drift_band(atol: float) -> float:
     """Largest deviation treated as integration drift rather than a real excursion."""
     return max(1e-9, 100.0 * atol)
@@ -234,6 +226,20 @@ def _clamp(
     out[:, 4:] = np.where(accumulators < 0.0, 0.0, accumulators)
     out[over, 5] = stock
     return out
+
+
+def _sample(segments, times: np.ndarray) -> np.ndarray:
+    """Dense output of the segments at sorted times, one array call per segment.
+
+    A time equal to a segment start is read from the segment it starts.
+    """
+    # times are sorted, so each segment's samples form one run of rows
+    edges = [0, *np.searchsorted(times, [seg[0] for seg in segments[1:]]), len(times)]
+    raw = np.empty((len(times), 6))
+    for (_, t_hi, interpolant), lo, hi in zip(segments, edges, edges[1:]):
+        if hi > lo:
+            raw[lo:hi] = interpolant(np.minimum(times[lo:hi], t_hi)).T
+    return raw
 
 
 def _merge_times(grid: np.ndarray, extra: list[float], span: float) -> np.ndarray:
@@ -406,12 +412,7 @@ def integrate(
     grid = np.linspace(0.0, T, SAMPLE_POINTS)
     times = _merge_times(grid, [e.time for e in events], T)
 
-    # times are sorted, so each segment's samples form one run of rows
-    edges = [0, *np.searchsorted(times, [seg[0] for seg in segments[1:]]), len(times)]
-    raw = np.empty((len(times), 6))
-    for (_, t_hi, interpolant), lo, hi in zip(segments, edges, edges[1:]):
-        if hi > lo:
-            raw[lo:hi] = interpolant(np.minimum(times[lo:hi], t_hi)).T
+    raw = _sample(segments, times)
     exhausted_from = exhaustion_time if exhaustion_time is not None else math.inf
     rows = _clamp(raw, tol.atol, m, times >= exhausted_from)
 
@@ -425,3 +426,57 @@ def integrate(
         exhaustion_time=exhaustion_time,
         segments=tuple(segments),
     )
+
+
+def stopped_program_costs(
+    always_on: Trajectory, taus: np.ndarray, horizon: str = "full"
+) -> np.ndarray:
+    """Costs of ending the program at each of ``taus``, read off one always-on run.
+
+    ``always_on`` is a run with the program on for the whole horizon
+    (tau = T), and ``taus`` are sorted times in [0, T].  Until tau a program
+    of duration tau follows the always-on run (past supply exhaustion both
+    have stopped vaccinating), so its state at tau is that run's dense output
+    there.  With ``horizon="program"`` the cost is that state's J.  With
+    ``horizon="full"`` every state is then advanced to T without vaccination,
+    all in one solve: each tail's interval [tau, T] is mapped onto u in
+    [0, 1] by t = tau + u*(T - tau), and the stacked tails share one step
+    sequence, so the step error is controlled on them jointly rather than
+    tail by tail.  The cost is J(T) of each tail.  The treatment cost rate is
+    the scenario's own.
+    """
+    if horizon not in ("full", "program"):
+        raise ValidationError(f"unknown objective horizon {horizon!r}")
+    taus = np.asarray(taus, dtype=float)
+    if np.any(np.diff(taus) < 0.0) or taus[0] < 0.0 or taus[-1] > always_on.scenario.T:
+        raise ValidationError(f"durations must be sorted within [0, {always_on.scenario.T}]")
+    prefix = _sample(always_on._segments, taus).T
+    scenario, tol = always_on.scenario, always_on.tolerances
+    spans = scenario.T - taus
+    if horizon == "program" or not spans.max() > 0.0:
+        return prefix[4]
+
+    epidemic, cost_a = scenario.epidemic, scenario.cost.a
+    coeff = treatment_cost_rate(epidemic, scenario.cost)
+    n = len(taus)
+    no_vaccination = np.zeros(n)
+
+    def rhs(u, y):
+        y = y.reshape(6, n)
+        s = np.clip(y[0], 0.0, 1.0)
+        i = np.clip(y[1], 0.0, 1.0)
+        dt = np.array(_rhs_values(s, i, no_vaccination, epidemic, cost_a, coeff))
+        return (dt * spans).ravel()
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, 1.0),
+        prefix.ravel(),
+        method=_METHOD,
+        rtol=tol.rtol,
+        atol=tol.atol,
+        max_step=tol.max_step / spans.max(),
+    )
+    if sol.status < 0:
+        raise IntegrationError(f"batched tail solve failed: {sol.message}")
+    return sol.y[:, -1].reshape(6, n)[4]

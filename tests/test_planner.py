@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sirdvax import (
+    EVENT_SUPPLY_EXHAUSTED,
+    IntegrationError,
+    VaccinationPolicy,
     ValidationError,
     feasible_tau_max,
     integrate,
@@ -15,6 +20,9 @@ from sirdvax import (
     objective,
     procurement_plan,
 )
+from sirdvax import planner, solver
+from sirdvax.planner import PRESCAN_POINTS
+from sirdvax.solver import stopped_program_costs
 
 RESOURCES_UNLIMITED = (0.1, 0.3, math.inf)
 RESOURCES_VARIANT1 = (0.1, 0.3, 2.949)
@@ -156,6 +164,138 @@ class TestMinimizeTau:
             for tau in np.linspace(0.0, cap, 101)
         ]
         assert result.cost_star <= min(grid_costs) + 1e-6
+
+
+def always_on_run(scenario, resources, tol):
+    k, l, m = resources
+    return integrate(scenario, VaccinationPolicy(k=k, l=l, m=m, tau=scenario.T), tol)
+
+
+def scan_grid(scenario, resources, tol):
+    return np.linspace(0.0, feasible_tau_max(scenario, resources, tol), PRESCAN_POINTS)
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize(
+        "scenario_name, resources, horizon",
+        [
+            ("scenario", RESOURCES_VARIANT1, "full"),
+            ("scenario", RESOURCES_TIGHT, "full"),
+            ("scenario", (0.1, 0.3, 0.4), "full"),
+            ("scenario", RESOURCES_UNLIMITED, "full"),
+            ("milder", RESOURCES_VARIANT1, "full"),
+            pytest.param(
+                "disease_free",
+                RESOURCES_VARIANT1,
+                "full",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="objective() at tau = 12.142857 locates the rate kink 1e-3 "
+                    "late and misses J(T) by 2.1e-5 relative; the scan matches the "
+                    "closed form (test_disease_free_scan_matches_the_closed_form)",
+                ),
+            ),
+            ("scenario", RESOURCES_UNLIMITED, "program"),
+        ],
+        ids=[
+            "variant1",
+            "stock-0.2",
+            "stock-0.4",
+            "unlimited",
+            "variant1-r4",
+            "disease-free",
+            "program-horizon",
+        ],
+    )
+    def test_costs_and_argmin_match_exact_objective_runs(
+        self, request, scenario_name, resources, horizon, tolerances
+    ):
+        if scenario_name == "milder":
+            base = request.getfixturevalue("scenario")
+            scenario = dataclasses.replace(
+                base, epidemic=dataclasses.replace(base.epidemic, r=4.0)
+            )
+        else:
+            scenario = request.getfixturevalue(scenario_name)
+        grid = scan_grid(scenario, resources, tolerances)
+        scanned = stopped_program_costs(
+            always_on_run(scenario, resources, tolerances), grid, horizon
+        )
+        exact = np.array(
+            [objective(float(tau), scenario, resources, tolerances, horizon).cost for tau in grid]
+        )
+        np.testing.assert_allclose(scanned, exact, rtol=1e-5, atol=0.0)
+        assert int(np.argmin(scanned)) == int(np.argmin(exact))
+
+    def test_disease_free_scan_matches_the_closed_form(self, disease_free, tolerances):
+        # with no infection only doses cost: J(T) = a*V(tau), where V grows at
+        # k until l*s = k and then drains s exponentially at rate l
+        k, l, _ = RESOURCES_VARIANT1
+        s0, a = disease_free.initial.s, disease_free.cost.a
+        t_kink = (s0 - k / l) / k
+        grid = scan_grid(disease_free, RESOURCES_VARIANT1, tolerances)
+        used = np.where(
+            grid <= t_kink, k * grid, s0 - (k / l) * np.exp(-l * (grid - t_kink))
+        )
+        scanned = stopped_program_costs(
+            always_on_run(disease_free, RESOURCES_VARIANT1, tolerances), grid
+        )
+        np.testing.assert_allclose(scanned, a * used, rtol=1e-6, atol=0.0)
+        assert int(np.argmin(scanned)) == 0
+        assert objective(0.0, disease_free, RESOURCES_VARIANT1, tolerances).cost == 0.0
+
+    @pytest.mark.parametrize("m", [0.2, 0.4])
+    def test_last_point_is_the_cap_where_the_stock_runs_out(self, scenario, tolerances, m):
+        resources = (0.1, 0.3, m)
+        always_on = always_on_run(scenario, resources, tolerances)
+        grid = scan_grid(scenario, resources, tolerances)
+        assert grid[-1] == always_on.exhaustion_time < scenario.T
+        last = objective(float(grid[-1]), scenario, resources, tolerances).trajectory
+        assert last.exhaustion_time == grid[-1]
+        assert any(e.kind == EVENT_SUPPLY_EXHAUSTED for e in last.events)
+
+    def test_rejects_unsorted_or_out_of_range_durations(self, full_program_traj):
+        for taus in ([2.0, 1.0], [-1.0, 1.0], [1.0, 16.0]):
+            with pytest.raises(ValidationError):
+                stopped_program_costs(full_program_traj, np.array(taus))
+
+    def test_rejects_unknown_horizon_mode(self, scenario, full_program_traj):
+        with pytest.raises(ValidationError):
+            stopped_program_costs(full_program_traj, np.array([1.0]), horizon="both")
+        with pytest.raises(ValidationError):
+            minimize_tau(scenario, RESOURCES_VARIANT1, horizon="both")
+
+    def test_a_failed_tail_solve_is_loud(self, full_program_traj, monkeypatch):
+        def failing(*args, **kwargs):
+            return SimpleNamespace(status=-1, message="required step size is less than spacing")
+
+        monkeypatch.setattr(solver, "solve_ivp", failing)
+        with pytest.raises(IntegrationError):
+            stopped_program_costs(full_program_traj, np.array([1.0, 2.0]))
+
+
+class TestExactPolish:
+    @pytest.mark.parametrize(
+        "resources", [RESOURCES_VARIANT1, (0.1, 0.3, 0.4)], ids=["variant1", "stock-0.4"]
+    )
+    def test_never_worse_than_any_exact_run_and_none_repeated(
+        self, scenario, monkeypatch, resources
+    ):
+        runs = []
+        exact_objective = planner.objective
+
+        def recording(tau, *args, **kwargs):
+            evaluation = exact_objective(tau, *args, **kwargs)
+            runs.append((tau, evaluation.cost))
+            return evaluation
+
+        monkeypatch.setattr(planner, "objective", recording)
+        result = minimize_tau(scenario, resources)
+        taus = [tau for tau, _ in runs]
+        assert len(taus) == len(set(taus))
+        assert result.cost_star == min(cost for _, cost in runs)
+        assert (result.tau_star, result.cost_star) in runs
+        assert result.evaluations == PRESCAN_POINTS + len(runs)
 
 
 class TestProcurementPlan:

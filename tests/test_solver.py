@@ -21,7 +21,6 @@ from sirdvax import (
     ValidationError,
     feasible_tau_max,
     integrate,
-    state_at,
 )
 from sirdvax.solver import _clamp, _drift_band
 from oracles import rk4_reference
@@ -188,7 +187,7 @@ class TestDenseOutput:
     def test_sample_points_exact(self, full_program_traj, tight_supply_traj):
         for traj in (full_program_traj, tight_supply_traj):
             for t, row in zip(traj.times, traj.values):
-                got = state_at(traj, float(t)).as_vector()
+                got = traj.state_at(float(t)).as_vector()
                 assert np.array_equal(np.array(got), row)
 
     def test_out_of_range_rejected(self, full_program_traj):
