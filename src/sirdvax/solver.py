@@ -3,9 +3,12 @@
 The right-hand side is smooth except at the scheduled program end (t = tau),
 at the rate kink (where l*s crosses k), and at supply exhaustion (where the
 accumulated usage V reaches the stock m).  Each of these is located as an
-event and integration restarts there, so every smooth piece is integrated at
-the method's full order.  Dense output (the solver's cubic Hermite continuous
-extension) backs interpolation between samples.
+event and integration restarts there.  Every segment fixes the vaccination
+rate to one branch (k before the kink, l*s after it, 0 once the program has
+ended or the stock has run out), so no step straddles a switch and every
+smooth piece is integrated at the full order of the Dormand-Prince 8(5,3)
+pair (SciPy's DOP853).  Its 7th-order dense output backs interpolation
+between samples and the location of events.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ EPIDEMIC_END_THRESHOLD = 1e-6
 #: Number of uniform sample points emitted per trajectory (event times extra).
 SAMPLE_POINTS = 1001
 
-_METHOD = "RK23"
+_METHOD = "DOP853"
 
 
 @dataclass(frozen=True)
@@ -48,15 +51,13 @@ class Tolerances:
 
     Measured against a fixed-step 4th-order reference at step 1e-4: with the
     defaults, the bundled variants (i0 = 1e-3, tau = 7.5 or 15) agree to
-    2.6e-6 in the compartments' max norm and to 1.7e-6 relative in J(T).  A
-    slow epidemic grown from a small infected fraction fares worse, because
-    ``atol`` is then large against i: from i0 = 1.41e-4 the compartments
-    still agree to 4.0e-6, but J(T) misses by 2.6e-5 relative (1.5e-4
-    absolute); ``rtol`` 1e-8 with ``atol`` 1e-11 brings that to 2.7e-7.
+    4.2e-9 in the compartments' max norm and to 1.7e-9 relative in J(T).  A
+    slow epidemic grown from i0 = 1.41e-4 agrees to 3.3e-9 in the
+    compartments and to 2.9e-9 relative in J(T).
     """
 
-    rtol: float = 1e-6
-    atol: float = 1e-9
+    rtol: float = 1e-8
+    atol: float = 1e-11
     max_step: float = math.inf
     event_tol: float = 1e-10
 
@@ -86,8 +87,10 @@ class Trajectory:
     - ``rate_kink`` where the policy rate switches from the capacity branch k
       to the willingness branch l*s,
     - ``supply_exhausted`` where V reaches m (vaccination stops for good),
-      including at t = tau when the program ends with V short of m by no
-      more than the integration drift band,
+      placed at t = tau when the two are within the integration drift band
+      of each other: the program ends with V short of m by no more than
+      the band, or V reaches m so shortly before tau that at most the band
+      would have been used by then,
     - ``epidemic_end`` where the infected fraction falls below
       ``EPIDEMIC_END_THRESHOLD`` (marker only).
 
@@ -280,9 +283,6 @@ def integrate(
         )
 
     epidemic, cost = scenario.epidemic, scenario.cost
-    beta_e = epidemic.transmission_rate
-    alpha, beta = epidemic.alpha, epidemic.beta
-    a = cost.a
     coeff = (
         treatment_coeff
         if treatment_coeff is not None
@@ -291,27 +291,15 @@ def integrate(
     k = policy.k if policy is not None else 0.0
     l = policy.l if policy is not None else 0.0
 
-    def rhs_off(t, y):
+    def rhs(t, y, rate, willingness):
+        # one rate branch per segment: v = rate + willingness*s is k on the
+        # capacity branch, l*s on the willingness branch and 0 when off
         s = min(max(y[0], 0.0), 1.0)
         i = min(max(y[1], 0.0), 1.0)
-        infections = s * beta_e * i
-        return (-infections, infections - i, alpha * i, beta * i, coeff * i, 0.0)
+        return _rhs_values(s, i, rate + willingness * s, epidemic, cost.a, coeff)
 
-    def rhs_on(t, y):
-        s = min(max(y[0], 0.0), 1.0)
-        i = min(max(y[1], 0.0), 1.0)
-        v = k if k < l * s else l * s
-        infections = s * beta_e * i
-        return (
-            -infections - v,
-            infections - i,
-            alpha * i + v,
-            beta * i,
-            a * v + coeff * i,
-            v,
-        )
-
-    def epidemic_end(t, y):
+    # solve_ivp passes the right-hand side's args to every event function too
+    def epidemic_end(t, y, *branch):
         return y[1] - EPIDEMIC_END_THRESHOLD
 
     epidemic_end.terminal = False
@@ -353,7 +341,7 @@ def integrate(
         watchers = [epidemic_end]
         exhaust_index = kink_index = None
         if vaccinating and math.isfinite(m):
-            def supply_exhausted(t, y, _m=m):
+            def supply_exhausted(t, y, *branch, _m=m):
                 return y[5] - _m
 
             supply_exhausted.terminal = True
@@ -361,7 +349,7 @@ def integrate(
             exhaust_index = len(watchers)
             watchers.append(supply_exhausted)
         if vaccinating and kink_armed:
-            def rate_kink(t, y, _k=k, _l=l):
+            def rate_kink(t, y, *branch, _k=k, _l=l):
                 return _l * y[0] - _k
 
             rate_kink.terminal = True
@@ -369,8 +357,14 @@ def integrate(
             kink_index = len(watchers)
             watchers.append(rate_kink)
 
+        if not vaccinating:
+            branch = (0.0, 0.0)
+        elif kink_armed:
+            branch = (k, 0.0)
+        else:
+            branch = (0.0, l)
         sol = solve_ivp(
-            rhs_on if vaccinating else rhs_off,
+            rhs,
             (t0, t_end),
             y0,
             method=_METHOD,
@@ -379,6 +373,7 @@ def integrate(
             max_step=tol.max_step,
             dense_output=True,
             events=watchers,
+            args=branch,
         )
         if sol.status < 0:
             raise IntegrationError(f"solver failed on [{t0}, {t_end}]: {sol.message}")
@@ -396,8 +391,14 @@ def integrate(
                 and abs(sol.t_events[exhaust_index][-1] - t0) <= boundary_tol
             )
             if fired_exhaust:
-                events.append(Event(t0, EVENT_SUPPLY_EXHAUSTED))
-                exhaustion_time = t0
+                # a stock that runs out so close to the program end that the
+                # usage left before it (at most k per unit time) lies within
+                # the drift band has run out at the end, as in the rule above
+                if k * (t_end - t0) <= _drift_band(tol.atol):
+                    exhaustion_time = t_end
+                else:
+                    exhaustion_time = t0
+                events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
                 vaccinating = False
             elif kink_index is not None and len(sol.t_events[kink_index]) > 0:
                 events.append(Event(t0, EVENT_RATE_KINK))

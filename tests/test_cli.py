@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sirdvax
 from sirdvax import VaccinationPolicy, dump_config, integrate, load_config, objective
 from sirdvax.cli import main, parse_values
 
@@ -298,11 +301,16 @@ class TestRoundTrip:
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        package_root = str(Path(sirdvax.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, path]))}
         proc = subprocess.run(
             [sys.executable, "-m", "sirdvax.cli", "simulate", "--config", "variant2",
              "--tau", "3", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "summary.json").exists()

@@ -184,17 +184,7 @@ class TestBatchedScan:
             ("scenario", (0.1, 0.3, 0.4), "full"),
             ("scenario", RESOURCES_UNLIMITED, "full"),
             ("milder", RESOURCES_VARIANT1, "full"),
-            pytest.param(
-                "disease_free",
-                RESOURCES_VARIANT1,
-                "full",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="objective() at tau = 12.142857 locates the rate kink 1e-3 "
-                    "late and misses J(T) by 2.1e-5 relative; the scan matches the "
-                    "closed form (test_disease_free_scan_matches_the_closed_form)",
-                ),
-            ),
+            ("disease_free", RESOURCES_VARIANT1, "full"),
             ("scenario", RESOURCES_UNLIMITED, "program"),
         ],
         ids=[

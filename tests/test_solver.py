@@ -247,6 +247,57 @@ class TestAccuracy:
         assert abs(ref[-1, 5] - 0.2) <= 1e-9
 
 
+class TestRateBranches:
+    """Runs whose rate kink meets t = 0, the program end or the stock-out."""
+
+    @staticmethod
+    def assert_matches_reference(traj):
+        # the RK4 oracle at h = 1e-4 resolves the switches far below these bounds
+        ref = rk4_reference(traj.scenario, traj.policy, 1e-4, [traj.scenario.T])[-1]
+        assert traj.J[-1] == pytest.approx(ref[4], rel=1e-7, abs=0.0)
+        assert traj.V[-1] == pytest.approx(ref[5], rel=0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("tau", [12.142857, 15.0])
+    def test_disease_free_kink_at_the_closed_form(self, disease_free, tau):
+        # with no infection s falls at exactly k until l*s = k
+        traj = integrate(disease_free, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=tau))
+        s0 = disease_free.initial.s
+        (t_kink,) = event_times(traj, EVENT_RATE_KINK)
+        assert t_kink == pytest.approx((s0 - 0.1 / 0.3) / 0.1, rel=0.0, abs=1e-12)
+
+    def test_willingness_branch_from_the_start_when_l_s0_equals_k(self, epidemic, cost):
+        low = Scenario(
+            epidemic=epidemic,
+            cost=cost,
+            initial=SirdState(s=0.5, i=0.001, rho=0.499, d=0.0),
+            T=15.0,
+        )
+        assert 0.2 * low.initial.s == 0.1
+        traj = integrate(low, VaccinationPolicy(k=0.1, l=0.2, m=math.inf, tau=15.0))
+        assert event_times(traj, EVENT_RATE_KINK) == []
+        # s falls from the start, so usage lags the capacity k*t at once
+        assert traj.state_at(1.0).V < 0.1 * 1.0 - 1e-3
+        self.assert_matches_reference(traj)
+
+    def test_program_ending_at_the_kink(self, scenario, full_program_traj):
+        (t_kink,) = event_times(full_program_traj, EVENT_RATE_KINK)
+        traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=t_kink))
+        assert event_times(traj, EVENT_PROGRAM_END) == [t_kink]
+        assert event_times(traj, EVENT_SUPPLY_EXHAUSTED) == []
+        assert all(abs(t - t_kink) <= 1e-12 for t in event_times(traj, EVENT_RATE_KINK))
+        self.assert_matches_reference(traj)
+
+    def test_stock_running_out_at_the_kink(self, scenario, full_program_traj):
+        # usage grows at exactly k up to the kink, so m = k*t_kink runs out there
+        (t_kink,) = event_times(full_program_traj, EVENT_RATE_KINK)
+        traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=0.1 * t_kink, tau=15.0))
+        (t_out,) = event_times(traj, EVENT_SUPPLY_EXHAUSTED)
+        assert t_out == pytest.approx(t_kink, rel=1e-12)
+        assert traj.exhaustion_time == t_out
+        assert event_times(traj, EVENT_PROGRAM_END) == [15.0]
+        self.assert_matches_reference(traj)
+
+
 class TestFinalSizeRelation:
     def test_unvaccinated_terminal_susceptibles(self, epidemic, cost):
         # classical final-size identity of the uncontrolled epidemic:
