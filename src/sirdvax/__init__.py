@@ -16,11 +16,9 @@ from .model import (
     Scenario,
     SirdState,
     VaccinationPolicy,
-    augmented_rhs,
     exact_infection_probability,
     infection_intensity,
     treatment_cost_rate,
-    vaccination_rate,
 )
 from .planner import (
     ObjectiveEvaluation,
@@ -66,7 +64,6 @@ __all__ = [
     "Trajectory",
     "VaccinationPolicy",
     "ValidationError",
-    "augmented_rhs",
     "config_from_dict",
     "config_to_dict",
     "dump_config",
@@ -80,5 +77,4 @@ __all__ = [
     "objective",
     "procurement_plan",
     "treatment_cost_rate",
-    "vaccination_rate",
 ]

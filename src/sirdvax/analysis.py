@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import ValidationError
-from .solver import Trajectory
+from .solver import EPIDEMIC_END_THRESHOLD, Trajectory
 
 
 @dataclass(frozen=True)
@@ -16,9 +15,9 @@ class EpidemicIndicators:
     """Headline numbers of one trajectory.
 
     ``duration`` is the first time after the peak at which the infected
-    fraction falls below the end threshold, or T if it never does within the
-    horizon.  Measuring after the peak avoids triggering on a small initial
-    infected fraction.
+    fraction falls below ``EPIDEMIC_END_THRESHOLD``, or T if it never does
+    within the horizon.  Measuring after the peak avoids triggering on a
+    small initial infected fraction.
     """
 
     peak_i: float
@@ -29,16 +28,13 @@ class EpidemicIndicators:
     total_cost: float
 
 
-def indicators(traj: Trajectory, end_threshold: float = 1e-6) -> EpidemicIndicators:
+def indicators(traj: Trajectory) -> EpidemicIndicators:
     """Compute peak, duration, and totals from a trajectory.
 
     The peak is located by scanning the samples and refining on the bracketing
     interval with the trajectory's dense output; the end crossing is located
     the same way.
     """
-    if end_threshold <= 0.0:
-        raise ValidationError(f"end threshold must be positive, got {end_threshold}")
-
     times, infected = traj.times, traj.i
     j = int(np.argmax(infected))
     peak_time, peak_i = float(times[j]), float(infected[j])
@@ -54,17 +50,17 @@ def indicators(traj: Trajectory, end_threshold: float = 1e-6) -> EpidemicIndicat
             peak_i, peak_time = float(-refined.fun), float(refined.x)
 
     duration = float(times[-1])
-    if peak_i < end_threshold:
+    if peak_i < EPIDEMIC_END_THRESHOLD:
         duration = peak_time
     else:
-        below = np.flatnonzero((times > peak_time) & (infected < end_threshold))
+        below = np.flatnonzero((times > peak_time) & (infected < EPIDEMIC_END_THRESHOLD))
         if below.size:
             idx = int(below[0])
             t_lo, t_hi = float(times[idx - 1]), float(times[idx])
-            if infected[idx - 1] >= end_threshold and t_hi > t_lo:
+            if infected[idx - 1] >= EPIDEMIC_END_THRESHOLD and t_hi > t_lo:
                 duration = float(
                     brentq(
-                        lambda t: traj.state_at(float(t)).state.i - end_threshold,
+                        lambda t: traj.state_at(float(t)).state.i - EPIDEMIC_END_THRESHOLD,
                         t_lo,
                         t_hi,
                         xtol=1e-12,

@@ -19,7 +19,7 @@ from .analysis import EpidemicIndicators, indicators
 from .config import ScenarioConfig, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
 from .model import CostParams, EpidemicParams, Scenario, VaccinationPolicy
-from .planner import minimize_tau, objective
+from .planner import minimize_tau, objective, procurement_plan
 from .solver import Trajectory, integrate
 
 SWEEPABLE = ("tau", "k", "l", "m", "a", "b", "c", "eps", "r")
@@ -51,16 +51,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _trajectory_rows(traj: Trajectory, population: float | None) -> np.ndarray:
     """The CSV table: one row per sample, columns as in the header."""
-    times, policy = traj.times, traj.policy
-    # the rule of Trajectory.rate_at: min(k, l*s) before tau and before supply
-    # exhaustion, zero from either on
-    v = np.zeros(len(times))
-    if policy is not None:
-        live = times < policy.tau
-        if traj.exhaustion_time is not None:
-            live &= times < traj.exhaustion_time
-        v[live] = np.minimum(policy.k, policy.l * traj.s[live])
-    columns = [times, traj.values[:, :4], v, traj.values[:, 4:]]
+    columns = [traj.times, traj.values[:, :4], traj.rates, traj.values[:, 4:]]
     if population is not None:
         columns.append(population * traj.values[:, :4])
     return np.column_stack(columns)
@@ -163,18 +154,15 @@ def cmd_optimize(args) -> int:
 
 def cmd_procure(args) -> int:
     config = load_config(args.config)
-    # the supply limit is ignored on purpose: the question is how much to buy
-    result = minimize_tau(config.scenario, (config.k, config.l, math.inf), config.tolerances)
-    tau_pp, m_pp = result.tau_star, result.indicators.total_vaccinated
-    traj = result.trajectory
+    result = procurement_plan(config.scenario, (config.k, config.l), config.tolerances)
 
     out = _out_dir(args, config)
     csv_name = args.prefix + "procure_trajectory.csv"
-    _write_trajectory(out / csv_name, traj, config.population)
+    _write_trajectory(out / csv_name, result.trajectory, config.population)
     summary = _summary_base("procure", config)
     summary.update(
-        tau_double_star=tau_pp,
-        m_double_star=m_pp,
+        tau_double_star=result.tau_star,
+        m_double_star=result.indicators.total_vaccinated,
         cost=result.cost_star,
         evaluations=result.evaluations,
         indicators=_indicators_dict(result.indicators),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,7 +23,7 @@ _SECTIONS = {
     "initial": ("s", "i", "rho", "d"),
 }
 _OPTIONAL_TOP = ("tolerances", "population", "output_dir")
-_TOLERANCE_KEYS = ("rtol", "atol", "max_step", "event_tol")
+_TOLERANCE_KEYS = ("rtol", "atol", "max_step")
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,10 @@ class ScenarioConfig:
 def _as_number(section: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{section}.{key}: expected a number, got {value!r}")
+    # json reads NaN, Infinity and integers beyond the float range as numbers;
+    # no field takes them
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{section}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -121,9 +126,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             f"resources: k must be >= 0, l in [0, 1], m >= 0; got k={k}, l={l}, m={m}"
         )
 
-    tol_data = data.get("tolerances") or {}
-    if not isinstance(tol_data, dict):
-        raise ValidationError(f"tolerances: expected an object, got {tol_data!r}")
+    tol_data = _section(data, "tolerances") if data.get("tolerances") else {}
     tol_kwargs = {}
     for key in _TOLERANCE_KEYS:
         if key in tol_data:
@@ -184,7 +187,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
             "max_step": None
             if math.isinf(config.tolerances.max_step)
             else config.tolerances.max_step,
-            "event_tol": config.tolerances.event_tol,
         },
         "population": config.population,
         "output_dir": config.output_dir,
@@ -205,7 +207,7 @@ def load_config(source: str | Path) -> ScenarioConfig:
         text = path.read_text("utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long for int() to read
         raise ValidationError(f"config: invalid JSON in {name!r}: {exc}") from exc
     return config_from_dict(data)
 

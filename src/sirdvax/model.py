@@ -105,10 +105,6 @@ class VaccinationPolicy:
         _require(self.m >= 0.0, f"m must be nonnegative, got {self.m}")
         _require(self.tau >= 0.0, f"tau must be nonnegative, got {self.tau}")
 
-    @property
-    def supply_limited(self) -> bool:
-        return math.isfinite(self.m)
-
 
 @dataclass(frozen=True)
 class SirdState:
@@ -163,7 +159,10 @@ class Scenario:
     T: float
 
     def __post_init__(self) -> None:
-        _require(self.T > 0.0, f"planning horizon T must be positive, got {self.T}")
+        _require(
+            0.0 < self.T < math.inf,
+            f"planning horizon T must be positive and finite, got {self.T}",
+        )
         _require(self.initial.i >= 0.0, "initial infected fraction must be nonnegative")
 
     def augmented_initial(self) -> AugmentedState:
@@ -198,26 +197,10 @@ def exact_infection_probability(i: float, dt: float, params: EpidemicParams) -> 
     return -math.expm1(params.r * dt * i * math.log1p(-params.eps))
 
 
-def vaccination_rate(
-    t: float, s: float, policy: VaccinationPolicy, exhausted: bool = False
-) -> float:
-    """Vaccination rate at time t: min{k, l*s} while the program runs, else 0.
-
-    ``exhausted`` reports that the vaccine stock has run out; the event is
-    detected by the integrator, keeping this function pure and total.
-    The program is live on the closed interval t <= tau.
-    """
-    if exhausted or t > policy.tau:
-        return 0.0
-    return min(policy.k, policy.l * s)
-
-
 def treatment_cost_rate(epidemic: EpidemicParams, cost: CostParams) -> float:
     """Expected treatment cost per infected person per unit time.
 
     Mild and severe outcomes are weighted by their rates: alpha*b + beta*c.
-    Operations that consume it accept an override for studying alternative
-    weightings.
     """
     return epidemic.alpha * cost.b + epidemic.beta * cost.c
 
@@ -228,43 +211,20 @@ def _rhs_values(
     v: float,
     epidemic: EpidemicParams,
     cost_a: float,
-    treatment_coeff: float,
+    treatment_rate: float,
 ) -> tuple[float, float, float, float, float, float]:
-    """Core derivative algebra on already-clamped compartment values."""
+    """Time derivative of (s, i, rho, d, J, V) at vaccination rate v.
+
+    The compartment values must already lie in [0, 1]; scalars and arrays of
+    one shape are both accepted.  The four compartment derivatives sum to
+    zero by construction.
+    """
     infections = s * (epidemic.transmission_rate * i)
     return (
         -infections - v,
         infections - i,
         epidemic.alpha * i + v,
         epidemic.beta * i,
-        cost_a * v + treatment_coeff * i,
+        cost_a * v + treatment_rate * i,
         v,
     )
-
-
-def augmented_rhs(
-    t: float,
-    y: AugmentedState,
-    scenario: Scenario,
-    policy: VaccinationPolicy,
-    exhausted: bool = False,
-    treatment_coeff: float | None = None,
-) -> tuple[float, float, float, float, float, float]:
-    """Time derivative of (s, i, rho, d, J, V).
-
-    The four compartment derivatives sum to zero by construction.  Compartment
-    values are clamped to [0, 1] before evaluation; excursions beyond the
-    drift tolerance raise DomainError.
-    """
-    s, i, rho, d = y.state.as_tuple()
-    for name, value in (("s", s), ("i", i), ("rho", rho), ("d", d)):
-        if value < -SIMPLEX_TOL or value > 1.0 + SIMPLEX_TOL:
-            raise DomainError(
-                f"compartment {name} outside [0, 1] beyond tolerance: {value}"
-            )
-    s = min(max(s, 0.0), 1.0)
-    i = min(max(i, 0.0), 1.0)
-    if treatment_coeff is None:
-        treatment_coeff = treatment_cost_rate(scenario.epidemic, scenario.cost)
-    v = vaccination_rate(t, s, policy, exhausted)
-    return _rhs_values(s, i, v, scenario.epidemic, scenario.cost.a, treatment_coeff)

@@ -66,24 +66,19 @@ def objective(
     scenario: Scenario,
     resources: Resources,
     tol: Tolerances = Tolerances(),
-    horizon: str = "full",
 ) -> ObjectiveEvaluation:
     """Total per-capita cost of running the program for ``tau`` time units.
 
-    The system is always integrated over the full horizon [0, T].  With
-    ``horizon="full"`` (the default) the reported cost is J(T): vaccination
-    spend stops when the program does, treatment spend keeps accruing while
-    infections persist.  ``horizon="program"`` reports J(tau) instead, i.e.
-    only costs accrued while the program ran.
+    The system is integrated over the full horizon [0, T] and the cost is
+    J(T): vaccination spend stops when the program does, treatment spend
+    keeps accruing while infections persist.
     """
     if tau < 0.0 or tau > scenario.T:
         raise ValidationError(f"tau must lie in [0, {scenario.T}], got {tau}")
-    if horizon not in ("full", "program"):
-        raise ValidationError(f"unknown objective horizon {horizon!r}")
     k, l, m = resources
     policy = VaccinationPolicy(k=k, l=l, m=m, tau=tau)
     traj = integrate(scenario, policy, tol)
-    cost = float(traj.J[-1]) if horizon == "full" else traj.state_at(tau).J
+    cost = float(traj.J[-1])
     feasible = traj.exhaustion_time is None or traj.exhaustion_time >= tau
     return ObjectiveEvaluation(tau=tau, cost=cost, trajectory=traj, feasible=feasible)
 
@@ -123,7 +118,6 @@ def minimize_tau(
     resources: Resources,
     tol: Tolerances = Tolerances(),
     opt_tol: float = DEFAULT_OPT_TOL,
-    horizon: str = "full",
 ) -> OptimizationResult:
     """Find the duration minimizing the total cost on [0, feasible_tau_max].
 
@@ -142,7 +136,7 @@ def minimize_tau(
 
     def j(tau: float) -> ObjectiveEvaluation:
         if tau not in exact:
-            exact[tau] = objective(tau, scenario, resources, tol, horizon)
+            exact[tau] = objective(tau, scenario, resources, tol)
         return exact[tau]
 
     cap, always_on = _always_on(scenario, resources, tol)
@@ -152,7 +146,7 @@ def minimize_tau(
     else:
         grid = np.linspace(0.0, cap, PRESCAN_POINTS)
         scanned = len(grid)
-        k_best = int(np.argmin(stopped_program_costs(always_on, grid, horizon)))
+        k_best = int(np.argmin(stopped_program_costs(always_on, grid)))
         lo = grid[max(k_best - 1, 0)]
         hi = grid[min(k_best + 1, len(grid) - 1)]
         refined = minimize_scalar(
@@ -181,14 +175,13 @@ def procurement_plan(
     resources: tuple[float, float],
     tol: Tolerances = Tolerances(),
     opt_tol: float = DEFAULT_OPT_TOL,
-) -> tuple[float, float]:
-    """Optimal duration without a supply limit and the stock that plan consumes.
+) -> OptimizationResult:
+    """Optimal program without a supply limit, to decide how much vaccine to buy.
 
-    Returns (tau, m) where tau minimizes the cost with unlimited supply and m
-    is the vaccine actually used by that program, read off the optimal
-    trajectory's usage integral.
+    The stock m is ignored on purpose: ``tau_star`` minimizes the cost with
+    unlimited supply, and the stock that plan consumes is its
+    ``indicators.total_vaccinated`` (with unlimited supply no vaccination
+    happens after tau, so V(T) = V(tau)).
     """
     k, l = resources
-    result = minimize_tau(scenario, (k, l, math.inf), tol, opt_tol)
-    # no vaccination happens after tau with unlimited supply, so V(T) = V(tau)
-    return result.tau_star, result.indicators.total_vaccinated
+    return minimize_tau(scenario, (k, l, math.inf), tol, opt_tol)

@@ -28,7 +28,6 @@ from .model import (
     VaccinationPolicy,
     _rhs_values,
     treatment_cost_rate,
-    vaccination_rate,
 )
 
 EVENT_PROGRAM_END = "program_end"
@@ -59,10 +58,9 @@ class Tolerances:
     rtol: float = 1e-8
     atol: float = 1e-11
     max_step: float = math.inf
-    event_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rtol", "atol", "max_step", "event_tol"):
+        for name in ("rtol", "atol", "max_step"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValidationError(f"{name} must be positive, got {value}")
@@ -120,7 +118,6 @@ class Trajectory:
         self.tolerances = tolerances
         self.exhaustion_time = exhaustion_time
         self._segments = segments
-        self._segment_starts = [seg[0] for seg in segments]
 
     @property
     def s(self) -> np.ndarray:
@@ -154,14 +151,6 @@ class Trajectory:
             V=row[5],
         )
 
-    def _interpolate(self, t: float) -> np.ndarray:
-        idx = bisect.bisect_right(self._segment_starts, t) - 1
-        idx = max(idx, 0)
-        _, t_hi, interpolant = self._segments[idx]
-        if t > t_hi:  # beyond the last segment end by roundoff
-            t = t_hi
-        return np.asarray(interpolant(t), dtype=float)
-
     def state_at(self, t: float) -> AugmentedState:
         """Interpolated state at any time in [0, T]; exact at sample points.
 
@@ -177,8 +166,13 @@ class Trajectory:
             return self._to_state(self.values[j])
         capped = self.exhaustion_time is not None and t >= self.exhaustion_time
         stock = self.policy.m if capped else math.inf
-        row = _clamp(self._interpolate(t)[np.newaxis], self.tolerances.atol, stock, capped)
-        return self._to_state(row[0])
+        raw = _sample(self._segments, np.array([t]))
+        return self._to_state(_clamp(raw, self.tolerances.atol, stock, capped)[0])
+
+    @property
+    def rates(self) -> np.ndarray:
+        """Vaccination rate in effect just after each sample time."""
+        return _rates(self.policy, self.exhaustion_time, self.times, self.s)
 
     def rate_at(self, t: float) -> float:
         """Vaccination rate in effect just after time t.
@@ -186,10 +180,27 @@ class Trajectory:
         Right-continuous at switch-off points: 0 at and after the scheduled
         program end and at and after supply exhaustion.
         """
-        if self.policy is None or t >= self.policy.tau:
-            return 0.0
-        exhausted = self.exhaustion_time is not None and t >= self.exhaustion_time
-        return vaccination_rate(t, self.state_at(t).state.s, self.policy, exhausted)
+        s = np.array([self.state_at(t).state.s])
+        return float(_rates(self.policy, self.exhaustion_time, np.array([t]), s)[0])
+
+
+def _rates(
+    policy: VaccinationPolicy | None,
+    exhaustion_time: float | None,
+    times: np.ndarray,
+    s: np.ndarray,
+) -> np.ndarray:
+    """The vaccination rule at each of ``times`` with susceptibles ``s``.
+
+    min(k, l*s) while t < tau and t < ``exhaustion_time``, else 0.
+    """
+    v = np.zeros(len(times))
+    if policy is not None:
+        live = times < policy.tau
+        if exhaustion_time is not None:
+            live &= times < exhaustion_time
+        v[live] = np.minimum(policy.k, policy.l * s[live])
+    return v
 
 
 def _drift_band(atol: float) -> float:
@@ -268,7 +279,6 @@ def integrate(
     scenario: Scenario,
     policy: VaccinationPolicy | None,
     tol: Tolerances = Tolerances(),
-    treatment_coeff: float | None = None,
 ) -> Trajectory:
     """Integrate the augmented system over [0, T] and return its trajectory.
 
@@ -283,11 +293,7 @@ def integrate(
         )
 
     epidemic, cost = scenario.epidemic, scenario.cost
-    coeff = (
-        treatment_coeff
-        if treatment_coeff is not None
-        else treatment_cost_rate(epidemic, cost)
-    )
+    coeff = treatment_cost_rate(epidemic, cost)
     k = policy.k if policy is not None else 0.0
     l = policy.l if policy is not None else 0.0
 
@@ -429,32 +435,26 @@ def integrate(
     )
 
 
-def stopped_program_costs(
-    always_on: Trajectory, taus: np.ndarray, horizon: str = "full"
-) -> np.ndarray:
+def stopped_program_costs(always_on: Trajectory, taus: np.ndarray) -> np.ndarray:
     """Costs of ending the program at each of ``taus``, read off one always-on run.
 
     ``always_on`` is a run with the program on for the whole horizon
     (tau = T), and ``taus`` are sorted times in [0, T].  Until tau a program
     of duration tau follows the always-on run (past supply exhaustion both
     have stopped vaccinating), so its state at tau is that run's dense output
-    there.  With ``horizon="program"`` the cost is that state's J.  With
-    ``horizon="full"`` every state is then advanced to T without vaccination,
-    all in one solve: each tail's interval [tau, T] is mapped onto u in
-    [0, 1] by t = tau + u*(T - tau), and the stacked tails share one step
-    sequence, so the step error is controlled on them jointly rather than
-    tail by tail.  The cost is J(T) of each tail.  The treatment cost rate is
-    the scenario's own.
+    there.  Every state is then advanced to T without vaccination, all in one
+    solve: each tail's interval [tau, T] is mapped onto u in [0, 1] by
+    t = tau + u*(T - tau), and the stacked tails share one step sequence, so
+    the step error is controlled on them jointly rather than tail by tail.
+    The cost is J(T) of each tail.
     """
-    if horizon not in ("full", "program"):
-        raise ValidationError(f"unknown objective horizon {horizon!r}")
     taus = np.asarray(taus, dtype=float)
     if np.any(np.diff(taus) < 0.0) or taus[0] < 0.0 or taus[-1] > always_on.scenario.T:
         raise ValidationError(f"durations must be sorted within [0, {always_on.scenario.T}]")
     prefix = _sample(always_on._segments, taus).T
     scenario, tol = always_on.scenario, always_on.tolerances
     spans = scenario.T - taus
-    if horizon == "program" or not spans.max() > 0.0:
+    if not spans.max() > 0.0:
         return prefix[4]
 
     epidemic, cost_a = scenario.epidemic, scenario.cost.a

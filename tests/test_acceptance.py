@@ -72,8 +72,9 @@ def random_trajectories():
 def test_criterion_1_procurement_anchor(scenario):
     k, l = 0.1, 0.3
     started = time.perf_counter()
-    tau_pp, m_pp = procurement_plan(scenario, (k, l))
+    plan = procurement_plan(scenario, (k, l))
     elapsed = time.perf_counter() - started
+    tau_pp, m_pp = plan.tau_star, plan.indicators.total_vaccinated
 
     def reference(tau):
         policy = VaccinationPolicy(k=k, l=l, m=math.inf, tau=tau)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-
 import numpy as np
 import pytest
 
 from sirdvax import (
     Tolerances,
     VaccinationPolicy,
-    ValidationError,
     config_from_dict,
     indicators,
     integrate,
@@ -47,12 +45,6 @@ class TestDuration:
         # infections sit just above the default threshold at T = 15
         assert indicators(full_program_traj).duration == 15.0
 
-    def test_custom_threshold_locates_the_crossing(self, full_program_traj):
-        ind = indicators(full_program_traj, end_threshold=1e-5)
-        assert ind.peak_time < ind.duration < 15.0
-        i_at = full_program_traj.state_at(ind.duration).state.i
-        assert i_at == pytest.approx(1e-5, rel=1e-6)
-
     def test_crossing_bracketed_by_the_samples(self):
         # a fast epidemic that falls below the threshold within the horizon;
         # the crossing is bracketed on the samples and refined on state_at,
@@ -79,10 +71,6 @@ class TestDuration:
         assert ind.peak_time == 0.0
         assert ind.duration == 0.0
         assert ind.total_cost == 0.0
-
-    def test_threshold_must_be_positive(self, full_program_traj):
-        with pytest.raises(ValidationError):
-            indicators(full_program_traj, end_threshold=0.0)
 
 
 class TestTotals:

@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 
 import sirdvax
-from sirdvax import VaccinationPolicy, dump_config, integrate, load_config, objective
+from sirdvax import (
+    VaccinationPolicy,
+    dump_config,
+    integrate,
+    load_config,
+    objective,
+    procurement_plan,
+)
 from sirdvax.cli import main, parse_values
 
 TRAJECTORY_HEADER = "t,s,i,rho,d,v,J,V"
@@ -132,6 +139,22 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(config), "--tau", "1", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), 10**400], ids=["Infinity", "NaN", "huge-integer"]
+    )
+    @pytest.mark.parametrize("field", ["T", "epidemic.r", "cost.c", "population"])
+    def test_non_finite_config_number_exits_1(self, tmp_path, capsys, field, value):
+        # json reads the bare words Infinity and NaN, and integers of any size,
+        # as numbers
+        section, _, key = field.rpartition(".")
+        overrides = {section: {key: value}} if section else {key: value}
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        rc = main(["simulate", "--config", str(config), "--tau", "1", "--out", str(out)])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
         from sirdvax import IntegrationError
         import sirdvax.cli as cli_module
@@ -205,6 +228,17 @@ class TestProcure:
         assert summary["tau_double_star"] == pytest.approx(6.9295, abs=0.05)
         assert summary["m_double_star"] == pytest.approx(0.43093, abs=2e-3)
         assert (out / "procure_trajectory.csv").exists()
+
+    def test_writes_the_library_plan(self, tmp_path):
+        config = load_config("variant1")
+        plan = procurement_plan(config.scenario, (config.k, config.l), config.tolerances)
+        out = tmp_path / "run"
+        assert main(["procure", "--config", "variant1", "--out", str(out)]) == 0
+        summary = json.loads((out / "procure.json").read_text("utf-8"))
+        assert summary["tau_double_star"] == plan.tau_star
+        assert summary["m_double_star"] == plan.indicators.total_vaccinated
+        assert summary["cost"] == plan.cost_star
+        assert summary["evaluations"] == plan.evaluations
 
     def test_stock_in_the_config_is_ignored(self, tmp_path):
         config = write_config(tmp_path, resources={"m": 0.01})

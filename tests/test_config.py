@@ -71,6 +71,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="epidemic.gamma"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("key", ["event_tol", "gamma"])
+    def test_unknown_tolerance_rejected(self, key):
+        data = variant1_dict()
+        data["tolerances"] = {"rtol": 1e-7, key: 1e-9}
+        with pytest.raises(ValidationError, match=f"tolerances.{key}"):
+            config_from_dict(data)
+
     def test_domain_violation_names_the_section(self):
         data = variant1_dict()
         data["epidemic"]["eps"] = 1.5
@@ -81,6 +88,12 @@ class TestValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json", "utf-8")
         with pytest.raises(ValidationError, match="invalid JSON"):
+            load_config(path)
+
+    def test_integer_too_long_to_read(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"T": 1' + "0" * 5000 + "}", "utf-8")
+        with pytest.raises(ValidationError):
             load_config(path)
 
     def test_population_must_be_positive(self):
@@ -122,7 +135,7 @@ class TestRoundTrip:
 
     def test_tolerances_survive_the_round_trip(self):
         data = variant1_dict()
-        data["tolerances"] = {"rtol": 1e-7, "atol": 1e-10, "max_step": None, "event_tol": 1e-9}
+        data["tolerances"] = {"rtol": 1e-7, "atol": 1e-10, "max_step": None}
         config = config_from_dict(data)
         assert config.tolerances.rtol == 1e-7
         assert math.isinf(config.tolerances.max_step)

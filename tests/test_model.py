@@ -1,9 +1,10 @@
-"""Algebraic ingredients: infection intensity, policy rate, and the RHS."""
+"""Algebraic ingredients: infection intensity, the vaccination rule, and the RHS."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,16 +14,18 @@ from sirdvax import (
     CostParams,
     DomainError,
     EpidemicParams,
+    IntegrationError,
     Scenario,
     SirdState,
     VaccinationPolicy,
     ValidationError,
-    augmented_rhs,
     exact_infection_probability,
     infection_intensity,
+    integrate,
     treatment_cost_rate,
-    vaccination_rate,
 )
+from sirdvax.model import _rhs_values
+from sirdvax.solver import _rates
 
 # hand-evaluated with r=10, eps=0.3: -r*i*ln(1-eps) at i=0.001
 P_TABLE1 = 0.0035667494393873235
@@ -52,6 +55,18 @@ simplex_states = st.builds(
     ),
     st.tuples(*[finite_floats(1e-3, 1.0)] * 4),
 )
+
+
+def rate(t, s, policy, exhaustion_time=None):
+    """The solver's vaccination rule at one time."""
+    return float(_rates(policy, exhaustion_time, np.array([t]), np.array([s]))[0])
+
+
+def rhs(scenario, v):
+    """The right-hand side the solver integrates, at the scenario's initial state."""
+    s, i, _, _ = scenario.initial.as_tuple()
+    coeff = treatment_cost_rate(scenario.epidemic, scenario.cost)
+    return _rhs_values(s, i, v, scenario.epidemic, scenario.cost.a, coeff)
 
 
 class TestParameterValidation:
@@ -96,7 +111,7 @@ class TestParameterValidation:
 
     def test_policy_accepts_unlimited_supply(self):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=5.0)
-        assert not policy.supply_limited
+        assert math.isinf(policy.m)
 
     def test_state_rejects_broken_simplex(self):
         with pytest.raises(ValidationError):
@@ -114,6 +129,16 @@ class TestParameterValidation:
                 cost=cost,
                 initial=SirdState(s=0.999, i=0.001, rho=0.0, d=0.0),
                 T=0.0,
+            )
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_scenario_rejects_a_non_finite_horizon(self, epidemic, cost, horizon):
+        with pytest.raises(ValidationError):
+            Scenario(
+                epidemic=epidemic,
+                cost=cost,
+                initial=SirdState(s=0.999, i=0.001, rho=0.0, d=0.0),
+                T=horizon,
             )
 
     def test_augmented_state_rejects_negative_accumulators(self):
@@ -187,20 +212,23 @@ class TestExactInfectionProbability:
 class TestVaccinationRate:
     def test_capacity_branch_binds_at_start(self):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=15.0)
-        assert vaccination_rate(0.0, 0.999, policy) == 0.1
+        assert rate(0.0, 0.999, policy) == 0.1
 
     def test_willingness_branch(self):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=15.0)
-        assert vaccination_rate(1.0, 0.2, policy) == pytest.approx(0.06, rel=1e-12)
+        assert rate(1.0, 0.2, policy) == pytest.approx(0.06, rel=1e-12)
 
-    def test_program_boundary_is_inclusive(self):
+    def test_program_end_is_exclusive(self):
+        # the rate in effect just after t: the program has ended at t = tau
         policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=5.0)
-        assert vaccination_rate(5.0, 0.999, policy) == 0.1
-        assert vaccination_rate(5.0 + 1e-12, 0.999, policy) == 0.0
+        assert rate(5.0 - 1e-12, 0.999, policy) == 0.1
+        assert rate(5.0, 0.999, policy) == 0.0
 
     def test_exhausted_supply_stops_vaccination(self):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=0.5, tau=15.0)
-        assert vaccination_rate(1.0, 0.999, policy, exhausted=True) == 0.0
+        assert rate(1.0 - 1e-12, 0.999, policy, exhaustion_time=1.0) == 0.1
+        assert rate(1.0, 0.999, policy, exhaustion_time=1.0) == 0.0
+        assert rate(7.0, 0.999, policy, exhaustion_time=1.0) == 0.0
 
     @given(
         s=finite_floats(0.0, 1.0),
@@ -211,14 +239,13 @@ class TestVaccinationRate:
     )
     def test_rate_bounded_by_capacity(self, s, t, k, l, tau):
         policy = VaccinationPolicy(k=k, l=l, m=math.inf, tau=tau)
-        rate = vaccination_rate(t, s, policy)
-        assert 0.0 <= rate <= k
+        assert 0.0 <= rate(t, s, policy) <= k
 
     def test_monotone_in_s_up_to_the_kink(self):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=15.0)
-        grid = [j / 100.0 for j in range(101)]
-        rates = [vaccination_rate(0.0, s, policy) for s in grid]
-        assert all(b >= a for a, b in zip(rates, rates[1:]))
+        grid = np.linspace(0.0, 1.0, 101)
+        rates = _rates(policy, None, np.zeros_like(grid), grid)
+        assert np.all(np.diff(rates) >= 0.0)
 
 
 class TestAugmentedRhs:
@@ -226,16 +253,11 @@ class TestAugmentedRhs:
         assert treatment_cost_rate(epidemic, cost) == pytest.approx(72.5, rel=1e-12)
 
     def test_disease_free_fixed_point(self, disease_free):
-        policy = VaccinationPolicy(k=0.0, l=0.0, m=0.0, tau=0.0)
-        y = disease_free.augmented_initial()
-        assert augmented_rhs(1.0, y, disease_free, policy) == (0.0,) * 6
+        assert rhs(disease_free, 0.0) == (0.0,) * 6
 
     def test_table1_initial_derivatives(self, scenario):
-        # hand evaluation: p = 0.0035667494, s*p = 0.0035631827, v = 0.1
-        policy = VaccinationPolicy(k=0.1, l=0.3, m=2.949, tau=15.0)
-        ds, di, drho, dd, dJ, dV = augmented_rhs(
-            0.0, scenario.augmented_initial(), scenario, policy
-        )
+        # hand evaluation: p = 0.0035667494, s*p = 0.0035631827, v = k = 0.1
+        ds, di, drho, dd, dJ, dV = rhs(scenario, 0.1)
         assert ds == pytest.approx(-0.10356318268994794, abs=1e-9)
         assert di == pytest.approx(0.0025631826899479362, abs=1e-9)
         assert drho == pytest.approx(0.10095, abs=1e-9)
@@ -244,24 +266,24 @@ class TestAugmentedRhs:
         assert dV == pytest.approx(0.1, abs=1e-12)
 
     def test_alternate_treatment_coefficient(self, scenario):
-        # literal per-case weighting b + c*beta instead of alpha*b + beta*c
-        policy = VaccinationPolicy(k=0.1, l=0.3, m=2.949, tau=15.0)
+        # literal per-case weighting b + c*beta instead of alpha*b + beta*c:
+        # only the cost derivative depends on the coefficient
         literal = scenario.cost.b + scenario.cost.c * scenario.epidemic.beta
-        derivs = augmented_rhs(
-            0.0, scenario.augmented_initial(), scenario, policy, treatment_coeff=literal
-        )
+        s, i, _, _ = scenario.initial.as_tuple()
+        derivs = _rhs_values(s, i, 0.1, scenario.epidemic, scenario.cost.a, literal)
         assert derivs[4] == pytest.approx(5.0 * 0.1 + 75.0 * 0.001, rel=1e-9)
-        assert derivs[:4] == augmented_rhs(
-            0.0, scenario.augmented_initial(), scenario, policy
-        )[:4]
+        assert derivs[:4] == rhs(scenario, 0.1)[:4]
 
     def test_rejects_corrupted_state(self, scenario):
-        policy = VaccinationPolicy(k=0.1, l=0.3, m=2.949, tau=15.0)
+        # the integrated right-hand side clamps its inputs, so a corrupted
+        # state is refused where the solver checks its samples
         corrupted = SirdState(s=0.999, i=0.001, rho=0.0, d=0.0)
         object.__setattr__(corrupted, "s", -0.5)  # bypass construction checks
-        y = AugmentedState(state=corrupted, J=0.0, V=0.0)
-        with pytest.raises(DomainError):
-            augmented_rhs(0.0, y, scenario, policy)
+        broken = Scenario(
+            epidemic=scenario.epidemic, cost=scenario.cost, initial=corrupted, T=scenario.T
+        )
+        with pytest.raises(IntegrationError):
+            integrate(broken, VaccinationPolicy(k=0.1, l=0.3, m=2.949, tau=15.0))
 
     @settings(max_examples=200)
     @given(
@@ -279,9 +301,7 @@ class TestAugmentedRhs:
             T=20.0,
         )
         policy = VaccinationPolicy(k=k, l=l, m=math.inf, tau=10.0)
-        ds, di, drho, dd, _, _ = augmented_rhs(
-            t, scenario.augmented_initial(), scenario, policy
-        )
+        ds, di, drho, dd, _, _ = rhs(scenario, rate(t, state.s, policy))
         assert abs(ds + di + drho + dd) <= 1e-15
 
     @settings(max_examples=100)
@@ -294,6 +314,6 @@ class TestAugmentedRhs:
             T=20.0,
         )
         policy = VaccinationPolicy(k=k, l=0.5, m=math.inf, tau=10.0)
-        derivs = augmented_rhs(0.0, scenario.augmented_initial(), scenario, policy)
+        derivs = rhs(scenario, rate(0.0, state.s, policy))
         assert derivs[4] >= 0.0
         assert derivs[5] >= 0.0

@@ -43,10 +43,6 @@ class TestObjective:
         with pytest.raises(ValidationError):
             objective(16.0, scenario, RESOURCES_UNLIMITED)
 
-    def test_rejects_unknown_horizon_mode(self, scenario):
-        with pytest.raises(ValidationError):
-            objective(5.0, scenario, RESOURCES_UNLIMITED, horizon="both")
-
     def test_disease_free_program_costs_nothing(self, disease_free):
         assert objective(0.0, disease_free, RESOURCES_UNLIMITED).cost == 0.0
 
@@ -63,17 +59,6 @@ class TestObjective:
         traj = evaluation.trajectory
         treatment = 72.5 * np.trapezoid(traj.i, traj.times)
         assert evaluation.cost == pytest.approx(treatment, rel=1e-4)
-
-    def test_program_horizon_reports_costs_up_to_tau(self, scenario):
-        full = objective(7.0, scenario, RESOURCES_UNLIMITED)
-        literal = objective(7.0, scenario, RESOURCES_UNLIMITED, horizon="program")
-        assert literal.cost == pytest.approx(full.trajectory.state_at(7.0).J, abs=1e-12)
-        assert literal.cost < full.cost
-
-    def test_horizons_agree_when_the_program_spans_the_horizon(self, scenario):
-        full = objective(15.0, scenario, RESOURCES_UNLIMITED)
-        literal = objective(15.0, scenario, RESOURCES_UNLIMITED, horizon="program")
-        assert literal.cost == full.cost
 
     def test_feasibility_flag_tracks_truncation(self, scenario):
         assert objective(1.5, scenario, RESOURCES_TIGHT).feasible
@@ -177,28 +162,19 @@ def scan_grid(scenario, resources, tol):
 
 class TestBatchedScan:
     @pytest.mark.parametrize(
-        "scenario_name, resources, horizon",
+        "scenario_name, resources",
         [
-            ("scenario", RESOURCES_VARIANT1, "full"),
-            ("scenario", RESOURCES_TIGHT, "full"),
-            ("scenario", (0.1, 0.3, 0.4), "full"),
-            ("scenario", RESOURCES_UNLIMITED, "full"),
-            ("milder", RESOURCES_VARIANT1, "full"),
-            ("disease_free", RESOURCES_VARIANT1, "full"),
-            ("scenario", RESOURCES_UNLIMITED, "program"),
+            ("scenario", RESOURCES_VARIANT1),
+            ("scenario", RESOURCES_TIGHT),
+            ("scenario", (0.1, 0.3, 0.4)),
+            ("scenario", RESOURCES_UNLIMITED),
+            ("milder", RESOURCES_VARIANT1),
+            ("disease_free", RESOURCES_VARIANT1),
         ],
-        ids=[
-            "variant1",
-            "stock-0.2",
-            "stock-0.4",
-            "unlimited",
-            "variant1-r4",
-            "disease-free",
-            "program-horizon",
-        ],
+        ids=["variant1", "stock-0.2", "stock-0.4", "unlimited", "variant1-r4", "disease-free"],
     )
     def test_costs_and_argmin_match_exact_objective_runs(
-        self, request, scenario_name, resources, horizon, tolerances
+        self, request, scenario_name, resources, tolerances
     ):
         if scenario_name == "milder":
             base = request.getfixturevalue("scenario")
@@ -208,11 +184,9 @@ class TestBatchedScan:
         else:
             scenario = request.getfixturevalue(scenario_name)
         grid = scan_grid(scenario, resources, tolerances)
-        scanned = stopped_program_costs(
-            always_on_run(scenario, resources, tolerances), grid, horizon
-        )
+        scanned = stopped_program_costs(always_on_run(scenario, resources, tolerances), grid)
         exact = np.array(
-            [objective(float(tau), scenario, resources, tolerances, horizon).cost for tau in grid]
+            [objective(float(tau), scenario, resources, tolerances).cost for tau in grid]
         )
         np.testing.assert_allclose(scanned, exact, rtol=1e-5, atol=0.0)
         assert int(np.argmin(scanned)) == int(np.argmin(exact))
@@ -249,12 +223,6 @@ class TestBatchedScan:
             with pytest.raises(ValidationError):
                 stopped_program_costs(full_program_traj, np.array(taus))
 
-    def test_rejects_unknown_horizon_mode(self, scenario, full_program_traj):
-        with pytest.raises(ValidationError):
-            stopped_program_costs(full_program_traj, np.array([1.0]), horizon="both")
-        with pytest.raises(ValidationError):
-            minimize_tau(scenario, RESOURCES_VARIANT1, horizon="both")
-
     def test_a_failed_tail_solve_is_loud(self, full_program_traj, monkeypatch):
         def failing(*args, **kwargs):
             return SimpleNamespace(status=-1, message="required step size is less than spacing")
@@ -290,16 +258,17 @@ class TestExactPolish:
 
 class TestProcurementPlan:
     def test_matches_the_frozen_plan(self, scenario):
-        tau_pp, m_pp = procurement_plan(scenario, (0.1, 0.3))
-        assert tau_pp == pytest.approx(TAU_OPT, abs=0.05)
-        assert m_pp == pytest.approx(PROCUREMENT_STOCK, abs=2e-3)
+        plan = procurement_plan(scenario, (0.1, 0.3))
+        assert plan.tau_star == pytest.approx(TAU_OPT, abs=0.05)
+        assert plan.indicators.total_vaccinated == pytest.approx(PROCUREMENT_STOCK, abs=2e-3)
 
     def test_disease_free_buys_nothing(self, disease_free):
-        assert procurement_plan(disease_free, (0.1, 0.3)) == (0.0, 0.0)
+        plan = procurement_plan(disease_free, (0.1, 0.3))
+        assert (plan.tau_star, plan.indicators.total_vaccinated) == (0.0, 0.0)
 
     def test_no_capacity_buys_nothing(self, scenario):
-        tau_pp, m_pp = procurement_plan(scenario, (0.0, 0.3))
-        assert m_pp == 0.0
+        plan = procurement_plan(scenario, (0.0, 0.3))
+        assert plan.indicators.total_vaccinated == 0.0
 
     def test_capacity_above_willingness_is_irrelevant(self, scenario, tolerances):
         # with k > l*s everywhere the willingness branch binds throughout,
@@ -312,5 +281,7 @@ class TestProcurementPlan:
         assert (0.3 * probe.s).max() < 0.5
         base = procurement_plan(scenario, (0.5, 0.3), tolerances)
         doubled = procurement_plan(scenario, (1.0, 0.3), tolerances)
-        assert doubled[0] == pytest.approx(base[0], abs=1e-12)
-        assert doubled[1] == pytest.approx(base[1], abs=1e-12)
+        assert doubled.tau_star == pytest.approx(base.tau_star, abs=1e-12)
+        assert doubled.indicators.total_vaccinated == pytest.approx(
+            base.indicators.total_vaccinated, abs=1e-12
+        )

@@ -37,7 +37,7 @@ def event_times(traj, kind):
 
 
 class TestToleranceValidation:
-    @pytest.mark.parametrize("field", ["rtol", "atol", "max_step", "event_tol"])
+    @pytest.mark.parametrize("field", ["rtol", "atol", "max_step"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValidationError):
             Tolerances(**{field: 0.0})
@@ -105,8 +105,7 @@ class TestSupplyExhaustion:
 
     def test_usage_meets_the_stock_at_the_event(self, tight_supply_traj):
         (t_e,) = event_times(tight_supply_traj, EVENT_SUPPLY_EXHAUSTED)
-        tol = tight_supply_traj.tolerances
-        assert abs(tight_supply_traj.state_at(t_e).V - 0.2) <= tol.event_tol * 0.1
+        assert abs(tight_supply_traj.state_at(t_e).V - 0.2) <= 1e-11
 
     def test_usage_never_exceeds_the_stock(self, tight_supply_traj):
         assert tight_supply_traj.V.max() <= 0.2 + 1e-6
