@@ -31,6 +31,7 @@ from .planner import (
 from .solver import (
     EPIDEMIC_END_THRESHOLD,
     EVENT_EPIDEMIC_END,
+    EVENT_PEAK,
     EVENT_PROGRAM_END,
     EVENT_RATE_KINK,
     EVENT_SUPPLY_EXHAUSTED,
@@ -48,6 +49,7 @@ __all__ = [
     "DomainError",
     "EPIDEMIC_END_THRESHOLD",
     "EVENT_EPIDEMIC_END",
+    "EVENT_PEAK",
     "EVENT_PROGRAM_END",
     "EVENT_RATE_KINK",
     "EVENT_SUPPLY_EXHAUSTED",

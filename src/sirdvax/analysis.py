@@ -5,19 +5,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .solver import EPIDEMIC_END_THRESHOLD, Trajectory
+from .solver import EPIDEMIC_END_THRESHOLD, Trajectory, stopped_programs
 
 
 @dataclass(frozen=True)
 class EpidemicIndicators:
     """Headline numbers of one trajectory.
 
-    ``duration`` is the first time after the peak at which the infected
-    fraction falls below ``EPIDEMIC_END_THRESHOLD``, or T if it never does
-    within the horizon.  Measuring after the peak avoids triggering on a
-    small initial infected fraction.
+    ``peak_time`` is the trajectory's ``peak`` event: where beta_e*s falls
+    through 1, which is the maximum of the infected fraction since di/dt has
+    no vaccination term and s never increases; 0 if i never rises, T if it
+    never stops rising.  ``peak_i`` is the infected fraction there.
+    ``duration`` is the first ``epidemic_end`` event (the infected fraction
+    falling below ``EPIDEMIC_END_THRESHOLD``) at or after the peak, or T if
+    there is none within the horizon; it is ``peak_time`` when the peak
+    itself lies below the threshold.  Measuring after the peak avoids
+    triggering on a small initial infected fraction.
     """
 
     peak_i: float
@@ -28,52 +32,37 @@ class EpidemicIndicators:
     total_cost: float
 
 
-def indicators(traj: Trajectory) -> EpidemicIndicators:
-    """Compute peak, duration, and totals from a trajectory.
-
-    The peak is located by scanning the samples and refining on the bracketing
-    interval with the trajectory's dense output; the end crossing is located
-    the same way.
-    """
-    times, infected = traj.times, traj.i
-    j = int(np.argmax(infected))
-    peak_time, peak_i = float(times[j]), float(infected[j])
-    lo, hi = times[max(j - 1, 0)], times[min(j + 1, len(times) - 1)]
-    if hi > lo:
-        refined = minimize_scalar(
-            lambda t: -traj.state_at(float(t)).state.i,
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if -refined.fun > peak_i:
-            peak_i, peak_time = float(-refined.fun), float(refined.x)
-
-    duration = float(times[-1])
-    if peak_i < EPIDEMIC_END_THRESHOLD:
-        duration = peak_time
-    else:
-        below = np.flatnonzero((times > peak_time) & (infected < EPIDEMIC_END_THRESHOLD))
-        if below.size:
-            idx = int(below[0])
-            t_lo, t_hi = float(times[idx - 1]), float(times[idx])
-            if infected[idx - 1] >= EPIDEMIC_END_THRESHOLD and t_hi > t_lo:
-                duration = float(
-                    brentq(
-                        lambda t: traj.state_at(float(t)).state.i - EPIDEMIC_END_THRESHOLD,
-                        t_lo,
-                        t_hi,
-                        xtol=1e-12,
-                    )
-                )
-            else:
-                duration = t_lo
-
+def _from_crossings(
+    peak_time: float, peak_i: float, end_time: float, final: np.ndarray
+) -> EpidemicIndicators:
+    """Indicators from the peak, the first end at or after it, and the state at T."""
     return EpidemicIndicators(
-        peak_i=peak_i,
-        peak_time=peak_time,
-        duration=duration,
-        total_deaths=float(traj.d[-1]),
-        total_vaccinated=float(traj.V[-1]),
-        total_cost=float(traj.J[-1]),
+        peak_i=float(peak_i),
+        peak_time=float(peak_time),
+        duration=float(peak_time if peak_i < EPIDEMIC_END_THRESHOLD else end_time),
+        total_deaths=float(final[3]),
+        total_vaccinated=float(final[5]),
+        total_cost=float(final[4]),
     )
+
+
+def indicators(traj: Trajectory) -> EpidemicIndicators:
+    """Peak, duration and totals of a trajectory, read off its events and last sample."""
+    return _from_crossings(*traj.peak_and_end(), traj.values[-1])
+
+
+def stopped_program_indicators(always_on: Trajectory, taus) -> list[EpidemicIndicators]:
+    """Indicators of the programs of each duration in ``taus``, in the given order.
+
+    ``always_on`` is a run with the program on for the whole horizon; every
+    program of duration tau follows it until tau.  The durations may come in
+    any order and repeat; each distinct one is solved once by
+    ``stopped_programs``.
+    """
+    unique, position = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
+    tails = stopped_programs(always_on, unique, crossings=True)
+    rows = [
+        _from_crossings(*crossing, final)
+        for *crossing, final in zip(tails.peak_time, tails.peak_i, tails.end_time, tails.final)
+    ]
+    return [rows[j] for j in position.ravel()]

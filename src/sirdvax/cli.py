@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import EpidemicIndicators, indicators
+from .analysis import EpidemicIndicators, indicators, stopped_program_indicators
 from .config import ScenarioConfig, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
 from .model import CostParams, EpidemicParams, Scenario, VaccinationPolicy
@@ -23,6 +23,9 @@ from .planner import minimize_tau, objective, procurement_plan
 from .solver import Trajectory, integrate
 
 SWEEPABLE = ("tau", "k", "l", "m", "a", "b", "c", "eps", "r")
+
+#: Most values one sweep may take; a range spec expanding to more is refused.
+MAX_SWEEP_VALUES = 100_000
 
 TRAJECTORY_COLUMNS = ("t", "s", "i", "rho", "d", "v", "J", "V")
 HEADCOUNT_COLUMNS = ("S", "I", "R", "D")
@@ -187,11 +190,19 @@ def parse_values(spec: str) -> list[float]:
             start, step, end = (float(p) for p in parts)
         except ValueError as exc:
             raise ValidationError(f"values: {exc}") from exc
+        if not all(map(math.isfinite, (start, step, end))):
+            raise ValidationError(f"values: range spec must be finite, got {spec!r}")
         if step <= 0:
             raise ValidationError(f"values: step must be positive, got {step}")
         if end < start:
             raise ValidationError(f"values: end {end} precedes start {start}")
-        count = int(math.floor((end - start) / step + 1e-9)) + 1
+        # the count is known before the list is built; end - start may overflow
+        steps = (end - start) / step + 1e-9
+        count = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+        if count > MAX_SWEEP_VALUES:
+            raise ValidationError(
+                f"values: {spec!r} expands to {count:.6g} values, more than {MAX_SWEEP_VALUES}"
+            )
         # start + idx*step can round past end on the last point
         return [min(start + idx * step, end) for idx in range(count)]
     try:
@@ -201,10 +212,13 @@ def parse_values(spec: str) -> list[float]:
 
 
 def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
-    """Scenario, resources, and duration with one parameter replaced."""
+    """Scenario, resources, and duration with one parameter replaced, validated."""
     sc = config.scenario
     epidemic, cost = sc.epidemic, sc.cost
     resources = config.resources
+    # as in a config file, only the stock may be infinite (unlimited)
+    if not (math.isfinite(value) or (param == "m" and value == math.inf)):
+        raise ValidationError(f"values: {param} must be finite, got {value}")
     if param == "tau":
         tau = value
     elif param in ("k", "l", "m"):
@@ -224,6 +238,9 @@ def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
         }
         epidemic = EpidemicParams(**kwargs)
     scenario = Scenario(epidemic=epidemic, cost=cost, initial=sc.initial, T=sc.T)
+    if not 0.0 <= tau <= sc.T:
+        raise ValidationError(f"tau must lie in [0, {sc.T}], got {tau}")
+    VaccinationPolicy(*resources, tau=tau)  # validates k, l and m
     return scenario, resources, tau
 
 
@@ -236,23 +253,32 @@ def cmd_sweep(args) -> int:
     values = parse_values(args.values)
     base_tau = float(args.tau) if args.tau is not None else config.scenario.T
 
-    rows = []
-    for value in values:
-        scenario, resources, tau = _with_value(config, args.param, value, base_tau)
-        evaluation = objective(tau, scenario, resources, config.tolerances)
-        ind = indicators(evaluation.trajectory)
-        rows.append(
-            (
-                args.param,
-                value,
-                ind.peak_i,
-                ind.peak_time,
-                ind.duration,
-                ind.total_deaths,
-                ind.total_vaccinated,
-                ind.total_cost,
-            )
+    # every value is checked before anything is integrated
+    points = [_with_value(config, args.param, value, base_tau) for value in values]
+    if args.param == "tau" and values:
+        # every program follows the always-on run until it ends
+        k, l, m = config.resources
+        policy = VaccinationPolicy(k=k, l=l, m=m, tau=config.scenario.T)
+        always_on = integrate(config.scenario, policy, config.tolerances)
+        found = stopped_program_indicators(always_on, values)
+    else:
+        found = [
+            indicators(objective(tau, scenario, resources, config.tolerances).trajectory)
+            for scenario, resources, tau in points
+        ]
+    rows = [
+        (
+            args.param,
+            value,
+            ind.peak_i,
+            ind.peak_time,
+            ind.duration,
+            ind.total_deaths,
+            ind.total_vaccinated,
+            ind.total_cost,
         )
+        for value, ind in zip(values, found)
+    ]
 
     out = _out_dir(args, config)
     template = ",".join(["%s"] + ["%.9g"] * (len(SWEEP_COLUMNS) - 1))

@@ -21,7 +21,7 @@ from scipy.optimize import minimize_scalar
 from .analysis import EpidemicIndicators, indicators
 from .errors import ValidationError
 from .model import Scenario, VaccinationPolicy
-from .solver import Tolerances, Trajectory, integrate, stopped_program_costs
+from .solver import Tolerances, Trajectory, integrate, stopped_programs
 
 #: Scan resolution used to bracket the best basin before refinement.
 PRESCAN_POINTS = 64
@@ -123,7 +123,7 @@ def minimize_tau(
 
     One always-on run (tau = T) gives the cap ``feasible_tau_max`` and the
     state at every candidate end of the program.  A ``PRESCAN_POINTS``-point
-    uniform scan of [0, cap], costed by ``stopped_program_costs`` in one
+    uniform scan of [0, cap], costed by ``stopped_programs`` in one
     batched tail solve, guards against multimodality and brackets the best
     basin.  Bounded golden-section/parabolic refinement on the scan's
     neighbours of its best point then polishes to ``opt_tol`` with exact
@@ -146,7 +146,7 @@ def minimize_tau(
     else:
         grid = np.linspace(0.0, cap, PRESCAN_POINTS)
         scanned = len(grid)
-        k_best = int(np.argmin(stopped_program_costs(always_on, grid)))
+        k_best = int(np.argmin(stopped_programs(always_on, grid).final[:, 4]))
         lo = grid[max(k_best - 1, 0)]
         hi = grid[min(k_best + 1, len(grid) - 1)]
         refined = minimize_scalar(

@@ -34,6 +34,7 @@ EVENT_PROGRAM_END = "program_end"
 EVENT_RATE_KINK = "rate_kink"
 EVENT_SUPPLY_EXHAUSTED = "supply_exhausted"
 EVENT_EPIDEMIC_END = "epidemic_end"
+EVENT_PEAK = "peak"
 
 #: Infected fraction below which the epidemic is marked as over.
 EPIDEMIC_END_THRESHOLD = 1e-6
@@ -42,6 +43,10 @@ EPIDEMIC_END_THRESHOLD = 1e-6
 SAMPLE_POINTS = 1001
 
 _METHOD = "DOP853"
+
+#: Tails per batched solve in ``stopped_programs``; bounds the memory one
+#: solve and its dense output take, whatever the number of durations.
+TAIL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,13 @@ class Trajectory:
       the band, or V reaches m so shortly before tau that at most the band
       would have been used by then,
     - ``epidemic_end`` where the infected fraction falls below
-      ``EPIDEMIC_END_THRESHOLD`` (marker only).
+      ``EPIDEMIC_END_THRESHOLD`` (marker only),
+    - ``peak``, exactly once: the maximum of the infected fraction on
+      [0, T] (marker only).  di/dt = i*(beta_e*s - 1) has no vaccination
+      term and s never increases, so i peaks where beta_e*s falls through 1
+      (beta_e the transmission rate).  The peak is at t = 0 when beta_e*s
+      starts at or below 1 or there are no infections, and at T when
+      beta_e*s stays above 1 throughout.
 
     Immutable after construction; safe to share between threads.
     """
@@ -182,6 +193,21 @@ class Trajectory:
         """
         s = np.array([self.state_at(t).state.s])
         return float(_rates(self.policy, self.exhaustion_time, np.array([t]), s)[0])
+
+    def peak_and_end(self) -> tuple[float, float, float]:
+        """The epidemic's peak time, the infected fraction there, and its end.
+
+        The peak is the ``peak`` event and the end is the first
+        ``epidemic_end`` at or after it, or T if there is none.
+        """
+        peak_time = next(e.time for e in self.events if e.kind == EVENT_PEAK)
+        # the peak time is a sample time, or within the merge tolerance of one
+        row = min(int(np.searchsorted(self.times, peak_time)), len(self.times) - 1)
+        end_time = next(
+            (e.time for e in self.events if e.kind == EVENT_EPIDEMIC_END and e.time >= peak_time),
+            self.scenario.T,
+        )
+        return peak_time, float(self.i[row]), end_time
 
 
 def _rates(
@@ -294,6 +320,7 @@ def integrate(
 
     epidemic, cost = scenario.epidemic, scenario.cost
     coeff = treatment_cost_rate(epidemic, cost)
+    beta_e = epidemic.transmission_rate
     k = policy.k if policy is not None else 0.0
     l = policy.l if policy is not None else 0.0
 
@@ -310,6 +337,12 @@ def integrate(
 
     epidemic_end.terminal = False
     epidemic_end.direction = -1
+
+    def peak(t, y, *branch):
+        return beta_e * y[0] - 1.0
+
+    peak.terminal = False
+    peak.direction = -1
 
     T = scenario.T
     tau = policy.tau if policy is not None else 0.0
@@ -329,6 +362,11 @@ def integrate(
     y0 = list(scenario.augmented_initial().as_vector())
     boundary_tol = 1e-12 * max(1.0, T)
     kink_armed = vaccinating and l * y0[0] > k
+    # i peaks where beta_e*s falls through 1; with no infections, or with
+    # beta_e*s at or below 1 from the start, i never rises and peaks at 0
+    peak_armed = y0[1] > 0.0 and beta_e * y0[0] > 1.0
+    if not peak_armed:
+        events.append(Event(0.0, EVENT_PEAK))
 
     iterations = 0
     while vaccinating or not segments or t0 < T - boundary_tol:
@@ -345,7 +383,10 @@ def integrate(
             continue
         t_end = min(tau, T) if vaccinating else T
         watchers = [epidemic_end]
-        exhaust_index = kink_index = None
+        exhaust_index = kink_index = peak_index = None
+        if peak_armed:
+            peak_index = len(watchers)
+            watchers.append(peak)
         if vaccinating and math.isfinite(m):
             def supply_exhausted(t, y, *branch, _m=m):
                 return y[5] - _m
@@ -386,6 +427,9 @@ def integrate(
 
         for t_cross in sol.t_events[0]:
             events.append(Event(float(t_cross), EVENT_EPIDEMIC_END))
+        if peak_index is not None and len(sol.t_events[peak_index]) > 0:
+            events.append(Event(float(sol.t_events[peak_index][0]), EVENT_PEAK))
+            peak_armed = False
         segments.append((t0, float(sol.t[-1]), sol.sol))
         t0 = float(sol.t[-1])
         y0 = sol.y[:, -1].tolist()
@@ -412,6 +456,9 @@ def integrate(
             else:
                 raise IntegrationError("terminated by an event that cannot be attributed")
 
+    if peak_armed:
+        # beta_e*s stayed above 1, so i rose throughout
+        events.append(Event(T, EVENT_PEAK))
     if policy is not None and tau > 0.0:
         events.append(Event(min(tau, T), EVENT_PROGRAM_END))
     events.sort(key=lambda e: (e.time, e.kind))
@@ -435,31 +482,93 @@ def integrate(
     )
 
 
-def stopped_program_costs(always_on: Trajectory, taus: np.ndarray) -> np.ndarray:
-    """Costs of ending the program at each of ``taus``, read off one always-on run.
+@dataclass(frozen=True)
+class StoppedPrograms:
+    """Programs ended at each of a set of durations, read off one always-on run.
+
+    ``final`` holds each program's clamped state at T, one row per duration.
+    When crossings are located, ``peak_time`` and ``peak_i`` give each
+    program's ``peak`` event and the infected fraction there, and
+    ``end_time`` its first ``epidemic_end`` at or after the peak, or T, as
+    ``Trajectory.peak_and_end`` reads them off one run; otherwise they are
+    None.
+    """
+
+    final: np.ndarray
+    peak_time: np.ndarray | None = None
+    peak_i: np.ndarray | None = None
+    end_time: np.ndarray | None = None
+
+
+def stopped_programs(
+    always_on: Trajectory, taus: np.ndarray, crossings: bool = False
+) -> StoppedPrograms:
+    """Programs ending at each of ``taus``, read off one always-on run.
 
     ``always_on`` is a run with the program on for the whole horizon
     (tau = T), and ``taus`` are sorted times in [0, T].  Until tau a program
     of duration tau follows the always-on run (past supply exhaustion both
     have stopped vaccinating), so its state at tau is that run's dense output
-    there.  Every state is then advanced to T without vaccination, all in one
-    solve: each tail's interval [tau, T] is mapped onto u in [0, 1] by
-    t = tau + u*(T - tau), and the stacked tails share one step sequence, so
-    the step error is controlled on them jointly rather than tail by tail.
-    The cost is J(T) of each tail.
+    there.  Every state is then advanced to T without vaccination, in one
+    solve per ``TAIL_CHUNK`` durations: each tail's interval [tau, T] is
+    mapped onto u in [0, 1] by t = tau + u*(T - tau), and the stacked tails
+    share one step sequence, so the step error is controlled on them jointly
+    rather than tail by tail.
+
+    With ``crossings``, each program's peak and end are located too.  A
+    program shares the always-on run's crossing where that lies at or before
+    tau, and otherwise has it located on its own tail.
     """
     taus = np.asarray(taus, dtype=float)
-    if np.any(np.diff(taus) < 0.0) or taus[0] < 0.0 or taus[-1] > always_on.scenario.T:
-        raise ValidationError(f"durations must be sorted within [0, {always_on.scenario.T}]")
-    prefix = _sample(always_on._segments, taus).T
     scenario, tol = always_on.scenario, always_on.tolerances
-    spans = scenario.T - taus
-    if not spans.max() > 0.0:
-        return prefix[4]
+    T = scenario.T
+    if np.any(np.diff(taus) < 0.0) or taus[0] < 0.0 or taus[-1] > T:
+        raise ValidationError(f"durations must be sorted within [0, {T}]")
+    exhausted_from = always_on.exhaustion_time
+    capped = taus >= (exhausted_from if exhausted_from is not None else math.inf)
+    stock = always_on.policy.m if always_on.policy is not None else math.inf
+    final = _sample(always_on._segments, taus)
+    if crossings:
+        peak_on, peak_i_on, end_on = always_on.peak_and_end()
+        tail_peak, tail_end = taus < peak_on, taus < end_on
+        peak_time = np.where(tail_peak, T, peak_on)
+        peak_i = np.full(len(taus), peak_i_on)
+        end_time = np.where(tail_end, T, end_on)
 
+    for lo in range(0, len(taus), TAIL_CHUNK):
+        cols = slice(lo, lo + TAIL_CHUNK)
+        spans = T - taus[cols]
+        # a tail to search has tau < T, so it is solved
+        locate = crossings and bool(tail_peak[cols].any() or tail_end[cols].any())
+        if spans.max() > 0.0:
+            sol = _solve_tails(scenario, tol, spans, final[cols], locate)
+            final[cols] = sol.y[:, -1].reshape(6, len(spans)).T
+        final[cols] = _clamp(final[cols], tol.atol, stock, capped[cols])
+        if locate:
+            _tail_crossings(
+                sol,
+                taus[cols],
+                T,
+                scenario.epidemic.transmission_rate,
+                final[cols, 1],
+                tail_peak[cols],
+                tail_end[cols],
+                (peak_time[cols], peak_i[cols], end_time[cols]),
+            )
+    if not crossings:
+        return StoppedPrograms(final)
+    return StoppedPrograms(final, peak_time, peak_i, end_time)
+
+
+def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, dense: bool):
+    """One solve of the uncontrolled tails from the rows of ``start`` over ``spans``.
+
+    The state vector stacks the tails component by component: all s, then
+    all i, and so on.
+    """
     epidemic, cost_a = scenario.epidemic, scenario.cost.a
     coeff = treatment_cost_rate(epidemic, scenario.cost)
-    n = len(taus)
+    n = len(spans)
     no_vaccination = np.zeros(n)
 
     def rhs(u, y):
@@ -472,12 +581,120 @@ def stopped_program_costs(always_on: Trajectory, taus: np.ndarray) -> np.ndarray
     sol = solve_ivp(
         rhs,
         (0.0, 1.0),
-        prefix.ravel(),
+        start.T.ravel(),
         method=_METHOD,
         rtol=tol.rtol,
         atol=tol.atol,
         max_step=tol.max_step / spans.max(),
+        dense_output=dense,
     )
     if sol.status < 0:
         raise IntegrationError(f"batched tail solve failed: {sol.message}")
-    return sol.y[:, -1].reshape(6, n)[4]
+    return sol
+
+
+#: Chebyshev points of the second kind on [0, 1], as many as a DOP853 dense
+#: output step has coefficients (it is a polynomial of degree 7 in time), and
+#: their barycentric weights.
+_NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(8) / 7)
+_WEIGHTS = np.array([0.5, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -0.5])
+
+#: Bisection steps that shrink [0, 1] below the spacing of doubles.
+_BISECTIONS = 60
+
+
+def _step_nodes(sol, width: int, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Dense output of tail ``cols[j]`` at the nodes of its step ``steps[j]``.
+
+    Shape (6, len(cols), len(_NODES)): one interpolant call per distinct step.
+    """
+    out = np.empty((6, len(cols), len(_NODES)))
+    for step in np.unique(steps):
+        here = steps == step
+        t0, t1 = sol.t[step], sol.t[step + 1]
+        values = sol.sol.interpolants[step](t0 + _NODES * (t1 - t0))
+        out[:, here] = values.reshape(6, width, len(_NODES))[:, cols[here]]
+    return out
+
+
+def _interpolate(node_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row j's polynomial through ``node_values[j]`` on ``_NODES``, at ``x[j]``."""
+    diff = x[:, None] - _NODES
+    on_node = diff == 0.0
+    diff[on_node] = 1.0
+    w = _WEIGHTS / diff
+    out = (w * node_values).sum(axis=1) / w.sum(axis=1)
+    rows, nodes = np.nonzero(on_node)
+    out[rows] = node_values[rows, nodes]
+    return out
+
+
+def _first_fall(sol, width, cols, step0, x0, g0, component, level):
+    """First point at or after (``step0``, ``x0``) where g = y - level <= 0.
+
+    y is ``component`` of each tail in ``cols``, and ``g0`` is g at the start
+    point.  Returns each tail's step and the position x in [0, 1] within it,
+    step -1 where g stays positive to the end of the tail.  The step is the
+    one before the first mesh point past the start with g <= 0; bisection on
+    its dense output then finds x.
+    """
+    g = sol.y.reshape(6, width, -1)[component, cols] - level
+    past = (g <= 0.0) & (np.arange(g.shape[1]) > step0[:, None])
+    step = np.where(past.any(axis=1), past.argmax(axis=1) - 1, -1)
+    x = np.where(step == step0, x0, 0.0)
+    at_start = g0 <= 0.0
+    step[at_start], x[at_start] = step0[at_start], x0[at_start]
+    todo = np.flatnonzero((step >= 0) & ~at_start)
+    nodes = _step_nodes(sol, width, cols[todo], step[todo])[component] - level
+    lo, hi = x[todo], np.ones(len(todo))
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        fallen = _interpolate(nodes, mid) <= 0.0
+        hi = np.where(fallen, mid, hi)
+        lo = np.where(fallen, lo, mid)
+    x[todo] = hi
+    return step, x
+
+
+def _tail_crossings(sol, taus, T, beta_e, final_i, tail_peak, tail_end, out) -> None:
+    """Locate peaks and ends on the tails of one solve, writing them into ``out``.
+
+    ``out`` is (peak_time, peak_i, end_time), arrays over the tails that
+    already hold T, or the always-on run's crossings where those apply.
+    ``tail_peak`` and ``tail_end`` flag the tails to search.
+    """
+    peak_time, peak_i, end_time = out
+    width = len(taus)
+    y = sol.y.reshape(6, width, -1)
+
+    def time(cols, step, x):
+        u = sol.t[step] + x * (sol.t[step + 1] - sol.t[step])
+        return np.minimum(taus[cols] + u * (T - taus[cols]), T)
+
+    # the peak, where beta_e*s falls through 1, searched from the tail's start
+    cols = np.flatnonzero(tail_peak)
+    start = np.zeros(len(cols), dtype=int)
+    g0 = y[0, cols, 0] - 1.0 / beta_e
+    step, x = _first_fall(sol, width, cols, start, np.zeros(len(cols)), g0, 0, 1.0 / beta_e)
+    found = step >= 0
+    peak_time[cols[found]] = time(cols[found], step[found], x[found])
+    nodes = _step_nodes(sol, width, cols[found], step[found])[1]
+    peak_i[cols[found]] = _interpolate(nodes, x[found])
+    # i rose to the end of the tail: the peak is at T
+    peak_i[cols[~found]] = final_i[cols[~found]]
+    rising = np.zeros(width, dtype=bool)
+    rising[cols[~found]] = True
+
+    # the end, where i falls through the threshold, searched from the peak;
+    # a tail peaking at T has no end after it
+    step0 = np.zeros(width, dtype=int)
+    x0 = np.zeros(width)
+    g0 = y[1, :, 0] - EPIDEMIC_END_THRESHOLD
+    step0[cols[found]], x0[cols[found]] = step[found], x[found]
+    g0[cols] = peak_i[cols] - EPIDEMIC_END_THRESHOLD
+    cols = np.flatnonzero(tail_end & ~rising)
+    step, x = _first_fall(
+        sol, width, cols, step0[cols], x0[cols], g0[cols], 1, EPIDEMIC_END_THRESHOLD
+    )
+    found = step >= 0
+    end_time[cols[found]] = time(cols[found], step[found], x[found])

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from sirdvax import (
+    SirdState,
     Tolerances,
     VaccinationPolicy,
     config_from_dict,
     indicators,
     integrate,
+    objective,
 )
+from sirdvax.analysis import stopped_program_indicators
 
 PEAK_I_FULL_PROGRAM = 0.1786375065  # frozen from a 1e-11/1e-13 reference run
 PEAK_I_UNVACCINATED = 0.3633827668
@@ -46,9 +52,8 @@ class TestDuration:
         assert indicators(full_program_traj).duration == 15.0
 
     def test_crossing_bracketed_by_the_samples(self):
-        # a fast epidemic that falls below the threshold within the horizon;
-        # the crossing is bracketed on the samples and refined on state_at,
-        # so both must agree on the sign at the bracket ends
+        # a fast epidemic that falls below the threshold within the horizon,
+        # where the duration is its epidemic_end event
         config = config_from_dict(
             {
                 "epidemic": {"alpha": 0.8641, "beta": 0.1359, "r": 14.776, "eps": 0.3347},
@@ -101,3 +106,94 @@ class TestTotals:
             indicators(full_program_traj).total_deaths
             < indicators(unvaccinated_traj).total_deaths
         )
+
+
+INDICATOR_FIELDS = (
+    "peak_i",
+    "peak_time",
+    "duration",
+    "total_deaths",
+    "total_vaccinated",
+    "total_cost",
+)
+# a uniform grid plus the durations that end on the stock-outs at m = 0.2
+# and 0.4, near the peak and at the unlimited optimum
+AGREEMENT_TAUS = np.unique(
+    np.concatenate([np.linspace(0.0, 15.0, 11), [2.0, 3.2967, 4.8605, 6.9295]])
+)
+
+
+def always_on(scenario, resources):
+    k, l, m = resources
+    return integrate(scenario, VaccinationPolicy(k=k, l=l, m=m, tau=scenario.T))
+
+
+def worst_disagreement(scenario, resources, taus):
+    """Largest relative gap per indicator between batched rows and exact runs."""
+    rows = stopped_program_indicators(always_on(scenario, resources), taus)
+    worst = dict.fromkeys(INDICATOR_FIELDS, 0.0)
+    for tau, row in zip(taus, rows):
+        exact = indicators(objective(float(tau), scenario, resources).trajectory)
+        for name in INDICATOR_FIELDS:
+            got, want = getattr(row, name), getattr(exact, name)
+            if got != want:
+                worst[name] = max(worst[name], abs(got - want) / abs(want))
+    return worst
+
+
+class TestStoppedProgramIndicators:
+    """Batched tau-sweep rows against ``objective`` plus ``indicators``."""
+
+    @pytest.mark.parametrize(
+        "scenario_name, resources",
+        [
+            ("scenario", (0.1, 0.3, 2.949)),
+            ("scenario", (0.1, 0.3, 0.5)),
+            ("scenario", (0.1, 0.3, 0.2)),
+            ("scenario", (0.1, 0.3, 0.4)),
+            ("scenario", (0.1, 0.3, 0.0)),
+            ("scenario", (0.0, 0.3, 0.5)),
+            ("disease_free", (0.1, 0.3, 0.5)),
+        ],
+        ids=["variant1", "variant2", "stock-0.2", "stock-0.4", "m-0", "k-0", "disease-free"],
+    )
+    def test_rows_agree_with_exact_runs(self, request, scenario_name, resources):
+        scenario = request.getfixturevalue(scenario_name)
+        worst = worst_disagreement(scenario, resources, AGREEMENT_TAUS)
+        assert all(gap <= 1e-7 for gap in worst.values()), worst
+
+    def test_epidemic_end_within_the_horizon(self, scenario):
+        # on a long horizon the end crossing is located too; i is near the
+        # 1e-6 threshold there, so atol = 1e-11 leaves its time about 1e-5
+        # relative uncertain in either run, batched or exact
+        long = dataclasses.replace(scenario, T=40.0)
+        worst = worst_disagreement(long, (0.1, 0.3, 0.5), np.linspace(0.0, 40.0, 9))
+        assert worst.pop("duration") <= 1e-5
+        assert all(gap <= 1e-7 for gap in worst.values()), worst
+
+    def test_rows_come_back_in_the_requested_order(self, scenario):
+        resources = (0.1, 0.3, 0.4)
+        run = always_on(scenario, resources)
+        rows = stopped_program_indicators(run, [10.0, 2.0, 6.0, 2.0])
+        at_2, at_6, at_10 = stopped_program_indicators(run, [2.0, 6.0, 10.0])
+        assert rows == [at_10, at_2, at_6, at_2]
+
+    @pytest.mark.parametrize("m", [2.949, 0.2, 0.4])
+    def test_usage_never_decreases_along_a_sorted_grid(self, scenario, m):
+        rows = stopped_program_indicators(
+            always_on(scenario, (0.1, 0.3, m)), np.linspace(0.0, 15.0, 301)
+        )
+        used = [row.total_vaccinated for row in rows]
+        assert np.all(np.diff(used) >= 0.0)
+        assert max(used) <= min(m, 0.1 * 15.0) + 1e-9
+
+    def test_unlimited_stock_and_a_chunk_boundary(self, scenario):
+        # more durations than one batched solve takes, unlimited stock
+        from sirdvax.solver import TAIL_CHUNK
+
+        taus = np.linspace(0.0, 15.0, TAIL_CHUNK + 3)
+        rows = stopped_program_indicators(always_on(scenario, (0.1, 0.3, math.inf)), taus)
+        for j in (0, TAIL_CHUNK - 1, TAIL_CHUNK, len(taus) - 1):
+            exact = indicators(objective(float(taus[j]), scenario, (0.1, 0.3, math.inf)).trajectory)
+            for name in INDICATOR_FIELDS:
+                assert getattr(rows[j], name) == pytest.approx(getattr(exact, name), rel=1e-7)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ from sirdvax import (
     load_config,
     objective,
     procurement_plan,
+    ValidationError,
 )
-from sirdvax.cli import main, parse_values
+from sirdvax.cli import MAX_SWEEP_VALUES, main, parse_values
 
 TRAJECTORY_HEADER = "t,s,i,rho,d,v,J,V"
 
@@ -62,7 +64,7 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text("utf-8"))
         assert summary["command"] == "simulate"
         assert summary["indicators"]["total_vaccinated"] == pytest.approx(0.45820, abs=1e-4)
-        assert {e["kind"] for e in summary["events"]} == {"rate_kink", "program_end"}
+        assert {e["kind"] for e in summary["events"]} == {"rate_kink", "peak", "program_end"}
 
     def test_numbers_use_nine_significant_digits(self, tmp_path):
         out = tmp_path / "run"
@@ -273,6 +275,86 @@ class TestSweep:
                 float(row[1]), config.scenario, config.resources, config.tolerances
             ).cost
             assert float(row[-1]) == pytest.approx(expected, rel=1e-8)
+
+    def test_tau_sweep_integrates_once(self, tmp_path, monkeypatch):
+        import sirdvax.cli as cli_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        def exploding(*args, **kwargs):
+            raise AssertionError("a tau sweep ran one objective per point")
+
+        monkeypatch.setattr(cli_module, "integrate", counting)
+        monkeypatch.setattr(cli_module, "objective", exploding)
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant2", "--param", "tau", "--values", "0:0.5:15",
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 1 and calls[0][1].tau == 15.0
+        _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 31
+
+    def test_unsorted_values_with_a_duplicate_keep_their_order(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", "tau", "--values", "10,2,6,2",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [row[1] for row in rows] == ["10", "2", "6", "2"]
+        assert rows[1] == rows[3]
+        config = load_config("variant1")
+        for row in rows:
+            expected = objective(
+                float(row[1]), config.scenario, config.resources, config.tolerances
+            ).cost
+            assert float(row[-1]) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [("tau", "7.5,nan"), ("tau", "7.5,20"), ("tau", "7.5,-1"), ("m", "0.2,nan"),
+         ("eps", "0.3,1.5"), ("r", "10,inf"), ("k", "0.1,inf")],
+    )
+    def test_every_value_is_validated_before_integrating(
+        self, tmp_path, monkeypatch, param, values
+    ):
+        import sirdvax.cli as cli_module
+        import sirdvax.planner as planner_module
+
+        def explode(*args, **kwargs):
+            raise AssertionError("integrated before validating every value")
+
+        monkeypatch.setattr(cli_module, "integrate", explode)
+        monkeypatch.setattr(planner_module, "integrate", explode)
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", param, "--values", values,
+                   "--out", str(out)])
+        assert rc == 1
+        assert not (out / "sweep.csv").exists()
+
+    def test_range_spec_beyond_the_limit_is_refused_before_it_is_built(self):
+        assert len(parse_values(f"0:1:{MAX_SWEEP_VALUES - 1}")) == MAX_SWEEP_VALUES
+        with pytest.raises(ValidationError, match="1.5e\\+13 values"):
+            parse_values("0:1e-12:15")
+        # a list of this length takes megabytes; the refusal allocates next to nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"{MAX_SWEEP_VALUES + 1} values"):
+                parse_values(f"0:1:{MAX_SWEEP_VALUES}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "spec", ["0:nan:15", "nan:1:15", "0:1:inf", "0:inf:15", "-1e308:1e-300:1e308"]
+    )
+    def test_non_finite_range_spec_is_refused(self, spec):
+        with pytest.raises(ValidationError):
+            parse_values(spec)
 
     def test_range_spec(self):
         assert parse_values("0:5:15") == [0.0, 5.0, 10.0, 15.0]

@@ -22,7 +22,7 @@ from sirdvax import (
 )
 from sirdvax import planner, solver
 from sirdvax.planner import PRESCAN_POINTS
-from sirdvax.solver import stopped_program_costs
+from sirdvax.solver import stopped_programs
 
 RESOURCES_UNLIMITED = (0.1, 0.3, math.inf)
 RESOURCES_VARIANT1 = (0.1, 0.3, 2.949)
@@ -154,6 +154,10 @@ class TestMinimizeTau:
 def always_on_run(scenario, resources, tol):
     k, l, m = resources
     return integrate(scenario, VaccinationPolicy(k=k, l=l, m=m, tau=scenario.T), tol)
+
+
+def stopped_program_costs(always_on, taus):
+    return stopped_programs(always_on, taus).final[:, 4]
 
 
 def scan_grid(scenario, resources, tol):

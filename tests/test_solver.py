@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from sirdvax import (
     DomainError,
     EVENT_EPIDEMIC_END,
+    EVENT_PEAK,
     EVENT_PROGRAM_END,
     EVENT_RATE_KINK,
     EVENT_SUPPLY_EXHAUSTED,
@@ -20,10 +22,11 @@ from sirdvax import (
     VaccinationPolicy,
     ValidationError,
     feasible_tau_max,
+    indicators,
     integrate,
 )
 from sirdvax.solver import _clamp, _drift_band
-from oracles import rk4_reference
+from oracles import random_cases, rk4_reference
 
 # frozen from a 1e-11/1e-13 adaptive run cross-checked against the fixed-step
 # RK4 oracle (they agree to 6e-9)
@@ -175,6 +178,86 @@ class TestEpidemicEndEvent:
         # infections are still just above the threshold at T = 15
         assert event_times(full_program_traj, EVENT_EPIDEMIC_END) == []
         assert full_program_traj.i[-1] > 1e-6
+
+
+class TestPeakEvent:
+    """The peak of i is located where beta_e*s falls through 1."""
+
+    @staticmethod
+    def assert_located_peak(traj):
+        """One peak event, on the crossing, at the maximum the RK4 oracle finds."""
+        (t_peak,) = event_times(traj, EVENT_PEAK)
+        ind = indicators(traj)
+        assert ind.peak_time == t_peak
+        beta_e = traj.scenario.epidemic.transmission_rate
+        assert abs(beta_e * traj.state_at(t_peak).state.s - 1.0) <= 1e-9
+        assert ind.peak_i >= traj.i.max()
+        # the RK4 oracle at h = 1e-4 is accurate far below this bound
+        ref = rk4_reference(traj.scenario, traj.policy, 1e-4, [t_peak])[-1]
+        assert ind.peak_i == pytest.approx(ref[1], rel=0.0, abs=1e-8)
+        return t_peak
+
+    def test_bundled_variants(self, variant1_traj, variant2_traj):
+        for traj in (variant1_traj, variant2_traj):
+            assert 0.0 < self.assert_located_peak(traj) < traj.scenario.T
+
+    def test_exactly_one_peak_per_run(self, full_program_traj, unvaccinated_traj):
+        runs = [full_program_traj, unvaccinated_traj]
+        runs += [integrate(scenario, policy) for scenario, policy in random_cases(20)]
+        for traj in runs:
+            (t_peak,) = event_times(traj, EVENT_PEAK)
+            assert indicators(traj).peak_i >= traj.i.max()
+            if 0.0 < t_peak < traj.scenario.T:
+                beta_e = traj.scenario.epidemic.transmission_rate
+                assert abs(beta_e * traj.state_at(t_peak).state.s - 1.0) <= 1e-9
+
+    def test_no_rise_peaks_at_zero(self, epidemic, cost, disease_free):
+        subcritical = Scenario(
+            epidemic=dataclasses.replace(epidemic, r=0.5),
+            cost=cost,
+            initial=SirdState(s=0.999, i=0.001, rho=0.0, d=0.0),
+            T=15.0,
+        )
+        assert subcritical.epidemic.transmission_rate * subcritical.initial.s <= 1.0
+        for scenario in (subcritical, disease_free):
+            traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=15.0))
+            assert event_times(traj, EVENT_PEAK) == [0.0]
+            ind = indicators(traj)
+            assert (ind.peak_time, ind.peak_i) == (0.0, scenario.initial.i)
+
+    def test_rise_through_the_horizon_peaks_at_the_end(self, epidemic, cost):
+        # the bundled epidemic peaks near t = 3.3; stop the horizon before it
+        short = Scenario(
+            epidemic=epidemic,
+            cost=cost,
+            initial=SirdState(s=0.999, i=0.001, rho=0.0, d=0.0),
+            T=2.0,
+        )
+        traj = integrate(short, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=2.0))
+        assert event_times(traj, EVENT_PEAK) == [2.0]
+        assert indicators(traj).peak_i == traj.i[-1] == traj.i.max()
+
+    @pytest.mark.parametrize("switch", ["program-end", "stock-out", "rate-kink"])
+    def test_crossing_on_a_switch(self, scenario, full_program_traj, switch):
+        (t_peak,) = event_times(full_program_traj, EVENT_PEAK)
+        if switch == "program-end":
+            policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=t_peak)
+        elif switch == "stock-out":
+            used = full_program_traj.state_at(t_peak).V
+            policy = VaccinationPolicy(k=0.1, l=0.3, m=used, tau=15.0)
+        else:
+            # l*s = k where beta_e*s = 1 when l = k*beta_e
+            beta_e = scenario.epidemic.transmission_rate
+            policy = VaccinationPolicy(k=0.1, l=0.1 * beta_e, m=math.inf, tau=15.0)
+        traj = integrate(scenario, policy)
+        t_located = self.assert_located_peak(traj)
+        kind = {
+            "program-end": EVENT_PROGRAM_END,
+            "stock-out": EVENT_SUPPLY_EXHAUSTED,
+            "rate-kink": EVENT_RATE_KINK,
+        }[switch]
+        (t_switch,) = event_times(traj, kind)
+        assert t_located == pytest.approx(t_switch, rel=0.0, abs=1e-8)
 
 
 class TestDenseOutput:
