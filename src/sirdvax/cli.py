@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .analysis import EpidemicIndicators, indicators, stopped_program_indicators
 from .config import ScenarioConfig, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
-from .model import CostParams, EpidemicParams, Scenario, VaccinationPolicy
+from .model import VaccinationPolicy
 from .planner import minimize_tau, objective, procurement_plan
 from .solver import Trajectory, integrate
 
@@ -29,16 +30,7 @@ MAX_SWEEP_VALUES = 100_000
 
 TRAJECTORY_COLUMNS = ("t", "s", "i", "rho", "d", "v", "J", "V")
 HEADCOUNT_COLUMNS = ("S", "I", "R", "D")
-SWEEP_COLUMNS = (
-    "param",
-    "value",
-    "peak_i",
-    "peak_time",
-    "duration",
-    "total_deaths",
-    "total_vaccinated",
-    "total_cost",
-)
+SWEEP_COLUMNS = ("param", "value", *(f.name for f in fields(EpidemicIndicators)))
 
 
 def _write_csv(path: Path, header: tuple[str, ...], template: str, rows) -> None:
@@ -48,51 +40,6 @@ def _write_csv(path: Path, header: tuple[str, ...], template: str, rows) -> None
     path.write_text("\n".join(lines) + "\n", "utf-8")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
-
-
-def _trajectory_rows(traj: Trajectory, population: float | None) -> np.ndarray:
-    """The CSV table: one row per sample, columns as in the header."""
-    columns = [traj.times, traj.values[:, :4], traj.rates, traj.values[:, 4:]]
-    if population is not None:
-        columns.append(population * traj.values[:, :4])
-    return np.column_stack(columns)
-
-
-def _write_trajectory(path: Path, traj: Trajectory, population: float | None) -> None:
-    header = TRAJECTORY_COLUMNS + (HEADCOUNT_COLUMNS if population is not None else ())
-    template = ",".join(["%.9g"] * len(header))
-    _write_csv(path, header, template, _trajectory_rows(traj, population).tolist())
-
-
-def _indicators_dict(ind: EpidemicIndicators) -> dict:
-    return {
-        "peak_i": ind.peak_i,
-        "peak_time": ind.peak_time,
-        "duration": ind.duration,
-        "total_deaths": ind.total_deaths,
-        "total_vaccinated": ind.total_vaccinated,
-        "total_cost": ind.total_cost,
-    }
-
-
-def _events_list(traj: Trajectory) -> list[dict]:
-    return [{"time": float(e.time), "kind": e.kind} for e in traj.events]
-
-
-def _summary_base(command: str, config: ScenarioConfig) -> dict:
-    return {"command": command, "config": config_to_dict(config)}
-
-
-def _headcount(ind: EpidemicIndicators, population: float) -> dict:
-    return {
-        "peak_I": population * ind.peak_i,
-        "total_deaths": population * ind.total_deaths,
-        "total_vaccinated": population * ind.total_vaccinated,
-    }
-
-
 def _out_dir(args, config: ScenarioConfig) -> Path:
     out = args.out or config.output_dir or "."
     path = Path(out)
@@ -100,10 +47,52 @@ def _out_dir(args, config: ScenarioConfig) -> Path:
     return path
 
 
-def _final_state(traj: Trajectory) -> dict:
-    last = traj.values[-1]
-    keys = ("s", "i", "rho", "d", "J", "V")
-    return {key: float(value) for key, value in zip(keys, last)}
+def _write_run(
+    args,
+    config: ScenarioConfig,
+    traj: Trajectory,
+    ind: EpidemicIndicators,
+    names: tuple[str, str],
+    **extra,
+) -> None:
+    """Write one run of a command: its trajectory CSV and its JSON summary.
+
+    ``names`` is (summary file, trajectory file), both taking ``--prefix``.
+    The CSV has a row per sample, with head-count columns appended when the
+    config sets a population.  The summary holds the command, the resolved
+    config, ``extra``, the indicators, the trajectory file's name and, with
+    a population, head counts.
+    """
+    out = _out_dir(args, config)
+    json_name, csv_name = (args.prefix + name for name in names)
+    population = config.population
+    columns = [traj.times, traj.values[:, :4], traj.rates, traj.values[:, 4:]]
+    header = TRAJECTORY_COLUMNS
+    if population is not None:
+        columns.append(population * traj.values[:, :4])
+        header += HEADCOUNT_COLUMNS
+    template = ",".join(["%.9g"] * len(header))
+    _write_csv(out / csv_name, header, template, np.column_stack(columns).tolist())
+
+    summary = {
+        "command": args.command,
+        "config": config_to_dict(config),
+        **extra,
+        "indicators": asdict(ind),
+        "files": {"trajectory": csv_name},
+    }
+    if population is not None:
+        summary["headcount"] = {
+            "peak_I": population * ind.peak_i,
+            "total_deaths": population * ind.total_deaths,
+            "total_vaccinated": population * ind.total_vaccinated,
+        }
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    (out / json_name).write_text(text, "utf-8")
+
+
+def _events_list(traj: Trajectory) -> list[dict]:
+    return [{"time": float(e.time), "kind": e.kind} for e in traj.events]
 
 
 def cmd_simulate(args) -> int:
@@ -113,67 +102,51 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"tau must lie in [0, {config.scenario.T}], got {tau}")
     policy = VaccinationPolicy(k=config.k, l=config.l, m=config.m, tau=tau)
     traj = integrate(config.scenario, policy, config.tolerances)
-    ind = indicators(traj)
-
-    out = _out_dir(args, config)
-    csv_name = args.prefix + "trajectory.csv"
-    _write_trajectory(out / csv_name, traj, config.population)
-    summary = _summary_base("simulate", config)
-    summary.update(
+    final = dict(zip(("s", "i", "rho", "d", "J", "V"), traj.values[-1].tolist()))
+    _write_run(
+        args,
+        config,
+        traj,
+        indicators(traj),
+        ("summary.json", "trajectory.csv"),
         tau=tau,
-        indicators=_indicators_dict(ind),
         events=_events_list(traj),
-        final_state=_final_state(traj),
-        files={"trajectory": csv_name},
+        final_state=final,
     )
-    if config.population is not None:
-        summary["headcount"] = _headcount(ind, config.population)
-    _write_json(out / (args.prefix + "summary.json"), summary)
     return 0
 
 
 def cmd_optimize(args) -> int:
     config = load_config(args.config)
     result = minimize_tau(config.scenario, config.resources, config.tolerances)
-    traj = result.trajectory
-
-    out = _out_dir(args, config)
-    csv_name = args.prefix + "optimal_trajectory.csv"
-    _write_trajectory(out / csv_name, traj, config.population)
-    summary = _summary_base("optimize", config)
-    summary.update(
+    _write_run(
+        args,
+        config,
+        result.trajectory,
+        result.indicators,
+        ("optimize.json", "optimal_trajectory.csv"),
         tau_star=result.tau_star,
         cost_star=result.cost_star,
         evaluations=result.evaluations,
-        indicators=_indicators_dict(result.indicators),
-        events=_events_list(traj),
-        files={"trajectory": csv_name},
+        events=_events_list(result.trajectory),
     )
-    if config.population is not None:
-        summary["headcount"] = _headcount(result.indicators, config.population)
-    _write_json(out / (args.prefix + "optimize.json"), summary)
     return 0
 
 
 def cmd_procure(args) -> int:
     config = load_config(args.config)
     result = procurement_plan(config.scenario, (config.k, config.l), config.tolerances)
-
-    out = _out_dir(args, config)
-    csv_name = args.prefix + "procure_trajectory.csv"
-    _write_trajectory(out / csv_name, result.trajectory, config.population)
-    summary = _summary_base("procure", config)
-    summary.update(
+    _write_run(
+        args,
+        config,
+        result.trajectory,
+        result.indicators,
+        ("procure.json", "procure_trajectory.csv"),
         tau_double_star=result.tau_star,
         m_double_star=result.indicators.total_vaccinated,
         cost=result.cost_star,
         evaluations=result.evaluations,
-        indicators=_indicators_dict(result.indicators),
-        files={"trajectory": csv_name},
     )
-    if config.population is not None:
-        summary["headcount"] = _headcount(result.indicators, config.population)
-    _write_json(out / (args.prefix + "procure.json"), summary)
     return 0
 
 
@@ -213,33 +186,20 @@ def parse_values(spec: str) -> list[float]:
 
 def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
     """Scenario, resources, and duration with one parameter replaced, validated."""
-    sc = config.scenario
-    epidemic, cost = sc.epidemic, sc.cost
-    resources = config.resources
+    scenario, resources = config.scenario, config.resources
     # as in a config file, only the stock may be infinite (unlimited)
     if not (math.isfinite(value) or (param == "m" and value == math.inf)):
         raise ValidationError(f"values: {param} must be finite, got {value}")
     if param == "tau":
         tau = value
     elif param in ("k", "l", "m"):
-        replaced = dict(zip(("k", "l", "m"), resources))
-        replaced[param] = value
-        resources = (replaced["k"], replaced["l"], replaced["m"])
+        resources = replace(config, **{param: value}).resources
     elif param in ("a", "b", "c"):
-        kwargs = {"a": cost.a, "b": cost.b, "c": cost.c, param: value}
-        cost = CostParams(**kwargs)
-    elif param in ("eps", "r"):
-        kwargs = {
-            "alpha": epidemic.alpha,
-            "beta": epidemic.beta,
-            "r": epidemic.r,
-            "eps": epidemic.eps,
-            param: value,
-        }
-        epidemic = EpidemicParams(**kwargs)
-    scenario = Scenario(epidemic=epidemic, cost=cost, initial=sc.initial, T=sc.T)
-    if not 0.0 <= tau <= sc.T:
-        raise ValidationError(f"tau must lie in [0, {sc.T}], got {tau}")
+        scenario = replace(scenario, cost=replace(scenario.cost, **{param: value}))
+    else:
+        scenario = replace(scenario, epidemic=replace(scenario.epidemic, **{param: value}))
+    if not 0.0 <= tau <= scenario.T:
+        raise ValidationError(f"tau must lie in [0, {scenario.T}], got {tau}")
     VaccinationPolicy(*resources, tau=tau)  # validates k, l and m
     return scenario, resources, tau
 
@@ -266,19 +226,7 @@ def cmd_sweep(args) -> int:
             indicators(objective(tau, scenario, resources, config.tolerances).trajectory)
             for scenario, resources, tau in points
         ]
-    rows = [
-        (
-            args.param,
-            value,
-            ind.peak_i,
-            ind.peak_time,
-            ind.duration,
-            ind.total_deaths,
-            ind.total_vaccinated,
-            ind.total_cost,
-        )
-        for value, ind in zip(values, found)
-    ]
+    rows = [(args.param, value, *astuple(ind)) for value, ind in zip(values, found)]
 
     out = _out_dir(args, config)
     template = ",".join(["%s"] + ["%.9g"] * (len(SWEEP_COLUMNS) - 1))

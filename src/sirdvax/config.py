@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -16,14 +16,14 @@ from .solver import Tolerances
 #: Names resolvable without a file on disk.
 BUNDLED = ("variant1", "variant2")
 
+#: Sections that each hold the fields of one model dataclass.
+_MODELS = {"epidemic": EpidemicParams, "cost": CostParams, "initial": SirdState}
 _SECTIONS = {
-    "epidemic": ("alpha", "beta", "r", "eps"),
-    "cost": ("a", "b", "c"),
+    **{name: tuple(f.name for f in fields(model)) for name, model in _MODELS.items()},
     "resources": ("k", "l", "m"),
-    "initial": ("s", "i", "rho", "d"),
 }
 _OPTIONAL_TOP = ("tolerances", "population", "output_dir")
-_TOLERANCE_KEYS = ("rtol", "atol", "max_step")
+_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,17 @@ def _as_number(section: str, key: str, value) -> float:
     return float(value)
 
 
+def _limit(section: str, key: str, value) -> float:
+    """A number, or unlimited (inf) for null or "inf"."""
+    if value is None or value == "inf":
+        return math.inf
+    return _as_number(section, key, value)
+
+
+def _unlimited_as_null(value: float) -> float | None:
+    return None if math.isinf(value) else value
+
+
 def _section(data: dict, name: str) -> dict:
     if name not in data:
         raise ValidationError(f"{name}: missing required section")
@@ -79,10 +90,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if key not in _SECTIONS and key not in _OPTIONAL_TOP and key != "T":
             raise ValidationError(f"{key}: unknown field")
 
-    ep = _section(data, "epidemic")
-    co = _section(data, "cost")
-    re_ = _section(data, "resources")
-    init = _section(data, "initial")
+    sections = {name: _section(data, name) for name in _SECTIONS}
     if "T" not in data:
         raise ValidationError("T: missing required field")
     horizon = _as_number("config", "T", data["T"])
@@ -93,48 +101,31 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         except ValidationError as exc:
             raise ValidationError(f"{section}: {exc}") from exc
 
-    epidemic = build(
-        "epidemic",
-        EpidemicParams,
-        {key: _required(ep, "epidemic", key) for key in _SECTIONS["epidemic"]},
-    )
-    cost = build(
-        "cost",
-        CostParams,
-        {key: _required(co, "cost", key) for key in _SECTIONS["cost"]},
-    )
-    initial = build(
-        "initial",
-        SirdState,
-        {key: _required(init, "initial", key) for key in _SECTIONS["initial"]},
-    )
-    scenario = build(
-        "scenario", Scenario, {"epidemic": epidemic, "cost": cost, "initial": initial, "T": horizon}
-    )
+    parts = {
+        name: build(
+            name, model, {key: _required(sections[name], name, key) for key in _SECTIONS[name]}
+        )
+        for name, model in _MODELS.items()
+    }
+    scenario = build("scenario", Scenario, {**parts, "T": horizon})
 
+    re_ = sections["resources"]
     k = _required(re_, "resources", "k")
     l = _required(re_, "resources", "l")
     if "m" not in re_:
         raise ValidationError("resources.m: missing required field")
-    m_raw = re_["m"]
-    if m_raw is None or m_raw == "inf":
-        m = math.inf
-    else:
-        m = _as_number("resources", "m", m_raw)
+    m = _limit("resources", "m", re_["m"])
     if k < 0 or not 0 <= l <= 1 or m < 0:
         raise ValidationError(
             f"resources: k must be >= 0, l in [0, 1], m >= 0; got k={k}, l={l}, m={m}"
         )
 
-    tol_data = _section(data, "tolerances") if data.get("tolerances") else {}
-    tol_kwargs = {}
-    for key in _TOLERANCE_KEYS:
-        if key in tol_data:
-            value = tol_data[key]
-            if key == "max_step" and (value is None or value == "inf"):
-                tol_kwargs[key] = math.inf
-            else:
-                tol_kwargs[key] = _as_number("tolerances", key, value)
+    # only an absent or null section means the defaults
+    tol_data = _section(data, "tolerances") if data.get("tolerances") is not None else {}
+    tol_kwargs = {
+        key: (_limit if key == "max_step" else _as_number)("tolerances", key, value)
+        for key, value in tol_data.items()
+    }
     tolerances = build("tolerances", Tolerances, tol_kwargs)
 
     population = None
@@ -160,34 +151,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Canonical JSON-ready form; inverse of config_from_dict."""
-    sc = config.scenario
+    sc, tol = config.scenario, config.tolerances
     return {
-        "epidemic": {
-            "alpha": sc.epidemic.alpha,
-            "beta": sc.epidemic.beta,
-            "r": sc.epidemic.r,
-            "eps": sc.epidemic.eps,
-        },
-        "cost": {"a": sc.cost.a, "b": sc.cost.b, "c": sc.cost.c},
-        "resources": {
-            "k": config.k,
-            "l": config.l,
-            "m": None if math.isinf(config.m) else config.m,
-        },
-        "initial": {
-            "s": sc.initial.s,
-            "i": sc.initial.i,
-            "rho": sc.initial.rho,
-            "d": sc.initial.d,
-        },
+        **{name: asdict(getattr(sc, name)) for name in _MODELS},
+        "resources": {"k": config.k, "l": config.l, "m": _unlimited_as_null(config.m)},
         "T": sc.T,
-        "tolerances": {
-            "rtol": config.tolerances.rtol,
-            "atol": config.tolerances.atol,
-            "max_step": None
-            if math.isinf(config.tolerances.max_step)
-            else config.tolerances.max_step,
-        },
+        "tolerances": {**asdict(tol), "max_step": _unlimited_as_null(tol.max_step)},
         "population": config.population,
         "output_dir": config.output_dir,
     }

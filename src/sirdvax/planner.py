@@ -26,7 +26,7 @@ from .solver import Tolerances, Trajectory, integrate, stopped_programs
 #: Scan resolution used to bracket the best basin before refinement.
 PRESCAN_POINTS = 64
 
-#: Default absolute tolerance on the optimal duration.
+#: Absolute tolerance on the optimal duration.
 DEFAULT_OPT_TOL = 1e-4
 
 Resources = tuple[float, float, float]  # (k, l, m)
@@ -117,7 +117,6 @@ def minimize_tau(
     scenario: Scenario,
     resources: Resources,
     tol: Tolerances = Tolerances(),
-    opt_tol: float = DEFAULT_OPT_TOL,
 ) -> OptimizationResult:
     """Find the duration minimizing the total cost on [0, feasible_tau_max].
 
@@ -126,8 +125,9 @@ def minimize_tau(
     uniform scan of [0, cap], costed by ``stopped_programs`` in one
     batched tail solve, guards against multimodality and brackets the best
     basin.  Bounded golden-section/parabolic refinement on the scan's
-    neighbours of its best point then polishes to ``opt_tol`` with exact
-    ``objective`` runs, and the best point of the scan is run exactly too.
+    neighbours of its best point then polishes to ``DEFAULT_OPT_TOL`` with
+    exact ``objective`` runs, and the best point of the scan is run exactly
+    too.
     Exact runs are memoised, so no duration is integrated twice.  The
     returned duration, cost and trajectory are those of the best exact run,
     so the returned cost never exceeds any exactly evaluated one.
@@ -153,7 +153,7 @@ def minimize_tau(
             lambda tau: j(float(tau)).cost,
             bounds=(lo, hi),
             method="bounded",
-            options={"xatol": opt_tol},
+            options={"xatol": DEFAULT_OPT_TOL},
         )
         best = j(float(refined.x))
         j(float(grid[k_best]))
@@ -174,7 +174,6 @@ def procurement_plan(
     scenario: Scenario,
     resources: tuple[float, float],
     tol: Tolerances = Tolerances(),
-    opt_tol: float = DEFAULT_OPT_TOL,
 ) -> OptimizationResult:
     """Optimal program without a supply limit, to decide how much vaccine to buy.
 
@@ -184,4 +183,4 @@ def procurement_plan(
     happens after tau, so V(T) = V(tau)).
     """
     k, l = resources
-    return minimize_tau(scenario, (k, l, math.inf), tol, opt_tol)
+    return minimize_tau(scenario, (k, l, math.inf), tol)

@@ -517,12 +517,14 @@ def stopped_programs(
 
     With ``crossings``, each program's peak and end are located too.  A
     program shares the always-on run's crossing where that lies at or before
-    tau, and otherwise has it located on its own tail.
+    tau, and otherwise has it located on its own tail; it shares the peak too
+    when beta_e*s is at or below 1 at tau, which rounding allows just before
+    the always-on peak.
     """
     taus = np.asarray(taus, dtype=float)
     scenario, tol = always_on.scenario, always_on.tolerances
     T = scenario.T
-    if np.any(np.diff(taus) < 0.0) or taus[0] < 0.0 or taus[-1] > T:
+    if np.any(np.diff(taus) < 0.0) or np.any((taus < 0.0) | (taus > T)):
         raise ValidationError(f"durations must be sorted within [0, {T}]")
     exhausted_from = always_on.exhaustion_time
     capped = taus >= (exhausted_from if exhausted_from is not None else math.inf)
@@ -530,7 +532,11 @@ def stopped_programs(
     final = _sample(always_on._segments, taus)
     if crossings:
         peak_on, peak_i_on, end_on = always_on.peak_and_end()
-        tail_peak, tail_end = taus < peak_on, taus < end_on
+        # a tail's peak is searched for as integrate arms its watcher: when
+        # beta_e*s starts above 1; otherwise it is the always-on run's
+        beta_e = scenario.epidemic.transmission_rate
+        tail_peak = (taus < peak_on) & (beta_e * final[:, 0] > 1.0)
+        tail_end = taus < end_on
         peak_time = np.where(tail_peak, T, peak_on)
         peak_i = np.full(len(taus), peak_i_on)
         end_time = np.where(tail_end, T, end_on)
@@ -549,7 +555,7 @@ def stopped_programs(
                 sol,
                 taus[cols],
                 T,
-                scenario.epidemic.transmission_rate,
+                beta_e,
                 final[cols, 1],
                 tail_peak[cols],
                 tail_end[cols],
@@ -581,7 +587,9 @@ def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, 
     sol = solve_ivp(
         rhs,
         (0.0, 1.0),
-        start.T.ravel(),
+        # a copy: the solver keeps y0 as its first step's start, and with one
+        # tail ravel() would return a view of the caller's rows
+        start.T.flatten(),
         method=_METHOD,
         rtol=tol.rtol,
         atol=tol.atol,
@@ -629,29 +637,27 @@ def _interpolate(node_values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_fall(sol, width, cols, step0, x0, g0, component, level):
-    """First point at or after (``step0``, ``x0``) where g = y - level <= 0.
+def _first_fall(sol, width, cols, g):
+    """First fall of g through 0 on each tail in ``cols``.
 
-    y is ``component`` of each tail in ``cols``, and ``g0`` is g at the start
-    point.  Returns each tail's step and the position x in [0, 1] within it,
-    step -1 where g stays positive to the end of the tail.  The step is the
-    one before the first mesh point past the start with g <= 0; bisection on
-    its dense output then finds x.
+    ``g`` maps the stacked state, component first, to the watched function.
+    As solve_ivp finds an event of direction -1, the crossing lies in the
+    first step with g >= 0 at its start and g <= 0 at its end; bisection on
+    the step's dense output then finds the position x in [0, 1] within it.
+    Returns each tail's step and x, step -1 where g does not fall through 0.
     """
-    g = sol.y.reshape(6, width, -1)[component, cols] - level
-    past = (g <= 0.0) & (np.arange(g.shape[1]) > step0[:, None])
-    step = np.where(past.any(axis=1), past.argmax(axis=1) - 1, -1)
-    x = np.where(step == step0, x0, 0.0)
-    at_start = g0 <= 0.0
-    step[at_start], x[at_start] = step0[at_start], x0[at_start]
-    todo = np.flatnonzero((step >= 0) & ~at_start)
-    nodes = _step_nodes(sol, width, cols[todo], step[todo])[component] - level
-    lo, hi = x[todo], np.ones(len(todo))
+    values = g(sol.y.reshape(6, width, -1)[:, cols])
+    down = (values[:, :-1] >= 0.0) & (values[:, 1:] <= 0.0)
+    step = np.where(down.any(axis=1), down.argmax(axis=1), -1)
+    todo = np.flatnonzero(step >= 0)
+    nodes = g(_step_nodes(sol, width, cols[todo], step[todo]))
+    lo, hi = np.zeros(len(todo)), np.ones(len(todo))
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         fallen = _interpolate(nodes, mid) <= 0.0
         hi = np.where(fallen, mid, hi)
         lo = np.where(fallen, lo, mid)
+    x = np.zeros(len(cols))
     x[todo] = hi
     return step, x
 
@@ -661,40 +667,31 @@ def _tail_crossings(sol, taus, T, beta_e, final_i, tail_peak, tail_end, out) -> 
 
     ``out`` is (peak_time, peak_i, end_time), arrays over the tails that
     already hold T, or the always-on run's crossings where those apply.
-    ``tail_peak`` and ``tail_end`` flag the tails to search.
+    ``tail_peak`` and ``tail_end`` flag the tails to search; beta_e*s starts
+    above 1 on every tail in ``tail_peak``.  Both crossings are searched from
+    the tail's start: the peak where beta_e*s falls through 1, as
+    ``integrate``'s ``peak`` watcher finds it, and the end where i falls
+    through ``EPIDEMIC_END_THRESHOLD``.  With no vaccination i rises while
+    beta_e*s > 1 and falls after, so its first fall through the threshold
+    comes after its peak.  A tail where beta_e*s stays above 1 peaks at T.
     """
     peak_time, peak_i, end_time = out
     width = len(taus)
-    y = sol.y.reshape(6, width, -1)
 
     def time(cols, step, x):
         u = sol.t[step] + x * (sol.t[step + 1] - sol.t[step])
         return np.minimum(taus[cols] + u * (T - taus[cols]), T)
 
-    # the peak, where beta_e*s falls through 1, searched from the tail's start
     cols = np.flatnonzero(tail_peak)
-    start = np.zeros(len(cols), dtype=int)
-    g0 = y[0, cols, 0] - 1.0 / beta_e
-    step, x = _first_fall(sol, width, cols, start, np.zeros(len(cols)), g0, 0, 1.0 / beta_e)
+    step, x = _first_fall(sol, width, cols, lambda y: beta_e * y[0] - 1.0)
     found = step >= 0
     peak_time[cols[found]] = time(cols[found], step[found], x[found])
     nodes = _step_nodes(sol, width, cols[found], step[found])[1]
     peak_i[cols[found]] = _interpolate(nodes, x[found])
     # i rose to the end of the tail: the peak is at T
     peak_i[cols[~found]] = final_i[cols[~found]]
-    rising = np.zeros(width, dtype=bool)
-    rising[cols[~found]] = True
 
-    # the end, where i falls through the threshold, searched from the peak;
-    # a tail peaking at T has no end after it
-    step0 = np.zeros(width, dtype=int)
-    x0 = np.zeros(width)
-    g0 = y[1, :, 0] - EPIDEMIC_END_THRESHOLD
-    step0[cols[found]], x0[cols[found]] = step[found], x[found]
-    g0[cols] = peak_i[cols] - EPIDEMIC_END_THRESHOLD
-    cols = np.flatnonzero(tail_end & ~rising)
-    step, x = _first_fall(
-        sol, width, cols, step0[cols], x0[cols], g0[cols], 1, EPIDEMIC_END_THRESHOLD
-    )
+    cols = np.flatnonzero(tail_end)
+    step, x = _first_fall(sol, width, cols, lambda y: y[1] - EPIDEMIC_END_THRESHOLD)
     found = step >= 0
     end_time[cols[found]] = time(cols[found], step[found], x[found])

@@ -18,6 +18,7 @@ from sirdvax import (
     objective,
 )
 from sirdvax.analysis import stopped_program_indicators
+from sirdvax.solver import stopped_programs
 
 PEAK_I_FULL_PROGRAM = 0.1786375065  # frozen from a 1e-11/1e-13 reference run
 PEAK_I_UNVACCINATED = 0.3633827668
@@ -83,7 +84,8 @@ class TestTotals:
         # dd/dt = beta*i, so the death toll equals beta times the integral of
         # the stored infected samples up to quadrature error
         ind = indicators(full_program_traj)
-        quad = 0.05 * np.trapezoid(full_program_traj.i, full_program_traj.times)
+        t, i = full_program_traj.times, full_program_traj.i
+        quad = 0.05 * np.sum(np.diff(t) * (i[1:] + i[:-1]) / 2.0)  # trapezoid rule
         assert abs(ind.total_deaths - quad) <= 1e-5
 
     def test_totals_read_off_the_final_sample(self, tight_supply_traj):
@@ -197,3 +199,43 @@ class TestStoppedProgramIndicators:
             exact = indicators(objective(float(taus[j]), scenario, (0.1, 0.3, math.inf)).trajectory)
             for name in INDICATOR_FIELDS:
                 assert getattr(rows[j], name) == pytest.approx(getattr(exact, name), rel=1e-7)
+
+    def test_no_durations_give_no_rows(self, scenario):
+        run = always_on(scenario, (0.1, 0.3, 0.4))
+        assert stopped_program_indicators(run, []) == []
+        for crossings in (False, True):
+            tails = stopped_programs(run, [], crossings=crossings)
+            assert tails.final.shape == (0, 6)
+        assert len(tails.peak_time) == len(tails.peak_i) == len(tails.end_time) == 0
+
+    @pytest.mark.parametrize("m", [2.949, 0.2])
+    def test_one_duration_alone_agrees_with_it_among_others(self, scenario, m):
+        # a solve of one tail must not read its start from the caller's rows,
+        # which it overwrites with the state at T; the first duration ends
+        # just before the peak, so the crossing lies in the tail's first step
+        run = always_on(scenario, (0.1, 0.3, m))
+        peak_time, peak_i, _ = run.peak_and_end()
+        just_before = np.nextafter(peak_time, 0.0)
+        for tau in (just_before, 3.29, 7.5):
+            (alone,) = stopped_program_indicators(run, [tau])
+            among = stopped_program_indicators(run, [1.0, tau, 12.0])[1]
+            for name in INDICATOR_FIELDS:
+                assert getattr(alone, name) == pytest.approx(getattr(among, name), rel=1e-7)
+        (alone,) = stopped_program_indicators(run, [just_before])
+        assert alone.peak_i == pytest.approx(peak_i, rel=1e-9)
+
+    def test_program_ending_just_before_the_peak_shares_it(self, scenario):
+        # on these epidemics beta_e*s reads <= 1 one ulp before the located
+        # peak, so a tail starting there has no fall through 1 to find
+        below = 0
+        for r, eps in ((9.522518422452018, 0.49888397431568443),
+                       (13.444345198132943, 0.11134614604540843)):
+            epidemic = dataclasses.replace(scenario.epidemic, r=r, eps=eps)
+            run = always_on(dataclasses.replace(scenario, epidemic=epidemic), (0.1, 0.3, math.inf))
+            peak_time, peak_i, _ = run.peak_and_end()
+            tau = np.nextafter(peak_time, 0.0)
+            below += epidemic.transmission_rate * run.state_at(tau).state.s <= 1.0
+            row = stopped_program_indicators(run, [tau, 12.0])[0]
+            assert row.peak_time == pytest.approx(peak_time, abs=1e-12)
+            assert row.peak_i == pytest.approx(peak_i, rel=1e-12)
+        assert below > 0

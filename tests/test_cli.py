@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import sirdvax
 from sirdvax import (
     VaccinationPolicy,
     dump_config,
+    indicators,
     integrate,
     load_config,
     objective,
@@ -24,6 +26,10 @@ from sirdvax import (
 from sirdvax.cli import MAX_SWEEP_VALUES, main, parse_values
 
 TRAJECTORY_HEADER = "t,s,i,rho,d,v,J,V"
+SWEEP_HEADER = "param,value,peak_i,peak_time,duration,total_deaths,total_vaccinated,total_cost"
+INDICATOR_KEYS = {
+    "peak_i", "peak_time", "duration", "total_deaths", "total_vaccinated", "total_cost"
+}
 
 
 def read_csv(path):
@@ -298,6 +304,21 @@ class TestSweep:
         _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 31
 
+    def test_one_value_agrees_with_a_direct_run(self, tmp_path):
+        # 3.29 ends just before the peak, which then lies in the tail's first step
+        config = load_config("variant1")
+        expected = indicators(
+            objective(3.29, config.scenario, config.resources, config.tolerances).trajectory
+        )
+        for values in ("3.29", "3.29,5"):
+            out = tmp_path / values
+            rc = main(["sweep", "--config", "variant1", "--param", "tau", "--values", values,
+                       "--out", str(out)])
+            assert rc == 0
+            _, rows = read_csv(out / "sweep.csv")
+            for token, want in zip(rows[0][2:], astuple(expected)):
+                assert float(token) == pytest.approx(want, rel=1e-7)
+
     def test_unsorted_values_with_a_duplicate_keep_their_order(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["sweep", "--config", "variant1", "--param", "tau", "--values", "10,2,6,2",
@@ -401,6 +422,71 @@ class TestSweep:
                    "--out", str(out)])
         assert rc == 1
         assert not (out / "sweep.csv").exists()
+
+
+class TestOutputFiles:
+    """The files each command writes and the keys of its summary."""
+
+    @pytest.mark.parametrize("population", [None, 1_000_000], ids=["fractions", "population"])
+    @pytest.mark.parametrize(
+        "argv, json_name, csv_name, keys",
+        [
+            pytest.param(
+                ["simulate", "--tau", "7.5"],
+                "summary.json",
+                "trajectory.csv",
+                {"command", "config", "tau", "indicators", "events", "final_state", "files"},
+                id="simulate",
+            ),
+            pytest.param(
+                ["optimize"],
+                "optimize.json",
+                "optimal_trajectory.csv",
+                {"command", "config", "tau_star", "cost_star", "evaluations", "indicators",
+                 "events", "files"},
+                id="optimize",
+            ),
+            pytest.param(
+                ["procure"],
+                "procure.json",
+                "procure_trajectory.csv",
+                {"command", "config", "tau_double_star", "m_double_star", "cost",
+                 "evaluations", "indicators", "files"},
+                id="procure",
+            ),
+        ],
+    )
+    def test_files_and_summary_keys(self, tmp_path, population, argv, json_name, csv_name, keys):
+        config = write_config(tmp_path, population=population)
+        out = tmp_path / "run"
+        rc = main([*argv, "--config", str(config), "--out", str(out), "--prefix", "p_"])
+        assert rc == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["p_" + json_name, "p_" + csv_name]
+        )
+        summary = json.loads((out / ("p_" + json_name)).read_text("utf-8"))
+        assert set(summary) == keys | ({"headcount"} if population else set())
+        assert summary["command"] == argv[0]
+        assert summary["files"] == {"trajectory": "p_" + csv_name}
+        assert set(summary["indicators"]) == INDICATOR_KEYS
+        if population:
+            assert set(summary["headcount"]) == {"peak_I", "total_deaths", "total_vaccinated"}
+            ind = summary["indicators"]
+            assert summary["headcount"]["peak_I"] == population * ind["peak_i"]
+        header, _ = read_csv(out / ("p_" + csv_name))
+        extra = ["S", "I", "R", "D"] if population else []
+        assert header == TRAJECTORY_HEADER.split(",") + extra
+
+    @pytest.mark.parametrize("param, values", [("tau", "2,6"), ("m", "0.2,inf")])
+    def test_sweep_file_and_header(self, tmp_path, param, values):
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", param, "--values", values,
+                   "--out", str(out), "--prefix", "p_"])
+        assert rc == 0
+        assert [path.name for path in out.iterdir()] == ["p_sweep.csv"]
+        header, rows = read_csv(out / "p_sweep.csv")
+        assert ",".join(header) == SWEEP_HEADER
+        assert [row[0] for row in rows] == [param, param]
 
 
 class TestRoundTrip:

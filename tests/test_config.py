@@ -96,6 +96,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             load_config(path)
 
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "empty-string"])
+    def test_tolerances_must_be_an_object(self, value):
+        data = variant1_dict()
+        data["tolerances"] = value
+        with pytest.raises(ValidationError, match="tolerances"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("value", [{}, None], ids=["empty-object", "null"])
+    def test_empty_or_null_tolerances_mean_the_defaults(self, value):
+        data = variant1_dict()
+        data["tolerances"] = value
+        assert config_from_dict(data) == config_from_dict(variant1_dict())
+
     def test_population_must_be_positive(self):
         data = variant1_dict()
         data["population"] = -3.0
