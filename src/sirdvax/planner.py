@@ -3,11 +3,11 @@
 The decision variable is the single scalar tau (how long the program runs).
 The objective is evaluated by simulation, so the search is derivative-free.
 Every candidate program follows the same always-on run until it ends, so one
-such run gives the stock cap and every candidate's state at its end; a coarse
-scan then costs all candidates at once with one batched solve of their
-uncontrolled tails and brackets the best basin.  A bounded golden-section /
-parabolic refinement polishes it with exact simulations, which alone decide
-the returned duration and cost.
+such run gives the stock cap and every candidate's state at its end.  Nested
+uniform scans then cost their candidates together, each with one batched
+solve of the uncontrolled tails, each over the neighbours of the previous
+scan's best point, until the spacing reaches the tolerance.  One exact
+simulation at the last best point gives the returned duration and cost.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .analysis import EpidemicIndicators, indicators
 from .errors import ValidationError
 from .model import Scenario, VaccinationPolicy
 from .solver import Tolerances, Trajectory, integrate, stopped_programs
 
-#: Scan resolution used to bracket the best basin before refinement.
+#: Points per scan; each scan narrows the bracket by a factor (PRESCAN_POINTS - 1) / 2.
 PRESCAN_POINTS = 64
 
 #: Absolute tolerance on the optimal duration.
@@ -50,8 +49,8 @@ class ObjectiveEvaluation:
 class OptimizationResult:
     """Best duration found, its cost, indicators and trajectory.
 
-    ``evaluations`` counts the durations the search costed: the points of the
-    batched scan plus the exact objective evaluations.
+    ``evaluations`` counts the durations the search costed: the points of
+    every batched scan plus the one exact objective evaluation.
     """
 
     tau_star: float
@@ -122,50 +121,31 @@ def minimize_tau(
 
     One always-on run (tau = T) gives the cap ``feasible_tau_max`` and the
     state at every candidate end of the program.  A ``PRESCAN_POINTS``-point
-    uniform scan of [0, cap], costed by ``stopped_programs`` in one
-    batched tail solve, guards against multimodality and brackets the best
-    basin.  Bounded golden-section/parabolic refinement on the scan's
-    neighbours of its best point then polishes to ``DEFAULT_OPT_TOL`` with
-    exact ``objective`` runs, and the best point of the scan is run exactly
-    too.
-    Exact runs are memoised, so no duration is integrated twice.  The
-    returned duration, cost and trajectory are those of the best exact run,
-    so the returned cost never exceeds any exactly evaluated one.
+    uniform scan of [0, cap], costed by ``stopped_programs`` in one batched
+    tail solve, guards against multimodality and brackets the best basin.
+    The scan is repeated with ``PRESCAN_POINTS`` points over the best point's
+    neighbours until the spacing is at most ``DEFAULT_OPT_TOL``; a grid scan
+    is not misled by the cost's kinks at supply exhaustion and the rate
+    switch.  One exact ``objective`` run at the last scan's best point then
+    gives the returned duration, cost and trajectory.  Every grid includes
+    its end points, so a best point on the cap returns the cap itself.
     """
-    exact: dict[float, ObjectiveEvaluation] = {}
-
-    def j(tau: float) -> ObjectiveEvaluation:
-        if tau not in exact:
-            exact[tau] = objective(tau, scenario, resources, tol)
-        return exact[tau]
-
     cap, always_on = _always_on(scenario, resources, tol)
-    if cap <= 0.0:
-        scanned = 0
-        best = j(0.0)
-    else:
-        grid = np.linspace(0.0, cap, PRESCAN_POINTS)
-        scanned = len(grid)
+    scanned, tau, lo, hi = 0, 0.0, 0.0, cap
+    while hi > lo:
+        grid = np.linspace(lo, hi, PRESCAN_POINTS)
+        scanned += len(grid)
         k_best = int(np.argmin(stopped_programs(always_on, grid).final[:, 4]))
-        lo = grid[max(k_best - 1, 0)]
-        hi = grid[min(k_best + 1, len(grid) - 1)]
-        refined = minimize_scalar(
-            lambda tau: j(float(tau)).cost,
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": DEFAULT_OPT_TOL},
-        )
-        best = j(float(refined.x))
-        j(float(grid[k_best]))
-        for candidate in exact.values():
-            if candidate.cost < best.cost:
-                best = candidate
-
+        tau = float(grid[k_best])
+        if grid[1] - grid[0] <= DEFAULT_OPT_TOL:
+            break
+        lo, hi = grid[max(k_best - 1, 0)], grid[min(k_best + 1, len(grid) - 1)]
+    best = objective(tau, scenario, resources, tol)
     return OptimizationResult(
         tau_star=best.tau,
         cost_star=best.cost,
         indicators=indicators(best.trajectory),
-        evaluations=scanned + len(exact),
+        evaluations=scanned + 1,
         trajectory=best.trajectory,
     )
 

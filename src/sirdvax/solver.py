@@ -243,6 +243,10 @@ def _clamp(
     or after supply exhaustion (a boolean per row, or one for all), where the
     usage V may not exceed ``stock``.  Returns the repaired rows.
     """
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, idx = np.argwhere(~finite)[0]
+        raise IntegrationError(f"state {idx} is not finite: {rows[row, idx]}")
     band = _drift_band(atol)
     compartments, accumulators, usage = rows[:, :4], rows[:, 4:], rows[:, 5]
     outside = (compartments < -band) | (compartments > 1.0 + band)
@@ -524,7 +528,8 @@ def stopped_programs(
     taus = np.asarray(taus, dtype=float)
     scenario, tol = always_on.scenario, always_on.tolerances
     T = scenario.T
-    if np.any(np.diff(taus) < 0.0) or np.any((taus < 0.0) | (taus > T)):
+    # NaN fails every comparison, so the range test is written to fail on it
+    if np.any(np.diff(taus) < 0.0) or not np.all((taus >= 0.0) & (taus <= T)):
         raise ValidationError(f"durations must be sorted within [0, {T}]")
     exhausted_from = always_on.exhaustion_time
     capped = taus >= (exhausted_from if exhausted_from is not None else math.inf)

@@ -12,6 +12,7 @@ from sirdvax import (
     SirdState,
     Tolerances,
     VaccinationPolicy,
+    ValidationError,
     config_from_dict,
     indicators,
     integrate,
@@ -207,6 +208,15 @@ class TestStoppedProgramIndicators:
             tails = stopped_programs(run, [], crossings=crossings)
             assert tails.final.shape == (0, 6)
         assert len(tails.peak_time) == len(tails.peak_i) == len(tails.end_time) == 0
+
+    @pytest.mark.parametrize(
+        "entry", [stopped_programs, stopped_program_indicators], ids=["solver", "analysis"]
+    )
+    @pytest.mark.parametrize("taus", [[math.nan], [1.0, math.nan], [math.nan, 1.0]])
+    def test_nan_durations_are_refused(self, scenario, entry, taus):
+        run = always_on(scenario, (0.1, 0.3, 0.4))
+        with pytest.raises(ValidationError, match="durations"):
+            entry(run, taus)
 
     @pytest.mark.parametrize("m", [2.949, 0.2])
     def test_one_duration_alone_agrees_with_it_among_others(self, scenario, m):

@@ -8,8 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from sirdvax import (
+    EVENT_RATE_KINK,
     EVENT_SUPPLY_EXHAUSTED,
     IntegrationError,
     VaccinationPolicy,
@@ -245,20 +247,123 @@ class TestExactPolish:
         self, scenario, monkeypatch, resources
     ):
         runs = []
+        scanned = []
         exact_objective = planner.objective
+        scan = planner.stopped_programs
 
         def recording(tau, *args, **kwargs):
             evaluation = exact_objective(tau, *args, **kwargs)
             runs.append((tau, evaluation.cost))
             return evaluation
 
+        def counting(always_on, taus, *args, **kwargs):
+            scanned.append(len(taus))
+            return scan(always_on, taus, *args, **kwargs)
+
         monkeypatch.setattr(planner, "objective", recording)
+        monkeypatch.setattr(planner, "stopped_programs", counting)
         result = minimize_tau(scenario, resources)
-        taus = [tau for tau, _ in runs]
-        assert len(taus) == len(set(taus))
-        assert result.cost_star == min(cost for _, cost in runs)
-        assert (result.tau_star, result.cost_star) in runs
-        assert result.evaluations == PRESCAN_POINTS + len(runs)
+        assert runs == [(result.tau_star, result.cost_star)]
+        assert set(scanned) == {PRESCAN_POINTS}
+        assert result.evaluations == sum(scanned) + len(runs)
+
+    @pytest.mark.parametrize(
+        "scenario_name, resources, runs",
+        [
+            ("scenario", RESOURCES_VARIANT1, 2),
+            ("scenario", (0.1, 0.3, 0.4), 2),
+            ("scenario", RESOURCES_UNLIMITED, 2),
+            ("scenario", (0.1, 0.3, 0.0), 1),
+            ("disease_free", RESOURCES_VARIANT1, 2),
+        ],
+        ids=["variant1", "stock-0.4", "unlimited", "m-0", "disease-free"],
+    )
+    def test_one_always_on_run_and_one_exact_run(
+        self, request, monkeypatch, scenario_name, resources, runs
+    ):
+        calls = []
+        exact_integrate = planner.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].tau)
+            return exact_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "integrate", counting)
+        scenario = request.getfixturevalue(scenario_name)
+        result = minimize_tau(scenario, resources)
+        assert len(calls) == runs
+        assert calls[-1] == result.tau_star
+
+
+class TestNestedScan:
+    """The nested batched scans against the bounded-Brent polish they replaced.
+
+    The frozen values are that polish's answers (tau*, J*) at the default
+    tolerances.
+    """
+
+    BRENT_VARIANT1 = (6.929469745406635, 41.281188312720005)
+
+    @pytest.mark.parametrize(
+        "r, brent",
+        [
+            (10.0, BRENT_VARIANT1),
+            (4.0, (3.697935266304099, 3.088068279468418)),
+            (25.0, (5.645656531282517, 64.52062438147975)),
+        ],
+        ids=["variant1", "variant1-r4", "variant1-r25"],
+    )
+    def test_agrees_with_the_brent_polish(self, scenario, r, brent):
+        scenario = dataclasses.replace(
+            scenario, epidemic=dataclasses.replace(scenario.epidemic, r=r)
+        )
+        result = minimize_tau(scenario, RESOURCES_VARIANT1)
+        assert abs(result.tau_star - brent[0]) <= planner.DEFAULT_OPT_TOL
+        assert result.cost_star == pytest.approx(brent[1], rel=1e-12, abs=0.0)
+
+    def test_procurement_agrees_with_the_brent_polish(self, scenario):
+        plan = procurement_plan(scenario, (0.1, 0.3))
+        tau, cost = self.BRENT_VARIANT1
+        assert abs(plan.tau_star - tau) <= planner.DEFAULT_OPT_TOL
+        assert plan.cost_star == pytest.approx(cost, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [0.2, 0.4])
+    def test_binding_stock_returns_the_cap_itself(self, scenario, m):
+        resources = (0.1, 0.3, m)
+        assert minimize_tau(scenario, resources).tau_star == feasible_tau_max(scenario, resources)
+
+    def test_optimum_next_to_the_rate_kink(self, scenario, tolerances):
+        # a dose cost that puts tau* within 1e-3 of the switch from the
+        # capacity to the willingness branch, where J'' jumps; the reference
+        # is bounded Brent on exact runs across the switch
+        scenario = dataclasses.replace(
+            scenario, cost=dataclasses.replace(scenario.cost, a=76.288)
+        )
+        run = always_on_run(scenario, RESOURCES_UNLIMITED, tolerances)
+        (kink,) = [e.time for e in run.events if e.kind == EVENT_RATE_KINK]
+        result = minimize_tau(scenario, RESOURCES_UNLIMITED)
+        assert abs(result.tau_star - kink) <= 1e-3 < scenario.T / (PRESCAN_POINTS - 1)
+        reference = minimize_scalar(
+            lambda tau: objective(float(tau), scenario, RESOURCES_UNLIMITED).cost,
+            bounds=(kink - 0.25, kink + 0.25),
+            method="bounded",
+            options={"xatol": 1e-6},
+        )
+        assert abs(result.tau_star - reference.x) <= planner.DEFAULT_OPT_TOL
+        assert result.cost_star == pytest.approx(reference.fun, rel=1e-12, abs=0.0)
+
+    def test_non_finite_scan_costs_are_loud(self, scenario, monkeypatch):
+        # argmin would pick a NaN cost; the sample clamp refuses it first
+        solve = solver._solve_tails
+
+        def poisoned(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.y[4, -1] = math.nan
+            return sol
+
+        monkeypatch.setattr(solver, "_solve_tails", poisoned)
+        with pytest.raises(IntegrationError, match="not finite"):
+            minimize_tau(scenario, RESOURCES_VARIANT1)
 
 
 class TestProcurementPlan:

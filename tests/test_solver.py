@@ -477,6 +477,15 @@ class TestSampleClamp:
         with pytest.raises(IntegrationError):
             clamp_row_by_row(rows, self.ATOL, self.STOCK, capped)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1, 4, 5], ids=["s", "i", "J", "V"])
+    def test_refuses_non_finite_samples(self, column, value):
+        # every comparison with NaN is false, so no band check would catch it
+        rows, capped = self.drifted_rows()
+        rows[17, column] = value
+        with pytest.raises(IntegrationError, match="not finite"):
+            _clamp(rows, self.ATOL, self.STOCK, capped)
+
     def test_usage_over_the_stock_is_refused_only_after_exhaustion(self):
         band = _drift_band(self.ATOL)
         rows, capped = self.drifted_rows()
