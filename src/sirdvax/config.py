@@ -173,7 +173,10 @@ def load_config(source: str | Path) -> ScenarioConfig:
             raise ValidationError(
                 f"config: no such file {name!r} (bundled names: {', '.join(BUNDLED)})"
             )
-        text = path.read_text("utf-8")
+        try:
+            text = path.read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config: {name!r} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:  # also an integer too long for int() to read

@@ -1,14 +1,20 @@
 """Piecewise adaptive integration of the augmented SIRD system.
 
-The right-hand side is smooth except at the scheduled program end (t = tau),
-at the rate kink (where l*s crosses k), and at supply exhaustion (where the
-accumulated usage V reaches the stock m).  Each of these is located as an
-event and integration restarts there.  Every segment fixes the vaccination
-rate to one branch (k before the kink, l*s after it, 0 once the program has
-ended or the stock has run out), so no step straddles a switch and every
-smooth piece is integrated at the full order of the Dormand-Prince 8(5,3)
-pair (SciPy's DOP853).  Its 7th-order dense output backs interpolation
-between samples and the location of events.
+A program vaccinates at min(k, l*s) until tau or until the stock m runs out,
+so every run has at most three smooth pieces, always in this order:
+
+1. the capacity branch (rate k), while l*s > k;
+2. the willingness branch (rate l*s), from the rate kink where l*s falls
+   through k;
+3. no vaccination, from the program end or supply exhaustion (where the
+   accumulated usage V reaches m) to the horizon T.
+
+``integrate`` solves each piece it needs as one segment with the rate fixed
+to its branch, ending a vaccinating segment early where the kink or
+exhaustion is located as a terminal event.  So no step straddles a switch
+and every smooth piece is integrated at the full order of the
+Dormand-Prince 8(5,3) pair (SciPy's DOP853).  Its 7th-order dense output
+backs interpolation between samples and the location of events.
 """
 
 from __future__ import annotations
@@ -69,6 +75,9 @@ class Tolerances:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValidationError(f"{name} must be positive, got {value}")
+            # an infinite tolerance accepts any step; only max_step may be unlimited
+            if math.isinf(value) and name != "max_step":
+                raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,7 @@ class Event:
     kind: str
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Densely sampled solution of the augmented system on [0, T].
 
@@ -103,32 +113,27 @@ class Trajectory:
       starts at or below 1 or there are no infections, and at T when
       beta_e*s stays above 1 throughout.
 
+    ``segments`` holds (start, end, dense output) for each solver segment in
+    time order: the capacity branch, the willingness branch and the
+    unvaccinated rest, as far as the run has them.
+
     Immutable after construction; safe to share between threads.
     """
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        values: np.ndarray,
-        events: tuple[Event, ...],
-        scenario: Scenario,
-        policy: VaccinationPolicy | None,
-        tolerances: Tolerances,
-        exhaustion_time: float | None,
-        segments: tuple[tuple[float, float, object], ...],
-    ) -> None:
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        times.flags.writeable = False
-        values.flags.writeable = False
-        self.times = times
-        self.values = values
-        self.events = events
-        self.scenario = scenario
-        self.policy = policy
-        self.tolerances = tolerances
-        self.exhaustion_time = exhaustion_time
-        self._segments = segments
+    times: np.ndarray
+    values: np.ndarray
+    events: tuple[Event, ...]
+    scenario: Scenario
+    policy: VaccinationPolicy | None
+    tolerances: Tolerances
+    exhaustion_time: float | None
+    segments: tuple[tuple[float, float, object], ...]
+
+    def __post_init__(self) -> None:
+        for name in ("times", "values"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def s(self) -> np.ndarray:
@@ -170,14 +175,15 @@ class Trajectory:
         one array evaluation per segment), and then a sign read off the
         samples, such as the bracket of a threshold crossing, need not hold.
         """
-        if t < 0.0 or t > self.scenario.T:
+        # NaN fails every comparison, so the range test is written to fail on it
+        if not 0.0 <= t <= self.scenario.T:
             raise DomainError(f"time {t} outside the trajectory range [0, {self.scenario.T}]")
         j = int(np.searchsorted(self.times, t))
         if j < len(self.times) and self.times[j] == t:
             return self._to_state(self.values[j])
         capped = self.exhaustion_time is not None and t >= self.exhaustion_time
         stock = self.policy.m if capped else math.inf
-        raw = _sample(self._segments, np.array([t]))
+        raw = _sample(self.segments, np.array([t]))
         return self._to_state(_clamp(raw, self.tolerances.atol, stock, capped)[0])
 
     @property
@@ -312,10 +318,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate the augmented system over [0, T] and return its trajectory.
 
-    The supply constraint is enforced by event detection: once V reaches
-    policy.m, vaccination is switched off for the remainder of the horizon.
+    The run is at most three segments in a fixed order: the capacity branch
+    (rate k, while l*s > k), the willingness branch (rate l*s), both up to
+    min(tau, T), then no vaccination up to T.  A vaccinating segment ends
+    early where the rate kink or supply exhaustion is located; once V reaches
+    policy.m, vaccination is off for the remainder of the horizon.
     ``policy=None`` runs the uncontrolled epidemic (no program, no events
-    other than the epidemic-end marker).
+    other than the epidemic-end and peak markers).
     """
     if policy is not None and policy.tau > scenario.T:
         raise ValidationError(
@@ -325,8 +334,11 @@ def integrate(
     epidemic, cost = scenario.epidemic, scenario.cost
     coeff = treatment_cost_rate(epidemic, cost)
     beta_e = epidemic.transmission_rate
+    T = scenario.T
     k = policy.k if policy is not None else 0.0
     l = policy.l if policy is not None else 0.0
+    tau = policy.tau if policy is not None else 0.0
+    m = policy.m if policy is not None else 0.0
 
     def rhs(t, y, rate, willingness):
         # one rate branch per segment: v = rate + willingness*s is k on the
@@ -339,81 +351,36 @@ def integrate(
     def epidemic_end(t, y, *branch):
         return y[1] - EPIDEMIC_END_THRESHOLD
 
-    epidemic_end.terminal = False
-    epidemic_end.direction = -1
-
     def peak(t, y, *branch):
         return beta_e * y[0] - 1.0
 
-    peak.terminal = False
-    peak.direction = -1
+    def supply_exhausted(t, y, *branch):
+        return y[5] - m
 
-    T = scenario.T
-    tau = policy.tau if policy is not None else 0.0
-    m = policy.m if policy is not None else 0.0
+    def rate_kink(t, y, *branch):
+        return l * y[0] - k
+
+    epidemic_end.terminal, epidemic_end.direction = False, -1
+    peak.terminal, peak.direction = False, -1
+    supply_exhausted.terminal, supply_exhausted.direction = True, 1
+    rate_kink.terminal, rate_kink.direction = True, -1
 
     events: list[Event] = []
     segments: list[tuple[float, float, object]] = []
     exhaustion_time: float | None = None
-
-    vaccinating = policy is not None and tau > 0.0 and k > 0.0 and l > 0.0
-    if vaccinating and m == 0.0:
-        events.append(Event(0.0, EVENT_SUPPLY_EXHAUSTED))
-        exhaustion_time = 0.0
-        vaccinating = False
-
     t0 = 0.0
     y0 = list(scenario.augmented_initial().as_vector())
     boundary_tol = 1e-12 * max(1.0, T)
-    kink_armed = vaccinating and l * y0[0] > k
     # i peaks where beta_e*s falls through 1; with no infections, or with
     # beta_e*s at or below 1 from the start, i never rises and peaks at 0
     peak_armed = y0[1] > 0.0 and beta_e * y0[0] > 1.0
     if not peak_armed:
         events.append(Event(0.0, EVENT_PEAK))
 
-    iterations = 0
-    while vaccinating or not segments or t0 < T - boundary_tol:
-        iterations += 1
-        if iterations > 64:
-            raise IntegrationError("event handling failed to advance the integration")
-        if vaccinating and min(tau, T) - t0 <= boundary_tol:
-            # scheduled program end; a stock drawn down to within the drift
-            # band of the sample clamp has run out here as well
-            if m - y0[5] <= _drift_band(tol.atol):
-                events.append(Event(t0, EVENT_SUPPLY_EXHAUSTED))
-                exhaustion_time = t0
-            vaccinating = False
-            continue
-        t_end = min(tau, T) if vaccinating else T
-        watchers = [epidemic_end]
-        exhaust_index = kink_index = peak_index = None
-        if peak_armed:
-            peak_index = len(watchers)
-            watchers.append(peak)
-        if vaccinating and math.isfinite(m):
-            def supply_exhausted(t, y, *branch, _m=m):
-                return y[5] - _m
-
-            supply_exhausted.terminal = True
-            supply_exhausted.direction = 1
-            exhaust_index = len(watchers)
-            watchers.append(supply_exhausted)
-        if vaccinating and kink_armed:
-            def rate_kink(t, y, *branch, _k=k, _l=l):
-                return _l * y[0] - _k
-
-            rate_kink.terminal = True
-            rate_kink.direction = -1
-            kink_index = len(watchers)
-            watchers.append(rate_kink)
-
-        if not vaccinating:
-            branch = (0.0, 0.0)
-        elif kink_armed:
-            branch = (k, 0.0)
-        else:
-            branch = (0.0, l)
+    def advance(t_end, branch, terminal=()):
+        """Solve one segment from t0 to t_end; return the terminal watcher that fired."""
+        nonlocal t0, y0, peak_armed
+        watchers = [epidemic_end, peak, *terminal] if peak_armed else [epidemic_end, *terminal]
         sol = solve_ivp(
             rhs,
             (t0, t_end),
@@ -428,37 +395,42 @@ def integrate(
         )
         if sol.status < 0:
             raise IntegrationError(f"solver failed on [{t0}, {t_end}]: {sol.message}")
-
-        for t_cross in sol.t_events[0]:
-            events.append(Event(float(t_cross), EVENT_EPIDEMIC_END))
-        if peak_index is not None and len(sol.t_events[peak_index]) > 0:
-            events.append(Event(float(sol.t_events[peak_index][0]), EVENT_PEAK))
+        hits = dict(zip(watchers, sol.t_events))
+        events.extend(Event(float(t), EVENT_EPIDEMIC_END) for t in hits[epidemic_end])
+        if len(hits.get(peak, ())) > 0:
+            events.append(Event(float(hits[peak][0]), EVENT_PEAK))
             peak_armed = False
         segments.append((t0, float(sol.t[-1]), sol.sol))
         t0 = float(sol.t[-1])
         y0 = sol.y[:, -1].tolist()
+        return next((w for w in terminal if len(hits[w]) > 0), None)
 
-        if sol.status == 1:
-            fired_exhaust = (
-                exhaust_index is not None
-                and len(sol.t_events[exhaust_index]) > 0
-                and abs(sol.t_events[exhaust_index][-1] - t0) <= boundary_tol
-            )
-            if fired_exhaust:
+    if policy is not None and tau > 0.0 and k > 0.0 and l > 0.0:
+        end = min(tau, T)
+        if m == 0.0:
+            exhaustion_time = 0.0
+        else:
+            stock_watch = (supply_exhausted,) if math.isfinite(m) else ()
+            fired = None
+            if l * y0[0] > k and end - t0 > boundary_tol:
+                fired = advance(end, (k, 0.0), (*stock_watch, rate_kink))
+                if fired is rate_kink:
+                    events.append(Event(t0, EVENT_RATE_KINK))
+            if fired is not supply_exhausted and end - t0 > boundary_tol:
+                fired = advance(end, (0.0, l), stock_watch)
+            if fired is supply_exhausted:
                 # a stock that runs out so close to the program end that the
                 # usage left before it (at most k per unit time) lies within
-                # the drift band has run out at the end, as in the rule above
-                if k * (t_end - t0) <= _drift_band(tol.atol):
-                    exhaustion_time = t_end
-                else:
-                    exhaustion_time = t0
-                events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
-                vaccinating = False
-            elif kink_index is not None and len(sol.t_events[kink_index]) > 0:
-                events.append(Event(t0, EVENT_RATE_KINK))
-                kink_armed = False
-            else:
-                raise IntegrationError("terminated by an event that cannot be attributed")
+                # the drift band has run out at the end
+                exhaustion_time = end if k * (end - t0) <= _drift_band(tol.atol) else t0
+            elif m - y0[5] <= _drift_band(tol.atol):
+                # scheduled program end; a stock drawn down to within the
+                # drift band of the sample clamp has run out here as well
+                exhaustion_time = t0
+        if exhaustion_time is not None:
+            events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
+    if not segments or t0 < T - boundary_tol:
+        advance(T, (0.0, 0.0))
 
     if peak_armed:
         # beta_e*s stayed above 1, so i rose throughout
@@ -534,7 +506,7 @@ def stopped_programs(
     exhausted_from = always_on.exhaustion_time
     capped = taus >= (exhausted_from if exhausted_from is not None else math.inf)
     stock = always_on.policy.m if always_on.policy is not None else math.inf
-    final = _sample(always_on._segments, taus)
+    final = _sample(always_on.segments, taus)
     if crossings:
         peak_on, peak_i_on, end_on = always_on.peak_and_end()
         # a tail's peak is searched for as integrate arms its watcher: when

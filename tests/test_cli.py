@@ -163,6 +163,14 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b"\xff\xfe{}")
+        rc = main(["simulate", "--config", str(config), "--tau", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and "not UTF-8" in err
+
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
         from sirdvax import IntegrationError
         import sirdvax.cli as cli_module

@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sirdvax.solver
 from sirdvax import (
+    CostParams,
     DomainError,
     EVENT_EPIDEMIC_END,
     EVENT_PEAK,
     EVENT_PROGRAM_END,
     EVENT_RATE_KINK,
     EVENT_SUPPLY_EXHAUSTED,
+    EpidemicParams,
     IntegrationError,
     Scenario,
     SirdState,
@@ -48,6 +54,19 @@ class TestToleranceValidation:
     def test_defaults_are_valid(self):
         tol = Tolerances()
         assert tol.rtol > 0 and tol.atol > 0
+
+    # never integrated: with rtol = inf integrate does not finish, and with
+    # atol = inf it returns a J(T) 1.7% off on variant 1 at tau = 7.5
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            Tolerances(**{field: value})
+
+    def test_max_step_may_be_unlimited_but_not_nan(self):
+        assert Tolerances(max_step=math.inf).max_step == math.inf
+        with pytest.raises(ValidationError, match="max_step"):
+            Tolerances(max_step=math.nan)
 
 
 class TestFullProgramRun:
@@ -278,6 +297,12 @@ class TestDenseOutput:
         with pytest.raises(DomainError):
             full_program_traj.state_at(15.0 + 1e-9)
 
+    def test_nan_time_rejected(self, full_program_traj):
+        with pytest.raises(DomainError):
+            full_program_traj.state_at(math.nan)
+        with pytest.raises(DomainError):
+            full_program_traj.rate_at(math.nan)
+
     def test_between_samples_tracks_a_tighter_reference(self, scenario, tolerances):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=15.0)
         coarse = integrate(scenario, policy, tolerances)
@@ -378,6 +403,81 @@ class TestRateBranches:
         assert traj.exhaustion_time == t_out
         assert event_times(traj, EVENT_PROGRAM_END) == [15.0]
         self.assert_matches_reference(traj)
+
+
+def count_solves(scenario, policy):
+    """integrate's trajectory and the number of solve_ivp calls it made."""
+    solver = sirdvax.solver
+    with mock.patch.object(solver, "solve_ivp", wraps=solver.solve_ivp) as spy:
+        traj = integrate(scenario, policy)
+    return traj, spy.call_count
+
+
+class TestSegmentSequence:
+    """integrate solves at most three segments: capacity, willingness, off."""
+
+    @pytest.mark.parametrize(
+        "s0, resources, solves",
+        [
+            pytest.param(0.999, (0.1, 0.3, 2.949, 15.0), 2, id="variant1-full-program"),
+            pytest.param(0.999, (0.1, 0.3, 2.949, 7.5), 3, id="variant1-tau-7.5"),
+            pytest.param(0.999, (0.1, 0.3, 0.2, 15.0), 2, id="stock-0.2"),
+            pytest.param(0.999, (0.1, 0.3, 0.4, 15.0), 3, id="stock-0.4"),
+            pytest.param(0.5, (0.1, 0.2, math.inf, 15.0), 1, id="l-s0-equals-k"),
+            pytest.param(0.5, (0.1, 0.2, math.inf, 7.5), 2, id="l-s0-equals-k-tau-7.5"),
+            pytest.param(0.999, None, 1, id="no-policy"),
+            pytest.param(0.999, (0.1, 0.3, 2.949, 0.0), 1, id="tau-0"),
+            pytest.param(0.999, (0.1, 0.3, 0.0, 15.0), 1, id="m-0"),
+        ],
+    )
+    def test_solve_count(self, epidemic, cost, s0, resources, solves):
+        # a program over the whole horizon has no unvaccinated segment unless
+        # its stock runs out; with l*s0 = k there is no capacity segment
+        scenario = Scenario(
+            epidemic=epidemic,
+            cost=cost,
+            initial=SirdState(s=s0, i=0.001, rho=0.999 - s0, d=0.0),
+            T=15.0,
+        )
+        policy = VaccinationPolicy(*resources) if resources is not None else None
+        assert count_solves(scenario, policy)[1] == solves
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.sampled_from([0.0, 1e-4, 0.1, math.inf]),
+        l=st.sampled_from([0.0, 1e-4, 0.3, 1.0]),
+        m=st.sampled_from([0.0, 1e-6, 0.2, math.inf]),
+        duration=st.sampled_from(["zero", "horizon", "stock-over-capacity"]),
+        i0=st.sampled_from([0.0, 1e-3]),
+        T=st.sampled_from([1e-3, 15.0]),
+    )
+    def test_invariants_on_degenerate_parameters(self, k, l, m, duration, i0, T):
+        tau = {"zero": 0.0, "horizon": T}.get(duration)
+        if tau is None:
+            # the stock runs out at m/k on the capacity branch
+            tau = T if k == 0.0 or math.isinf(m) else min(m / k, T)
+        scenario = Scenario(
+            epidemic=EpidemicParams(alpha=0.95, beta=0.05, r=10.0, eps=0.3),
+            cost=CostParams(a=5.0, b=50.0, c=500.0),
+            initial=SirdState(s=1.0 - i0, i=i0, rho=0.0, d=0.0),
+            T=T,
+        )
+        policy = VaccinationPolicy(k=k, l=l, m=m, tau=tau)
+        traj, solves = count_solves(scenario, policy)
+        assert solves <= 3
+        times = [e.time for e in traj.events]
+        assert times == sorted(times)
+        assert [e.kind for e in traj.events].count(EVENT_PEAK) == 1
+        # worst residual seen over every combination: 6.7e-16
+        assert np.abs(traj.values[:, :4].sum(axis=1) - 1.0).max() <= 1e-12
+        if traj.exhaustion_time is not None:
+            after = traj.times >= traj.exhaustion_time
+            assert traj.V[after].max() <= m + _drift_band(traj.tolerances.atol)
+        if T < 1.0:
+            # the RK4 oracle is cheap on a tiny horizon; worst J(T) gap seen 4.8e-11
+            ref = rk4_reference(scenario, policy, T / 1000.0, [T])[-1]
+            assert traj.J[-1] == pytest.approx(ref[4], rel=1e-8, abs=1e-300)
+            assert traj.V[-1] == pytest.approx(ref[5], rel=0.0, abs=1e-12)
 
 
 class TestFinalSizeRelation:
