@@ -20,7 +20,7 @@ from .analysis import EpidemicIndicators, indicators, stopped_program_indicators
 from .config import ScenarioConfig, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
 from .model import VaccinationPolicy
-from .planner import minimize_tau, objective, procurement_plan
+from .planner import minimize_tau, procurement_plan
 from .solver import Trajectory, integrate
 
 SWEEPABLE = ("tau", "k", "l", "m", "a", "b", "c", "eps", "r")
@@ -98,8 +98,6 @@ def _events_list(traj: Trajectory) -> list[dict]:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     tau = float(args.tau)
-    if tau < 0 or tau > config.scenario.T:
-        raise ValidationError(f"tau must lie in [0, {config.scenario.T}], got {tau}")
     policy = VaccinationPolicy(k=config.k, l=config.l, m=config.m, tau=tau)
     traj = integrate(config.scenario, policy, config.tolerances)
     final = dict(zip(("s", "i", "rho", "d", "J", "V"), traj.values[-1].tolist()))
@@ -185,7 +183,11 @@ def parse_values(spec: str) -> list[float]:
 
 
 def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
-    """Scenario, resources, and duration with one parameter replaced, validated."""
+    """Scenario and policy with one parameter replaced, validated.
+
+    ``integrate`` refuses a tau outside [0, T] too, but a sweep checks every
+    value before it integrates any.
+    """
     scenario, resources = config.scenario, config.resources
     # as in a config file, only the stock may be infinite (unlimited)
     if not (math.isfinite(value) or (param == "m" and value == math.inf)):
@@ -200,8 +202,7 @@ def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
         scenario = replace(scenario, epidemic=replace(scenario.epidemic, **{param: value}))
     if not 0.0 <= tau <= scenario.T:
         raise ValidationError(f"tau must lie in [0, {scenario.T}], got {tau}")
-    VaccinationPolicy(*resources, tau=tau)  # validates k, l and m
-    return scenario, resources, tau
+    return scenario, VaccinationPolicy(*resources, tau=tau)
 
 
 def cmd_sweep(args) -> int:
@@ -217,14 +218,13 @@ def cmd_sweep(args) -> int:
     points = [_with_value(config, args.param, value, base_tau) for value in values]
     if args.param == "tau" and values:
         # every program follows the always-on run until it ends
-        k, l, m = config.resources
-        policy = VaccinationPolicy(k=k, l=l, m=m, tau=config.scenario.T)
+        policy = VaccinationPolicy(*config.resources, tau=config.scenario.T)
         always_on = integrate(config.scenario, policy, config.tolerances)
         found = stopped_program_indicators(always_on, values)
     else:
         found = [
-            indicators(objective(tau, scenario, resources, config.tolerances).trajectory)
-            for scenario, resources, tau in points
+            indicators(integrate(scenario, policy, config.tolerances))
+            for scenario, policy in points
         ]
     rows = [(args.param, value, *astuple(ind)) for value, ind in zip(values, found)]
 

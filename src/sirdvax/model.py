@@ -165,9 +165,6 @@ class Scenario:
         )
         _require(self.initial.i >= 0.0, "initial infected fraction must be nonnegative")
 
-    def augmented_initial(self) -> AugmentedState:
-        return AugmentedState(state=self.initial, J=0.0, V=0.0)
-
 
 def infection_intensity(i: float, params: EpidemicParams) -> float:
     """Probability per unit time for one susceptible to become infected.

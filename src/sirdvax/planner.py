@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import EpidemicIndicators, indicators
-from .errors import ValidationError
 from .model import Scenario, VaccinationPolicy
 from .solver import Tolerances, Trajectory, integrate, stopped_programs
 
@@ -35,14 +34,12 @@ Resources = tuple[float, float, float]  # (k, l, m)
 class ObjectiveEvaluation:
     """One evaluation of the total-cost objective at a candidate duration.
 
-    ``feasible`` reports that the stock was not exhausted before the scheduled
-    program end, i.e. the policy ran untruncated.
+    ``trajectory.exhaustion_time`` tells whether, and when, the stock ran out.
     """
 
     tau: float
     cost: float
     trajectory: Trajectory
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -70,16 +67,11 @@ def objective(
 
     The system is integrated over the full horizon [0, T] and the cost is
     J(T): vaccination spend stops when the program does, treatment spend
-    keeps accruing while infections persist.
+    keeps accruing while infections persist.  ``integrate`` refuses a tau
+    outside [0, T].
     """
-    if tau < 0.0 or tau > scenario.T:
-        raise ValidationError(f"tau must lie in [0, {scenario.T}], got {tau}")
-    k, l, m = resources
-    policy = VaccinationPolicy(k=k, l=l, m=m, tau=tau)
-    traj = integrate(scenario, policy, tol)
-    cost = float(traj.J[-1])
-    feasible = traj.exhaustion_time is None or traj.exhaustion_time >= tau
-    return ObjectiveEvaluation(tau=tau, cost=cost, trajectory=traj, feasible=feasible)
+    traj = integrate(scenario, VaccinationPolicy(*resources, tau=tau), tol)
+    return ObjectiveEvaluation(tau=tau, cost=float(traj.J[-1]), trajectory=traj)
 
 
 def _always_on(

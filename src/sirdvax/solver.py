@@ -54,6 +54,9 @@ _METHOD = "DOP853"
 #: solve and its dense output take, whatever the number of durations.
 TAIL_CHUNK = 256
 
+#: Smallest rtol solve_ivp honours; it raises a smaller one to this with only a warning.
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -78,6 +81,8 @@ class Tolerances:
             # an infinite tolerance accepts any step; only max_step may be unlimited
             if math.isinf(value) and name != "max_step":
                 raise ValidationError(f"{name} must be finite, got {value}")
+        if self.rtol < RTOL_FLOOR:
+            raise ValidationError(f"rtol must be at least {RTOL_FLOOR:.3g}, got {self.rtol}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class Trajectory:
     values: np.ndarray
     events: tuple[Event, ...]
     scenario: Scenario
-    policy: VaccinationPolicy | None
+    policy: VaccinationPolicy
     tolerances: Tolerances
     exhaustion_time: float | None
     segments: tuple[tuple[float, float, object], ...]
@@ -170,17 +175,13 @@ class Trajectory:
     def state_at(self, t: float) -> AugmentedState:
         """Interpolated state at any time in [0, T]; exact at sample points.
 
-        At a sample time this is the stored sample.  Interpolating there
-        instead could differ from it in the last bits (the samples come from
-        one array evaluation per segment), and then a sign read off the
-        samples, such as the bracket of a threshold crossing, need not hold.
+        The samples were read through the same ``_sample`` and ``_clamp``,
+        and DOP853's dense output is evaluated element by element, so at a
+        sample time this returns the stored sample bit for bit.
         """
         # NaN fails every comparison, so the range test is written to fail on it
         if not 0.0 <= t <= self.scenario.T:
             raise DomainError(f"time {t} outside the trajectory range [0, {self.scenario.T}]")
-        j = int(np.searchsorted(self.times, t))
-        if j < len(self.times) and self.times[j] == t:
-            return self._to_state(self.values[j])
         capped = self.exhaustion_time is not None and t >= self.exhaustion_time
         stock = self.policy.m if capped else math.inf
         raw = _sample(self.segments, np.array([t]))
@@ -217,7 +218,7 @@ class Trajectory:
 
 
 def _rates(
-    policy: VaccinationPolicy | None,
+    policy: VaccinationPolicy,
     exhaustion_time: float | None,
     times: np.ndarray,
     s: np.ndarray,
@@ -227,11 +228,10 @@ def _rates(
     min(k, l*s) while t < tau and t < ``exhaustion_time``, else 0.
     """
     v = np.zeros(len(times))
-    if policy is not None:
-        live = times < policy.tau
-        if exhaustion_time is not None:
-            live &= times < exhaustion_time
-        v[live] = np.minimum(policy.k, policy.l * s[live])
+    live = times < policy.tau
+    if exhaustion_time is not None:
+        live &= times < exhaustion_time
+    v[live] = np.minimum(policy.k, policy.l * s[live])
     return v
 
 
@@ -313,32 +313,29 @@ def _merge_times(grid: np.ndarray, extra: list[float], span: float) -> np.ndarra
 
 def integrate(
     scenario: Scenario,
-    policy: VaccinationPolicy | None,
+    policy: VaccinationPolicy,
     tol: Tolerances = Tolerances(),
 ) -> Trajectory:
     """Integrate the augmented system over [0, T] and return its trajectory.
 
     The run is at most three segments in a fixed order: the capacity branch
     (rate k, while l*s > k), the willingness branch (rate l*s), both up to
-    min(tau, T), then no vaccination up to T.  A vaccinating segment ends
-    early where the rate kink or supply exhaustion is located; once V reaches
-    policy.m, vaccination is off for the remainder of the horizon.
-    ``policy=None`` runs the uncontrolled epidemic (no program, no events
-    other than the epidemic-end and peak markers).
+    tau, then no vaccination up to T.  A vaccinating segment ends early where
+    the rate kink or supply exhaustion is located; once V reaches policy.m,
+    vaccination is off for the remainder of the horizon.  A program with
+    tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled epidemic.
+
+    Raises ValidationError unless 0 <= tau <= T.
     """
-    if policy is not None and policy.tau > scenario.T:
-        raise ValidationError(
-            f"program duration tau={policy.tau} exceeds the horizon T={scenario.T}"
-        )
+    T = scenario.T
+    # NaN fails every comparison, so the range test is written to fail on it
+    if not 0.0 <= policy.tau <= T:
+        raise ValidationError(f"tau must lie in [0, {T}], got {policy.tau}")
 
     epidemic, cost = scenario.epidemic, scenario.cost
     coeff = treatment_cost_rate(epidemic, cost)
     beta_e = epidemic.transmission_rate
-    T = scenario.T
-    k = policy.k if policy is not None else 0.0
-    l = policy.l if policy is not None else 0.0
-    tau = policy.tau if policy is not None else 0.0
-    m = policy.m if policy is not None else 0.0
+    k, l, m, tau = policy.k, policy.l, policy.m, policy.tau
 
     def rhs(t, y, rate, willingness):
         # one rate branch per segment: v = rate + willingness*s is k on the
@@ -369,7 +366,7 @@ def integrate(
     segments: list[tuple[float, float, object]] = []
     exhaustion_time: float | None = None
     t0 = 0.0
-    y0 = list(scenario.augmented_initial().as_vector())
+    y0 = [*scenario.initial.as_tuple(), 0.0, 0.0]  # J = V = 0
     boundary_tol = 1e-12 * max(1.0, T)
     # i peaks where beta_e*s falls through 1; with no infections, or with
     # beta_e*s at or below 1 from the start, i never rises and peaks at 0
@@ -405,24 +402,23 @@ def integrate(
         y0 = sol.y[:, -1].tolist()
         return next((w for w in terminal if len(hits[w]) > 0), None)
 
-    if policy is not None and tau > 0.0 and k > 0.0 and l > 0.0:
-        end = min(tau, T)
+    if tau > 0.0 and k > 0.0 and l > 0.0:
         if m == 0.0:
             exhaustion_time = 0.0
         else:
             stock_watch = (supply_exhausted,) if math.isfinite(m) else ()
             fired = None
-            if l * y0[0] > k and end - t0 > boundary_tol:
-                fired = advance(end, (k, 0.0), (*stock_watch, rate_kink))
+            if l * y0[0] > k and tau - t0 > boundary_tol:
+                fired = advance(tau, (k, 0.0), (*stock_watch, rate_kink))
                 if fired is rate_kink:
                     events.append(Event(t0, EVENT_RATE_KINK))
-            if fired is not supply_exhausted and end - t0 > boundary_tol:
-                fired = advance(end, (0.0, l), stock_watch)
+            if fired is not supply_exhausted and tau - t0 > boundary_tol:
+                fired = advance(tau, (0.0, l), stock_watch)
             if fired is supply_exhausted:
                 # a stock that runs out so close to the program end that the
                 # usage left before it (at most k per unit time) lies within
                 # the drift band has run out at the end
-                exhaustion_time = end if k * (end - t0) <= _drift_band(tol.atol) else t0
+                exhaustion_time = tau if k * (tau - t0) <= _drift_band(tol.atol) else t0
             elif m - y0[5] <= _drift_band(tol.atol):
                 # scheduled program end; a stock drawn down to within the
                 # drift band of the sample clamp has run out here as well
@@ -435,8 +431,8 @@ def integrate(
     if peak_armed:
         # beta_e*s stayed above 1, so i rose throughout
         events.append(Event(T, EVENT_PEAK))
-    if policy is not None and tau > 0.0:
-        events.append(Event(min(tau, T), EVENT_PROGRAM_END))
+    if tau > 0.0:
+        events.append(Event(tau, EVENT_PROGRAM_END))
     events.sort(key=lambda e: (e.time, e.kind))
 
     grid = np.linspace(0.0, T, SAMPLE_POINTS)
@@ -505,7 +501,7 @@ def stopped_programs(
         raise ValidationError(f"durations must be sorted within [0, {T}]")
     exhausted_from = always_on.exhaustion_time
     capped = taus >= (exhausted_from if exhausted_from is not None else math.inf)
-    stock = always_on.policy.m if always_on.policy is not None else math.inf
+    stock = always_on.policy.m
     final = _sample(always_on.segments, taus)
     if crossings:
         peak_on, peak_i_on, end_on = always_on.peak_and_end()

@@ -83,4 +83,4 @@ def tight_supply_traj(scenario, tolerances):
 
 @pytest.fixture(scope="session")
 def unvaccinated_traj(scenario, tolerances):
-    return integrate(scenario, None, tolerances)
+    return integrate(scenario, VaccinationPolicy(0.0, 0.0, 0.0, 0.0), tolerances)

