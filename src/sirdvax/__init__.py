@@ -1,7 +1,7 @@
 """Normalized SIRD epidemic simulation with a resource-limited vaccination policy.
 
 The package simulates the four-compartment epidemic in population-fraction
-form, applies a vaccination program capped by medical-system capacity,
+form, applies a vaccination program limited by medical-system capacity,
 willingness, and vaccine stock, and finds the cost-optimal program duration
 together with the vaccine amount such a program consumes.
 """

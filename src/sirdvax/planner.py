@@ -120,9 +120,12 @@ def minimize_tau(
     is not misled by the cost's kinks at supply exhaustion and the rate
     switch.  One exact ``objective`` run at the last scan's best point then
     gives the returned duration, cost and trajectory.  Every grid includes
-    its end points, so a best point on the cap returns the cap itself.
+    its end points, so a best point on the cap returns the cap itself.  A
+    program that vaccinates nobody (k, l or m zero) costs the same at every
+    tau, so its search is the one run at tau = 0.
     """
-    cap, always_on = _always_on(scenario, resources, tol)
+    k, l, _ = resources
+    cap, always_on = (0.0, None) if k == 0.0 or l == 0.0 else _always_on(scenario, resources, tol)
     scanned, tau, lo, hi = 0, 0.0, 0.0, cap
     while hi > lo:
         grid = np.linspace(lo, hi, PRESCAN_POINTS)

@@ -112,10 +112,11 @@ class Trajectory:
       program, recorded even if the stock ran out earlier),
     - ``rate_kink`` where the policy rate switches from the capacity branch k
       to the willingness branch l*s,
-    - ``supply_exhausted`` where V reaches m (vaccination stops for good),
-      placed at t = tau when the two are within the integration drift band
-      of each other: the program ends with V short of m by no more than
-      the band, or V reaches m so shortly before tau that at most the band
+    - ``supply_exhausted`` where V reaches m (vaccination stops for good,
+      and V is exactly m from the located stock-out on), placed at t = tau
+      when the two are within the integration drift band of each other: the
+      program ends with V short of m by no more than the band (V is left
+      there), or V reaches m so shortly before tau that at most the band
       would have been used by then,
     - ``epidemic_end`` where the infected fraction falls below
       ``EPIDEMIC_END_THRESHOLD`` (marker only),
@@ -182,9 +183,7 @@ class Trajectory:
         # NaN fails every comparison, so the range test is written to fail on it
         if not 0.0 <= t <= self.scenario.T:
             raise DomainError(f"time {t} outside the trajectory range [0, {self.scenario.T}]")
-        capped = self.exhaustion_time is not None and t >= self.exhaustion_time
-        stock = self.policy.m if capped else math.inf
-        rows = _clamp(_sample(self.segments, np.array([t])), self.tolerances.atol, stock, capped)
+        rows = _clamp(_sample(self.segments, np.array([t])), self.tolerances.atol)
         s, i, rho, d, J, V = _read_out(rows, self.scenario)[0]
         return AugmentedState(SirdState(s, i, rho, d), J, V)
 
@@ -241,14 +240,12 @@ def _drift_band(atol: float) -> float:
     return max(1e-9, 100.0 * atol)
 
 
-def _clamp(
-    rows: np.ndarray, atol: float, stock: float, capped: np.ndarray | bool
-) -> np.ndarray:
+def _clamp(rows: np.ndarray, atol: float) -> np.ndarray:
     """Repair floating-point drift on stored rows (s, i, q, V); refuse real excursions.
 
-    All four values are population fractions in [0, 1].  ``capped`` marks the
-    rows at or after supply exhaustion (a boolean per row, or one for all),
-    where the usage V may not exceed ``stock`` either.  Returns the repaired
+    All four values are population fractions in [0, 1]; a non-finite value
+    or one beyond the drift band is refused.  The stock needs no rule here:
+    ``integrate`` pins V to m where the stock runs out.  Returns the repaired
     rows.
     """
     finite = np.isfinite(rows)
@@ -260,15 +257,7 @@ def _clamp(
     if outside.any():
         row, idx = np.argwhere(outside)[0]
         raise IntegrationError(f"state {idx} left [0, 1] beyond the repair band: {rows[row, idx]}")
-    usage = rows[:, 3]
-    over = capped & (usage > stock)
-    if (usage[over] > stock + band).any():
-        raise IntegrationError(
-            f"usage exceeded the stock after exhaustion: {usage[over].max()}"
-        )
-    out = np.where(rows < 0.0, 0.0, np.where(rows > 1.0, 1.0, rows))
-    out[over, 3] = stock
-    return out
+    return np.where(rows < 0.0, 0.0, np.where(rows > 1.0, 1.0, rows))
 
 
 def _read_out(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -297,9 +286,8 @@ def _sample(segments, times: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _merge_times(grid: np.ndarray, extra: list[float], span: float) -> np.ndarray:
-    """Union of grid and event times; near-duplicates collapse onto the event time."""
-    tol = 1e-12 * max(1.0, span)
+def _merge_times(grid: np.ndarray, extra: list[float], tol: float) -> np.ndarray:
+    """Union of grid and event times; those within ``tol`` collapse onto the event time."""
     merged = list(grid)
     for t in sorted(extra):
         pos = bisect.bisect_left(merged, t)
@@ -327,7 +315,7 @@ def integrate(
     (rate k, while l*s > k), the willingness branch (rate l*s), both up to
     tau, then no vaccination up to T.  A vaccinating segment ends early where
     the rate kink or supply exhaustion is located; once V reaches policy.m,
-    vaccination is off for the remainder of the horizon.  A program with
+    vaccination is off for the rest of the horizon and V stays m.  A program with
     tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled epidemic.
 
     Raises ValidationError unless 0 <= tau <= T.
@@ -369,9 +357,11 @@ def integrate(
     events: list[Event] = []
     segments: list[tuple[float, float, object]] = []
     exhaustion_time: float | None = None
+    fired = None  # the terminal watcher that ended the last vaccinating segment
     t0 = 0.0
     y0 = [scenario.initial.s, scenario.initial.i, 0.0, 0.0]  # q = V = 0
-    boundary_tol = 1e-12 * max(1.0, T)
+    # times closer than this are one time: at the segment ends and in the samples
+    time_tol = 1e-12 * T
     # i peaks where beta_e*s falls through 1; with no infections, or with
     # beta_e*s at or below 1 from the start, i never rises and peaks at 0
     peak_armed = y0[1] > 0.0 and beta_e * y0[0] > 1.0
@@ -411,25 +401,27 @@ def integrate(
             exhaustion_time = 0.0
         else:
             stock_watch = (supply_exhausted,) if math.isfinite(m) else ()
-            fired = None
-            if l * y0[0] > k and tau - t0 > boundary_tol:
+            if l * y0[0] > k and tau - t0 > time_tol:
                 fired = advance(tau, (k, 0.0), (*stock_watch, rate_kink))
                 if fired is rate_kink:
                     events.append(Event(t0, EVENT_RATE_KINK))
-            if fired is not supply_exhausted and tau - t0 > boundary_tol:
+            if fired is not supply_exhausted and tau - t0 > time_tol:
                 fired = advance(tau, (0.0, l), stock_watch)
             if fired is supply_exhausted:
+                # the stock is used up: V stays m, bit for bit, without vaccination
+                y0[3] = m
                 # a stock that runs out so close to the program end that the
                 # usage left before it (at most k per unit time) lies within
                 # the drift band has run out at the end
                 exhaustion_time = tau if k * (tau - t0) <= _drift_band(tol.atol) else t0
             elif m - y0[3] <= _drift_band(tol.atol):
-                # scheduled program end; a stock drawn down to within the
-                # drift band of the sample clamp has run out here as well
+                # scheduled program end with V within the drift band of m: the stock
+                # has run out here too, and V stays short (a pin would add doses)
                 exhaustion_time = t0
         if exhaustion_time is not None:
             events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
-    if not segments or t0 < T - boundary_tol:
+    # past a stock-out the pinned V is read off this segment, however short
+    if not segments or fired is supply_exhausted or t0 < T - time_tol:
         advance(T, (0.0, 0.0))
 
     if peak_armed:
@@ -440,11 +432,10 @@ def integrate(
     events.sort(key=lambda e: (e.time, e.kind))
 
     grid = np.linspace(0.0, T, SAMPLE_POINTS)
-    times = _merge_times(grid, [e.time for e in events], T)
+    times = _merge_times(grid, [e.time for e in events], time_tol)
 
     raw = _sample(segments, times)
-    exhausted_from = exhaustion_time if exhaustion_time is not None else math.inf
-    rows = _read_out(_clamp(raw, tol.atol, m, times >= exhausted_from), scenario)
+    rows = _read_out(_clamp(raw, tol.atol), scenario)
 
     return Trajectory(
         times=times,
@@ -485,12 +476,12 @@ def stopped_programs(
     ``always_on`` is a run with the program on for the whole horizon
     (tau = T), and ``taus`` are sorted times in [0, T].  Until tau a program
     of duration tau follows the always-on run (past supply exhaustion both
-    have stopped vaccinating), so its state at tau is that run's dense output
-    there.  Every state is then advanced to T without vaccination, in one
-    solve per ``TAIL_CHUNK`` durations: each tail's interval [tau, T] is
-    mapped onto u in [0, 1] by t = tau + u*(T - tau), and the stacked tails
-    share one step sequence, so the step error is controlled on them jointly
-    rather than tail by tail.
+    have stopped vaccinating, with V exactly m), so its state at tau is that
+    run's dense output there.  Every state is then advanced to T without
+    vaccination, which keeps V as it is, in one solve per ``TAIL_CHUNK``
+    durations: each tail's interval [tau, T] is mapped onto u in [0, 1] by
+    t = tau + u*(T - tau), and the stacked tails share one step sequence, so
+    the step error is controlled on them jointly rather than tail by tail.
 
     With ``crossings``, each program's peak and end are located too.  A
     program shares the always-on run's crossing where that lies at or before
@@ -504,9 +495,6 @@ def stopped_programs(
     # NaN fails every comparison, so the range test is written to fail on it
     if np.any(np.diff(taus) < 0.0) or not np.all((taus >= 0.0) & (taus <= T)):
         raise ValidationError(f"durations must be sorted within [0, {T}]")
-    exhausted_from = always_on.exhaustion_time
-    capped = taus >= (exhausted_from if exhausted_from is not None else math.inf)
-    stock = always_on.policy.m
     final = _sample(always_on.segments, taus)
     if crossings:
         peak_on, peak_i_on, end_on = always_on.peak_and_end()
@@ -527,7 +515,7 @@ def stopped_programs(
         if spans.max() > 0.0:
             sol = _solve_tails(scenario, tol, spans, final[cols], locate)
             final[cols] = sol.y[:, -1].reshape(-1, len(spans)).T
-        final[cols] = _clamp(final[cols], tol.atol, stock, capped[cols])
+        final[cols] = _clamp(final[cols], tol.atol)
         if locate:
             _tail_crossings(
                 sol,

@@ -183,12 +183,14 @@ class TestStoppedProgramIndicators:
 
     @pytest.mark.parametrize("m", [2.949, 0.2, 0.4])
     def test_usage_never_decreases_along_a_sorted_grid(self, scenario, m):
-        rows = stopped_program_indicators(
-            always_on(scenario, (0.1, 0.3, m)), np.linspace(0.0, 15.0, 301)
-        )
-        used = [row.total_vaccinated for row in rows]
+        run = always_on(scenario, (0.1, 0.3, m))
+        taus = np.linspace(0.0, 15.0, 301)
+        used = [row.total_vaccinated for row in stopped_program_indicators(run, taus)]
         assert np.all(np.diff(used) >= 0.0)
         assert max(used) <= min(m, 0.1 * 15.0) + 1e-9
+        if run.exhaustion_time is not None:
+            # a program at or past the cap uses exactly the stock
+            assert {u for tau, u in zip(taus, used) if tau >= run.exhaustion_time} == {m}
 
     def test_unlimited_stock_and_a_chunk_boundary(self, scenario):
         # more durations than one batched solve takes, unlimited stock

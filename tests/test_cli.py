@@ -171,6 +171,14 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_resources_out_of_range_exit_1_without_writing(self, tmp_path, capsys):
+        config = write_config(tmp_path, resources={"l": 1.5})
+        out = tmp_path / "run"
+        rc = main(["simulate", "--config", str(config), "--tau", "1", "--out", str(out)])
+        assert rc == 1
+        assert "resources" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_bytes(b"\xff\xfe{}")

@@ -84,6 +84,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="epidemic"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", -0.1), ("l", -0.1), ("l", 1.5), ("m", -0.1)],
+        ids=["k-negative", "l-negative", "l-above-1", "m-negative"],
+    )
+    def test_resources_out_of_range(self, key, value):
+        data = variant1_dict()
+        data["resources"][key] = value
+        with pytest.raises(ValidationError, match="resources"):
+            config_from_dict(data)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", "utf-8")

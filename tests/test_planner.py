@@ -87,6 +87,10 @@ class TestFeasibleTauMax:
     def test_no_stock_no_program(self, scenario):
         assert feasible_tau_max(scenario, (0.1, 0.3, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("resources", [(0.0, 0.3, 0.5), (0.1, 0.0, 0.5)], ids=["k-0", "l-0"])
+    def test_no_capacity_never_draws_the_stock(self, scenario, resources):
+        assert feasible_tau_max(scenario, resources) == 15.0
+
     def test_unlimited_stock_allows_the_whole_horizon(self, scenario):
         assert feasible_tau_max(scenario, RESOURCES_UNLIMITED) == 15.0
 
@@ -274,9 +278,10 @@ class TestExactPolish:
             ("scenario", (0.1, 0.3, 0.4), 2),
             ("scenario", RESOURCES_UNLIMITED, 2),
             ("scenario", (0.1, 0.3, 0.0), 1),
+            ("scenario", (0.0, 0.3, 0.5), 1),
             ("disease_free", RESOURCES_VARIANT1, 2),
         ],
-        ids=["variant1", "stock-0.4", "unlimited", "m-0", "disease-free"],
+        ids=["variant1", "stock-0.4", "unlimited", "m-0", "k-0", "disease-free"],
     )
     def test_one_always_on_run_and_one_exact_run(
         self, request, monkeypatch, scenario_name, resources, runs
@@ -377,8 +382,12 @@ class TestProcurementPlan:
         assert (plan.tau_star, plan.indicators.total_vaccinated) == (0.0, 0.0)
 
     def test_no_capacity_buys_nothing(self, scenario):
-        plan = procurement_plan(scenario, (0.0, 0.3))
-        assert plan.indicators.total_vaccinated == 0.0
+        # with k = 0 or l = 0 nobody is vaccinated at any tau, so the plan is
+        # the one run at tau = 0
+        for resources in ((0.0, 0.3), (0.1, 0.0)):
+            plan = procurement_plan(scenario, resources)
+            assert plan.indicators.total_vaccinated == 0.0
+            assert (plan.tau_star, plan.evaluations) == (0.0, 1)
 
     def test_capacity_above_willingness_is_irrelevant(self, scenario, tolerances):
         # with k > l*s everywhere the willingness branch binds throughout,

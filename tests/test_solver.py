@@ -31,7 +31,7 @@ from sirdvax import (
     indicators,
     integrate,
 )
-from sirdvax.solver import _clamp, _drift_band
+from sirdvax.solver import SAMPLE_POINTS, _clamp, _drift_band
 from oracles import random_cases, rk4_reference
 
 # frozen from a 1e-11/1e-13 adaptive run cross-checked against the fixed-step
@@ -136,8 +136,12 @@ class TestSupplyExhaustion:
         assert abs(tight_supply_traj.state_at(t_e).V - 0.2) <= 1e-11
 
     def test_usage_never_exceeds_the_stock(self, tight_supply_traj):
-        assert tight_supply_traj.V.max() <= 0.2 + 1e-6
-        assert tight_supply_traj.V[-1] == pytest.approx(0.2, abs=1e-9)
+        # the located stock-out pins V to the stock exactly, at and between samples
+        traj = tight_supply_traj
+        after = traj.times >= traj.exhaustion_time
+        assert traj.V.max() == 0.2 and np.all(traj.V[after] == 0.2)
+        between = np.linspace(traj.exhaustion_time, 15.0, 37)
+        assert all(traj.state_at(float(t)).V == 0.2 for t in [*traj.times[after], *between])
 
     def test_vaccination_stops_at_exhaustion(self, tight_supply_traj):
         (t_e,) = event_times(tight_supply_traj, EVENT_SUPPLY_EXHAUSTED)
@@ -161,6 +165,17 @@ class TestSupplyExhaustion:
         assert event_times(traj, EVENT_SUPPLY_EXHAUSTED) == [tau]
         assert traj.exhaustion_time == tau
         assert traj.rate_at(tau) == 0.0
+
+    def test_stock_running_out_at_the_horizon(self, disease_free):
+        # with no infection V = k*t, so m = k*T runs out at T; the located
+        # stock-out leaves V one ulp over m on its segment, and the empty
+        # unvaccinated segment after it holds V at m
+        T, k = 2.01, 0.3
+        traj = integrate(
+            dataclasses.replace(disease_free, T=T), VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
+        )
+        assert traj.exhaustion_time == T
+        assert traj.V[-1] == traj.state_at(T).V == k * T
 
     def test_zero_stock_never_vaccinates(self, scenario):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=0.0, tau=15.0)
@@ -485,7 +500,7 @@ class TestSegmentSequence:
         m=st.sampled_from([0.0, 1e-6, 0.2, math.inf]),
         duration=st.sampled_from(["zero", "horizon", "stock-over-capacity"]),
         i0=st.sampled_from([0.0, 1e-3]),
-        T=st.sampled_from([1e-3, 15.0]),
+        T=st.sampled_from([1e-13, 1e-10, 1e-3, 15.0]),
     )
     def test_invariants_on_degenerate_parameters(self, k, l, m, duration, i0, T):
         tau = {"zero": 0.0, "horizon": T}.get(duration)
@@ -501,6 +516,7 @@ class TestSegmentSequence:
         policy = VaccinationPolicy(k=k, l=l, m=m, tau=tau)
         traj, solves = count_solves(scenario, policy)
         assert solves <= 3
+        assert traj.times[-1] == T and len(traj.times) >= SAMPLE_POINTS
         times = [e.time for e in traj.events]
         assert times == sorted(times)
         assert [e.kind for e in traj.events].count(EVENT_PEAK) == 1
@@ -510,9 +526,12 @@ class TestSegmentSequence:
         assert np.all(np.diff(traj.values[:, 2:], axis=0) >= 0.0)
         if traj.exhaustion_time is not None:
             after = traj.times >= traj.exhaustion_time
-            assert traj.V[after].max() <= m + _drift_band(traj.tolerances.atol)
+            assert traj.V[after].max() <= m
+            if traj.exhaustion_time < tau:
+                # a located stock-out pins V to m
+                assert np.all(traj.V[after] == m)
         if T < 1.0:
-            # the RK4 oracle is cheap on a tiny horizon; worst J(T) gap seen 1.9e-10
+            # the RK4 oracle is cheap on a tiny horizon; worst J(T) gap seen 3.6e-14
             ref = rk4_reference(scenario, policy, T / 1000.0, [T])[-1]
             assert traj.J[-1] == pytest.approx(ref[4], rel=1e-8, abs=1e-300)
             assert traj.V[-1] == pytest.approx(ref[5], rel=0.0, abs=1e-12)
@@ -557,58 +576,47 @@ class TestFinalSizeRelation:
         assert abs(residual) <= 1e-3
 
 
-def clamp_row_by_row(rows, atol, stock, capped):
+def clamp_row_by_row(rows, atol):
     """The per-row repair rule the array clamp replaced, kept as its reference."""
     band = _drift_band(atol)
     out = rows.copy()
-    for row, is_capped in zip(out, capped):
+    for row in out:
         for idx in range(4):
             if row[idx] < 0.0 or row[idx] > 1.0:
                 if row[idx] < -band or row[idx] > 1.0 + band:
                     raise IntegrationError(f"state {idx}: {row[idx]}")
                 row[idx] = min(max(row[idx], 0.0), 1.0)
-        cap = stock if is_capped else math.inf
-        if row[3] > cap:
-            if row[3] > cap + band:
-                raise IntegrationError(f"usage: {row[3]}")
-            row[3] = cap
     return out
 
 
 class TestSampleClamp:
     ATOL = 1e-9
-    STOCK = 0.2
 
     def drifted_rows(self, n=400):
-        # stored rows (s, i, q, V) inside [0, 1], V inside [0, stock], each
-        # value pushed out by up to half the drift band with probability 1/2
-        # (both signs)
+        # stored rows (s, i, q, V) inside [0, 1], each value pushed out by up
+        # to half the drift band with probability 1/2 (both signs)
         band = _drift_band(self.ATOL)
         rng = np.random.default_rng(3)
         rows = rng.uniform(0.0, 1.0, size=(n, 4))
-        rows[:, 3] *= self.STOCK
         rows[::7, :] = 0.0
-        rows[3::7, :3] = 1.0
-        rows[5::7, 3] = self.STOCK
+        rows[3::7, :] = 1.0
         drift = rng.uniform(-0.5 * band, 0.5 * band, size=rows.shape)
         rows += np.where(rng.uniform(size=rows.shape) < 0.5, drift, 0.0)
-        capped = np.arange(n) >= n // 2
-        return rows, capped
+        return rows
 
     def test_repairs_in_band_drift_exactly_as_the_per_row_rule(self):
-        rows, capped = self.drifted_rows()
-        got = _clamp(rows, self.ATOL, self.STOCK, capped)
-        expected = clamp_row_by_row(rows, self.ATOL, self.STOCK, capped)
-        assert np.array_equal(got, expected)
+        rows = self.drifted_rows()
+        got = _clamp(rows, self.ATOL)
+        assert np.array_equal(got, clamp_row_by_row(rows, self.ATOL))
         assert not np.array_equal(got, rows)  # the drift was real
         assert got.min() >= 0.0 and got.max() <= 1.0
-        assert got[capped, 3].max() <= self.STOCK
 
     def test_single_row_with_a_scalar_flag(self):
-        rows, capped = self.drifted_rows()
+        # one row, as state_at clamps it, is repaired as it is among others
+        rows = self.drifted_rows()
         for j in (0, 3, 5, 250, 397):
-            got = _clamp(rows[j : j + 1], self.ATOL, self.STOCK, bool(capped[j]))
-            assert np.array_equal(got, _clamp(rows, self.ATOL, self.STOCK, capped)[j : j + 1])
+            got = _clamp(rows[j : j + 1], self.ATOL)
+            assert np.array_equal(got, _clamp(rows, self.ATOL)[j : j + 1])
 
     @pytest.mark.parametrize(
         "column, value",
@@ -618,33 +626,25 @@ class TestSampleClamp:
             pytest.param(2, -1.01, id="q-below"),
             pytest.param(2, 1.0 + 1.01, id="q-above"),
             pytest.param(3, -1.01, id="V-negative"),
+            pytest.param(3, 1.0 + 1.01, id="V-above"),
         ],
     )
     def test_refuses_excursions_beyond_the_band(self, column, value):
         # value is in units of the band beyond the nearest bound
         band = _drift_band(self.ATOL)
-        rows, capped = self.drifted_rows()
+        rows = self.drifted_rows()
         bound = 1.0 if value > 1.0 else 0.0
         rows[17, column] = bound + (value - bound) * band
         with pytest.raises(IntegrationError):
-            _clamp(rows, self.ATOL, self.STOCK, capped)
+            _clamp(rows, self.ATOL)
         with pytest.raises(IntegrationError):
-            clamp_row_by_row(rows, self.ATOL, self.STOCK, capped)
+            clamp_row_by_row(rows, self.ATOL)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", [0, 1, 2, 3], ids=["s", "i", "q", "V"])
     def test_refuses_non_finite_samples(self, column, value):
         # every comparison with NaN is false, so no band check would catch it
-        rows, capped = self.drifted_rows()
+        rows = self.drifted_rows()
         rows[17, column] = value
         with pytest.raises(IntegrationError, match="not finite"):
-            _clamp(rows, self.ATOL, self.STOCK, capped)
-
-    def test_usage_over_the_stock_is_refused_only_after_exhaustion(self):
-        band = _drift_band(self.ATOL)
-        rows, capped = self.drifted_rows()
-        rows[:, 3] = self.STOCK + 1.01 * band
-        with pytest.raises(IntegrationError):
-            _clamp(rows, self.ATOL, self.STOCK, capped)
-        uncapped = _clamp(rows, self.ATOL, self.STOCK, np.zeros(len(rows), dtype=bool))
-        assert np.array_equal(uncapped[:, 3], rows[:, 3])
+            _clamp(rows, self.ATOL)
