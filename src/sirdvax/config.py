@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ValidationError
-from .model import CostParams, EpidemicParams, Scenario, SirdState
+from .model import CostParams, EpidemicParams, Scenario, SirdState, VaccinationPolicy
 from .solver import Tolerances
 
 #: Names resolvable without a file on disk.
@@ -115,10 +115,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if "m" not in re_:
         raise ValidationError("resources.m: missing required field")
     m = _limit("resources", "m", re_["m"])
-    if k < 0 or not 0 <= l <= 1 or m < 0:
-        raise ValidationError(
-            f"resources: k must be >= 0, l in [0, 1], m >= 0; got k={k}, l={l}, m={m}"
-        )
+    build("resources", VaccinationPolicy, {"k": k, "l": l, "m": m, "tau": 0.0})
 
     # only an absent or null section means the defaults
     tol_data = _section(data, "tolerances") if data.get("tolerances") is not None else {}

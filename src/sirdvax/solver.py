@@ -10,11 +10,11 @@ so every run has at most three smooth pieces, always in this order:
    accumulated usage V reaches m) to the horizon T.
 
 ``integrate`` solves each piece it needs as one segment with the rate fixed
-to its branch, ending a vaccinating segment early where the kink or
-exhaustion is located as a terminal event.  So no step straddles a switch
-and every smooth piece is integrated at the full order of the
-Dormand-Prince 8(5,3) pair (SciPy's DOP853).  Its 7th-order dense output
-backs interpolation between samples and the location of events.
+to its branch.  A vaccinating segment solves toward T and ends where the
+kink, exhaustion or the program end is located as a terminal event, so no
+step straddles a switch and every smooth piece is integrated at the full
+order of the Dormand-Prince 8(5,3) pair (SciPy's DOP853).  Its 7th-order
+dense output backs interpolation between samples and the location of events.
 
 The integrated state is (s, i, q, V): the susceptible and infected
 fractions, q the integral of i over time, and V the vaccine used.  The
@@ -113,11 +113,9 @@ class Trajectory:
     - ``rate_kink`` where the policy rate switches from the capacity branch k
       to the willingness branch l*s,
     - ``supply_exhausted`` where V reaches m (vaccination stops for good,
-      and V is exactly m from the located stock-out on), placed at t = tau
-      when the two are within the integration drift band of each other: the
-      program ends with V short of m by no more than the band (V is left
-      there), or V reaches m so shortly before tau that at most the band
-      would have been used by then,
+      and V is exactly m from the located stock-out on), and at t = tau when
+      the program ends with V short of m by no more than the integration
+      drift band (V is left there),
     - ``epidemic_end`` where the infected fraction falls below
       ``EPIDEMIC_END_THRESHOLD`` (marker only),
     - ``peak``, exactly once: the maximum of the infected fraction on
@@ -312,11 +310,12 @@ def integrate(
     """Integrate the system over [0, T] and return its trajectory.
 
     The run is at most three segments in a fixed order: the capacity branch
-    (rate k, while l*s > k), the willingness branch (rate l*s), both up to
-    tau, then no vaccination up to T.  A vaccinating segment ends early where
-    the rate kink or supply exhaustion is located; once V reaches policy.m,
-    vaccination is off for the rest of the horizon and V stays m.  A program with
-    tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled epidemic.
+    (rate k, while l*s > k), the willingness branch (rate l*s), then no
+    vaccination up to T.  Each vaccinating segment solves toward T and ends
+    at the first of the rate kink, supply exhaustion and tau, so until tau the
+    run is the always-on run (tau = T) bit for bit.  Once V reaches policy.m,
+    vaccination is off for the rest of the horizon and V stays m.  A program
+    with tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled epidemic.
 
     Raises ValidationError unless 0 <= tau <= T.
     """
@@ -349,10 +348,14 @@ def integrate(
     def rate_kink(t, y, *branch):
         return l * y[0] - k
 
+    def program_end(t, y, *branch):
+        return t - tau
+
     epidemic_end.terminal, epidemic_end.direction = False, -1
     peak.terminal, peak.direction = False, -1
     supply_exhausted.terminal, supply_exhausted.direction = True, 1
     rate_kink.terminal, rate_kink.direction = True, -1
+    program_end.terminal, program_end.direction = True, 1
 
     events: list[Event] = []
     segments: list[tuple[float, float, object]] = []
@@ -368,13 +371,13 @@ def integrate(
     if not peak_armed:
         events.append(Event(0.0, EVENT_PEAK))
 
-    def advance(t_end, branch, terminal=()):
-        """Solve one segment from t0 to t_end; return the terminal watcher that fired."""
+    def advance(branch, terminal=()):
+        """Solve one segment from t0 toward T; return the terminal watcher that fired."""
         nonlocal t0, y0, peak_armed
         watchers = [epidemic_end, peak, *terminal] if peak_armed else [epidemic_end, *terminal]
         sol = solve_ivp(
             rhs,
-            (t0, t_end),
+            (t0, T),
             y0,
             method=_METHOD,
             rtol=tol.rtol,
@@ -385,44 +388,43 @@ def integrate(
             args=branch,
         )
         if sol.status < 0:
-            raise IntegrationError(f"solver failed on [{t0}, {t_end}]: {sol.message}")
+            raise IntegrationError(f"solver failed on [{t0}, {T}]: {sol.message}")
         hits = dict(zip(watchers, sol.t_events))
         events.extend(Event(float(t), EVENT_EPIDEMIC_END) for t in hits[epidemic_end])
         if len(hits.get(peak, ())) > 0:
             events.append(Event(float(hits[peak][0]), EVENT_PEAK))
             peak_armed = False
-        segments.append((t0, float(sol.t[-1]), sol.sol))
-        t0 = float(sol.t[-1])
-        y0 = sol.y[:, -1].tolist()
-        return next((w for w in terminal if len(hits[w]) > 0), None)
+        fired = next((w for w in terminal if len(hits[w]) > 0), None)
+        # the program ends at tau itself, wherever its watcher's root landed
+        t1 = tau if fired is program_end else float(sol.t[-1])
+        segments.append((t0, t1, sol.sol))
+        t0, y0 = t1, sol.sol(t1).tolist()
+        return fired
 
     if tau > 0.0 and k > 0.0 and l > 0.0:
         if m == 0.0:
             exhaustion_time = 0.0
         else:
             stock_watch = (supply_exhausted,) if math.isfinite(m) else ()
-            if l * y0[0] > k and tau - t0 > time_tol:
-                fired = advance(tau, (k, 0.0), (*stock_watch, rate_kink))
+            if l * y0[0] > k:
+                fired = advance((k, 0.0), (*stock_watch, program_end, rate_kink))
                 if fired is rate_kink:
                     events.append(Event(t0, EVENT_RATE_KINK))
-            if fired is not supply_exhausted and tau - t0 > time_tol:
-                fired = advance(tau, (0.0, l), stock_watch)
+            # a kink located at or past tau comes after the program's end
+            if fired is None or fired is rate_kink and t0 < tau:
+                fired = advance((0.0, l), (*stock_watch, program_end))
             if fired is supply_exhausted:
                 # the stock is used up: V stays m, bit for bit, without vaccination
                 y0[3] = m
-                # a stock that runs out so close to the program end that the
-                # usage left before it (at most k per unit time) lies within
-                # the drift band has run out at the end
-                exhaustion_time = tau if k * (tau - t0) <= _drift_band(tol.atol) else t0
-            elif m - y0[3] <= _drift_band(tol.atol):
-                # scheduled program end with V within the drift band of m: the stock
-                # has run out here too, and V stays short (a pin would add doses)
+            # the stock has also run out where the program ends with V within the
+            # drift band of m; V stays short of it there (a pin would add doses)
+            if m - y0[3] <= _drift_band(tol.atol):
                 exhaustion_time = t0
         if exhaustion_time is not None:
             events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
     # past a stock-out the pinned V is read off this segment, however short
     if not segments or fired is supply_exhausted or t0 < T - time_tol:
-        advance(T, (0.0, 0.0))
+        advance((0.0, 0.0))
 
     if peak_armed:
         # beta_e*s stayed above 1, so i rose throughout
@@ -475,9 +477,9 @@ def stopped_programs(
 
     ``always_on`` is a run with the program on for the whole horizon
     (tau = T), and ``taus`` are sorted times in [0, T].  Until tau a program
-    of duration tau follows the always-on run (past supply exhaustion both
-    have stopped vaccinating, with V exactly m), so its state at tau is that
-    run's dense output there.  Every state is then advanced to T without
+    of duration tau is the always-on run bit for bit (past supply exhaustion
+    both have stopped vaccinating, with V exactly m), so its state at tau is
+    that run's dense output there.  Every state is then advanced to T without
     vaccination, which keeps V as it is, in one solve per ``TAIL_CHUNK``
     durations: each tail's interval [tau, T] is mapped onto u in [0, 1] by
     t = tau + u*(T - tau), and the stacked tails share one step sequence, so

@@ -307,14 +307,14 @@ class TestNestedScan:
     tolerances, re-run on exact runs of the current solver.
     """
 
-    BRENT_VARIANT1 = (6.929469743832344, 41.281188322900235)
+    BRENT_VARIANT1 = (6.929469700298203, 41.28118832341842)
 
     @pytest.mark.parametrize(
         "r, brent",
         [
             (10.0, BRENT_VARIANT1),
-            (4.0, (3.697935266253784, 3.0880682794173655)),
-            (25.0, (5.645656268125352, 64.520624381526)),
+            (4.0, (3.6979353456826174, 3.088068289756702)),
+            (25.0, (5.645656262933394, 64.52062438152615)),
         ],
         ids=["variant1", "variant1-r4", "variant1-r25"],
     )
@@ -332,10 +332,15 @@ class TestNestedScan:
         assert abs(plan.tau_star - tau) <= planner.DEFAULT_OPT_TOL
         assert plan.cost_star == pytest.approx(cost, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("m", [0.2, 0.4])
+    # 0.05, 0.123456 and 0.2 run out on the capacity branch, 0.4 on the willingness branch
+    @pytest.mark.parametrize("m", [0.05, 0.123456, 0.2, 0.4])
     def test_binding_stock_returns_the_cap_itself(self, scenario, m):
         resources = (0.1, 0.3, m)
-        assert minimize_tau(scenario, resources).tau_star == feasible_tau_max(scenario, resources)
+        result = minimize_tau(scenario, resources)
+        assert result.tau_star == feasible_tau_max(scenario, resources)
+        # the exact run at the cap locates the always-on run's stock-out and pins V there
+        assert result.trajectory.exhaustion_time == result.tau_star
+        assert result.indicators.total_vaccinated == m
 
     def test_optimum_next_to_the_rate_kink(self, scenario, tolerances):
         # a dose cost that puts tau* within 1e-3 of the switch from the

@@ -30,8 +30,9 @@ from sirdvax import (
     feasible_tau_max,
     indicators,
     integrate,
+    load_config,
 )
-from sirdvax.solver import SAMPLE_POINTS, _clamp, _drift_band
+from sirdvax.solver import SAMPLE_POINTS, _clamp, _drift_band, _read_out, _sample
 from oracles import random_cases, rk4_reference
 
 # frozen from a 1e-11/1e-13 adaptive run cross-checked against the fixed-step
@@ -39,6 +40,10 @@ from oracles import random_cases, rk4_reference
 V_TOTAL_UNCONSTRAINED = 0.4582025544
 J_TOTAL_FULL_PROGRAM = 41.3812610212
 KINK_TIME = 3.1113937823
+
+VARIANT1 = load_config("variant1").scenario
+# a random case whose stock runs out on the willingness branch at tau = 2.41254
+RANDOM_269 = random_cases(600, seed=11)[269]
 
 
 def event_times(traj, kind):
@@ -150,18 +155,25 @@ class TestSupplyExhaustion:
             assert tight_supply_traj.rate_at(t) == 0.0
 
     @pytest.mark.parametrize(
-        "m",
+        "scenario, resources",
         [
-            pytest.param(0.2, id="capacity-branch"),
-            pytest.param(0.4, id="willingness-branch"),
+            pytest.param(VARIANT1, (0.1, 0.3, 0.2), id="capacity-branch"),
+            pytest.param(VARIANT1, (0.1, 0.3, 0.4), id="willingness-branch"),
+            # its run at tau ended the program 1.3e-9 short of m when the last
+            # program step was clipped to tau, and recorded no stock-out
+            pytest.param(
+                RANDOM_269[0],
+                (RANDOM_269[1].k, RANDOM_269[1].l, RANDOM_269[1].m),
+                id="random-case-269",
+            ),
         ],
     )
-    def test_program_ending_as_the_stock_runs_out_records_exhaustion(self, scenario, m):
+    def test_program_ending_as_the_stock_runs_out_records_exhaustion(self, scenario, resources):
         # tau is the longest program the stock sustains, so the stock runs out
-        # exactly as the program ends; on the willingness branch the run at
-        # tau lands a hair short of m, within the integrator's own error
-        tau = feasible_tau_max(scenario, (0.1, 0.3, m))
-        traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=m, tau=tau))
+        # exactly as the program ends: the run at tau takes the always-on
+        # run's steps and locates the same stock-out
+        tau = feasible_tau_max(scenario, resources)
+        traj = integrate(scenario, VaccinationPolicy(*resources, tau=tau))
         assert event_times(traj, EVENT_SUPPLY_EXHAUSTED) == [tau]
         assert traj.exhaustion_time == tau
         assert traj.rate_at(tau) == 0.0
@@ -457,6 +469,29 @@ class TestRateBranches:
         self.assert_matches_reference(traj)
 
 
+class TestOracleAtTheHorizon:
+    """Edge cases against the RK4 oracle over the whole bundled horizon T = 15."""
+
+    @pytest.mark.parametrize(
+        "r, resources, tau",
+        [
+            # the program ends inside a long step of the always-on run
+            pytest.param(4.0, (0.1, 0.3, math.inf), 3.697935, id="r4-program-end"),
+            pytest.param(10.0, (0.1, 0.3, 1e-6), 15.0, id="tiny-stock"),
+            pytest.param(10.0, (0.0, 0.3, 0.2), 15.0, id="no-capacity"),
+        ],
+    )
+    def test_final_cost_and_usage(self, scenario, r, resources, tau):
+        scenario = dataclasses.replace(
+            scenario, epidemic=dataclasses.replace(scenario.epidemic, r=r)
+        )
+        policy = VaccinationPolicy(*resources, tau=tau)
+        traj = integrate(scenario, policy)
+        ref = rk4_reference(scenario, policy, 1e-4, [scenario.T])[-1]
+        assert traj.J[-1] == pytest.approx(ref[4], rel=1e-8, abs=0.0)
+        assert traj.V[-1] == pytest.approx(ref[5], rel=0.0, abs=1e-8)
+
+
 def count_solves(scenario, policy):
     """integrate's trajectory and the number of solve_ivp calls it made."""
     solver = sirdvax.solver
@@ -557,6 +592,25 @@ class TestStoredState:
         same = [0, 1, 2, 3, 5]  # s, i, rho, d, V
         assert np.array_equal(runs[0].values[:, same], runs[1].values[:, same])
         assert not np.array_equal(runs[0].J, runs[1].J)
+
+
+class TestAlwaysOnPrefix:
+    """A program of duration tau is the always-on run (tau = T) until tau."""
+
+    @pytest.mark.parametrize("m", [0.2, 0.4, math.inf])
+    def test_samples_up_to_tau_are_the_always_on_run(self, scenario, tolerances, m):
+        resources = (0.1, 0.3, m)
+        always_on = integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T))
+        cap = feasible_tau_max(scenario, resources)
+        for tau in sorted({*np.linspace(0.0, scenario.T, 12).tolist(), cap}):
+            traj = integrate(scenario, VaccinationPolicy(*resources, tau=tau))
+            upto = traj.times[traj.times <= tau]
+            expected = _read_out(
+                _clamp(_sample(always_on.segments, upto), tolerances.atol), scenario
+            )
+            assert np.array_equal(traj.values[: len(upto)], expected), tau
+            if always_on.exhaustion_time is not None and always_on.exhaustion_time < tau:
+                assert traj.exhaustion_time == always_on.exhaustion_time
 
 
 class TestFinalSizeRelation:
