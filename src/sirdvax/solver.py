@@ -116,14 +116,19 @@ class Trajectory:
       and V is exactly m from the located stock-out on), and at t = tau when
       the program ends with V short of m by no more than the integration
       drift band (V is left there),
-    - ``epidemic_end`` where the infected fraction falls below
-      ``EPIDEMIC_END_THRESHOLD`` (marker only),
+    - ``epidemic_end``, at most once: where the infected fraction falls
+      below ``EPIDEMIC_END_THRESHOLD`` (marker only),
     - ``peak``, exactly once: the maximum of the infected fraction on
       [0, T] (marker only).  di/dt = i*(beta_e*s - 1) has no vaccination
       term and s never increases, so i peaks where beta_e*s falls through 1
       (beta_e the transmission rate).  The peak is at t = 0 when beta_e*s
       starts at or below 1 or there are no infections, and at T when
       beta_e*s stays above 1 throughout.
+
+    Both markers are recorded once, at their first crossing.  A crossing
+    that rounding places just past a located switch is recorded at the end
+    of the segment the switch ends, where its function has already fallen
+    through 0.
 
     ``segments`` holds (start, end, dense output of (s, i, q, V)) for each
     solver segment in time order: the capacity branch, the willingness
@@ -317,6 +322,11 @@ def integrate(
     vaccination is off for the rest of the horizon and V stays m.  A program
     with tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled epidemic.
 
+    Every segment also watches the peak and the epidemic end until each is
+    recorded.  solve_ivp drops a root located past the terminal root of the
+    same step, so a marker with no root whose function was above 0 at the
+    segment's start and is at or below 0 at its end is recorded at that end.
+
     Raises ValidationError unless 0 <= tau <= T.
     """
     T = scenario.T
@@ -365,16 +375,17 @@ def integrate(
     y0 = [scenario.initial.s, scenario.initial.i, 0.0, 0.0]  # q = V = 0
     # times closer than this are one time: at the segment ends and in the samples
     time_tol = 1e-12 * T
-    # i peaks where beta_e*s falls through 1; with no infections, or with
-    # beta_e*s at or below 1 from the start, i never rises and peaks at 0
-    peak_armed = y0[1] > 0.0 and beta_e * y0[0] > 1.0
-    if not peak_armed:
-        events.append(Event(0.0, EVENT_PEAK))
+    # markers still to record, each once; i peaks where beta_e*s falls through
+    # 1, and with no infections, or with beta_e*s at or below 1 from the
+    # start, i never rises and peaks at 0
+    pending = {epidemic_end: EVENT_EPIDEMIC_END, peak: EVENT_PEAK}
+    if not (y0[1] > 0.0 and beta_e * y0[0] > 1.0):
+        events.append(Event(0.0, pending.pop(peak)))
 
     def advance(branch, terminal=()):
         """Solve one segment from t0 toward T; return the terminal watcher that fired."""
-        nonlocal t0, y0, peak_armed
-        watchers = [epidemic_end, peak, *terminal] if peak_armed else [epidemic_end, *terminal]
+        nonlocal t0, y0
+        watchers = [*pending, *terminal]
         sol = solve_ivp(
             rhs,
             (t0, T),
@@ -390,29 +401,30 @@ def integrate(
         if sol.status < 0:
             raise IntegrationError(f"solver failed on [{t0}, {T}]: {sol.message}")
         hits = dict(zip(watchers, sol.t_events))
-        events.extend(Event(float(t), EVENT_EPIDEMIC_END) for t in hits[epidemic_end])
-        if len(hits.get(peak, ())) > 0:
-            events.append(Event(float(hits[peak][0]), EVENT_PEAK))
-            peak_armed = False
         fired = next((w for w in terminal if len(hits[w]) > 0), None)
         # the program ends at tau itself, wherever its watcher's root landed
         t1 = tau if fired is program_end else float(sol.t[-1])
+        y1 = sol.sol(t1)
+        for watcher in [*pending]:
+            # its first root, else t1 when solve_ivp dropped a root rounded past t1
+            fell = watcher(t0, y0, *branch) > 0.0 >= watcher(t1, y1, *branch)
+            if len(hits[watcher]) > 0 or fell:
+                events.append(Event(float([*hits[watcher], t1][0]), pending.pop(watcher)))
         segments.append((t0, t1, sol.sol))
-        t0, y0 = t1, sol.sol(t1).tolist()
+        t0, y0 = t1, y1.tolist()
         return fired
 
     if tau > 0.0 and k > 0.0 and l > 0.0:
         if m == 0.0:
             exhaustion_time = 0.0
         else:
-            stock_watch = (supply_exhausted,) if math.isfinite(m) else ()
             if l * y0[0] > k:
-                fired = advance((k, 0.0), (*stock_watch, program_end, rate_kink))
+                fired = advance((k, 0.0), (supply_exhausted, program_end, rate_kink))
                 if fired is rate_kink:
                     events.append(Event(t0, EVENT_RATE_KINK))
             # a kink located at or past tau comes after the program's end
             if fired is None or fired is rate_kink and t0 < tau:
-                fired = advance((0.0, l), (*stock_watch, program_end))
+                fired = advance((0.0, l), (supply_exhausted, program_end))
             if fired is supply_exhausted:
                 # the stock is used up: V stays m, bit for bit, without vaccination
                 y0[3] = m
@@ -426,7 +438,7 @@ def integrate(
     if not segments or fired is supply_exhausted or t0 < T - time_tol:
         advance((0.0, 0.0))
 
-    if peak_armed:
+    if peak in pending:
         # beta_e*s stayed above 1, so i rose throughout
         events.append(Event(T, EVENT_PEAK))
     if tau > 0.0:
@@ -487,9 +499,12 @@ def stopped_programs(
 
     With ``crossings``, each program's peak and end are located too.  A
     program shares the always-on run's crossing where that lies at or before
-    tau, and otherwise has it located on its own tail; it shares the peak too
-    when beta_e*s is at or below 1 at tau, which rounding allows just before
-    the always-on peak.
+    tau, and otherwise has it located on its own tail.  Rounding can put
+    tau just before an always-on crossing with the function already at or
+    below 0, where the tail has no fall to find: so a program shares the
+    peak too when beta_e*s is at or below 1 at tau, and, once past the
+    always-on peak, the end too when i is at or below
+    ``EPIDEMIC_END_THRESHOLD`` at tau.
     """
     taus = np.asarray(taus, dtype=float)
     scenario, tol = always_on.scenario, always_on.tolerances
@@ -500,11 +515,12 @@ def stopped_programs(
     final = _sample(always_on.segments, taus)
     if crossings:
         peak_on, peak_i_on, end_on = always_on.peak_and_end()
-        # a tail's peak is searched for as integrate arms its watcher: when
-        # beta_e*s starts above 1; otherwise it is the always-on run's
+        # a tail's crossing is searched for where its function starts above 0,
+        # and otherwise is the always-on run's; i below the threshold before
+        # the peak may still rise through it, so that end is searched for
         beta_e = scenario.epidemic.transmission_rate
         tail_peak = (taus < peak_on) & (beta_e * final[:, 0] > 1.0)
-        tail_end = taus < end_on
+        tail_end = (taus < end_on) & ((taus < peak_on) | (final[:, 1] > EPIDEMIC_END_THRESHOLD))
         peak_time = np.where(tail_peak, T, peak_on)
         peak_i = np.full(len(taus), peak_i_on)
         end_time = np.where(tail_end, T, end_on)

@@ -251,3 +251,43 @@ class TestStoppedProgramIndicators:
             assert row.peak_time == pytest.approx(peak_time, abs=1e-12)
             assert row.peak_i == pytest.approx(peak_i, rel=1e-12)
         assert below > 0
+
+
+def ulp_window(x, n=12):
+    """x and the n doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [*below[::-1], *above[1:]]
+
+
+class TestCrossingsAtTheBoundary:
+    """A program ending within a few ulps of the always-on peak or end shares it.
+
+    solve_ivp drops an event root that rounding places past a terminal root
+    in the same step, and a tail starting just past a crossing has no fall
+    through 0 to find, so every duration in the window must still report the
+    always-on run's crossing, from ``integrate`` and from the batched tails.
+    """
+
+    @pytest.mark.parametrize("m", [math.inf, 0.4])
+    @pytest.mark.parametrize("r", [4.0, 10.0, 25.0])
+    def test_durations_around_the_crossings(self, scenario, r, m):
+        scenario = dataclasses.replace(
+            scenario, epidemic=dataclasses.replace(scenario.epidemic, r=r)
+        )
+        resources = (0.1, 0.3, m)
+        run = always_on(scenario, resources)
+        crossings = indicators(run)
+        assert 0.0 < crossings.peak_time < scenario.T
+        windows = [("peak_time", crossings.peak_time)]
+        if 0.0 < crossings.duration < scenario.T:
+            windows.append(("duration", crossings.duration))
+        for name, at in windows:
+            taus = ulp_window(at)
+            rows = stopped_program_indicators(run, taus)
+            for tau, row in zip(taus, rows):
+                exact = indicators(integrate(scenario, VaccinationPolicy(*resources, tau=tau)))
+                for found in (exact, row):
+                    assert getattr(found, name) == pytest.approx(at, rel=0.0, abs=1e-9), tau

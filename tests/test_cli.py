@@ -427,6 +427,21 @@ class TestSweep:
         with pytest.raises(ValidationError):
             parse_values(spec)
 
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("1:2", "start:step:end"),
+            ("a:1:2", "could not convert"),
+            ("0:0:1", "step must be positive"),
+            ("0:-1:1", "step must be positive"),
+            ("2:1:1", "end 1.0 precedes start 2.0"),
+            ("1,x", "could not convert"),
+        ],
+    )
+    def test_malformed_value_spec_is_refused(self, spec, reason):
+        with pytest.raises(ValidationError, match=f"^values: .*{reason}"):
+            parse_values(spec)
+
     def test_range_spec(self):
         assert parse_values("0:5:15") == [0.0, 5.0, 10.0, 15.0]
         assert parse_values("1,2.5") == [1.0, 2.5]

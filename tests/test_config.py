@@ -71,6 +71,35 @@ class TestValidation:
         with pytest.raises(ValidationError, match="epidemic.gamma"):
             config_from_dict(data)
 
+    def test_root_must_be_an_object(self):
+        with pytest.raises(ValidationError, match="^config root: expected an object"):
+            config_from_dict([variant1_dict()])
+
+    def test_unknown_top_level_field_rejected(self):
+        data = variant1_dict()
+        data["horizon"] = 15.0
+        with pytest.raises(ValidationError, match="^horizon: unknown field"):
+            config_from_dict(data)
+
+    def test_missing_horizon(self):
+        data = variant1_dict()
+        del data["T"]
+        with pytest.raises(ValidationError, match="^T: missing required field"):
+            config_from_dict(data)
+
+    def test_missing_stock(self):
+        # m may be null (unlimited), but it may not be left out
+        data = variant1_dict()
+        del data["resources"]["m"]
+        with pytest.raises(ValidationError, match="^resources.m: missing required field"):
+            config_from_dict(data)
+
+    def test_output_dir_must_be_a_string(self):
+        data = variant1_dict()
+        data["output_dir"] = 3
+        with pytest.raises(ValidationError, match="^output_dir: expected a string"):
+            config_from_dict(data)
+
     @pytest.mark.parametrize("key", ["event_tol", "gamma"])
     def test_unknown_tolerance_rejected(self, key):
         data = variant1_dict()

@@ -187,7 +187,7 @@ class TestExactInfectionProbability:
         assert got == pytest.approx(EXACT_PROB_TABLE1, abs=1e-9)
 
     def test_negative_interval_rejected(self, epidemic):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="interval length"):
             exact_infection_probability(0.001, -0.01, epidemic)
 
     def test_result_is_a_probability(self, epidemic):

@@ -342,6 +342,26 @@ class TestPeakEvent:
         (t_switch,) = event_times(traj, kind)
         assert t_located == pytest.approx(t_switch, rel=0.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "case, tau",
+        [
+            (random_cases(11, seed=7)[10], 1.1911487928149829),
+            (random_cases(43, seed=7)[42], 0.9761933873039774),
+        ],
+        ids=["case-10", "case-42"],
+    )
+    def test_program_ending_one_ulp_before_the_peak(self, case, tau):
+        # solve_ivp locates the peak root a few ulps past the program-end
+        # root and drops it; beta_e*s has fallen through 1 by tau all the same
+        scenario, policy = case
+        always_on = indicators(integrate(scenario, dataclasses.replace(policy, tau=scenario.T)))
+        assert math.nextafter(tau, math.inf) == always_on.peak_time
+        traj = integrate(scenario, dataclasses.replace(policy, tau=tau))
+        assert len(event_times(traj, EVENT_PEAK)) == 1
+        ind = indicators(traj)
+        assert ind.peak_time == pytest.approx(always_on.peak_time, rel=0.0, abs=1e-9)
+        assert ind.peak_i == pytest.approx(always_on.peak_i, rel=0.0, abs=1e-9)
+
 
 class TestDenseOutput:
     def test_initial_state_exact(self, full_program_traj, scenario):
