@@ -10,11 +10,15 @@ so every run has at most three smooth pieces, always in this order:
    accumulated usage V reaches m) to the horizon T.
 
 ``integrate`` solves each piece it needs as one segment with the rate fixed
-to its branch.  A vaccinating segment solves toward T and ends where the
-kink, exhaustion or the program end is located as a terminal event, so no
-step straddles a switch and every smooth piece is integrated at the full
-order of the Dormand-Prince 8(5,3) pair (SciPy's DOP853).  Its 7th-order
-dense output backs interpolation between samples and the location of events.
+to its branch, so no step straddles a switch and every smooth piece is
+integrated at the full order of the Dormand-Prince 8(5,3) pair (SciPy's
+DOP853).  Its 7th-order dense output backs interpolation between samples
+and every located crossing.  One locator, ``_first_fall``, finds them all
+on a solve's steps: the rate kink and the stock-out that end a segment, the
+peak and the epidemic end of a run, and those of the batched tails in
+``stopped_programs``.  solve_ivp only stops a vaccinating segment, with one
+terminal event; the segment then ends at the earliest of tau and the
+located kink and stock-out.
 
 The integrated state is (s, i, q, V): the susceptible and infected
 fractions, q the integral of i over time, and V the vaccine used.  The
@@ -25,6 +29,7 @@ recovered and dead fractions and the accumulated cost are linear in q and V
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,10 +117,10 @@ class Trajectory:
       program, recorded even if the stock ran out earlier),
     - ``rate_kink`` where the policy rate switches from the capacity branch k
       to the willingness branch l*s,
-    - ``supply_exhausted`` where V reaches m (vaccination stops for good,
-      and V is exactly m from the located stock-out on), and at t = tau when
-      the program ends with V short of m by no more than the integration
-      drift band (V is left there),
+    - ``supply_exhausted`` where V reaches m, when that is located at or
+      before tau: vaccination stops for good, and V is exactly m from there
+      on.  A program that ends before its stock runs out records none, however
+      little stock is left,
     - ``epidemic_end``, at most once: where the infected fraction falls
       below ``EPIDEMIC_END_THRESHOLD`` (marker only),
     - ``peak``, exactly once: the maximum of the infected fraction on
@@ -125,10 +130,9 @@ class Trajectory:
       starts at or below 1 or there are no infections, and at T when
       beta_e*s stays above 1 throughout.
 
-    Both markers are recorded once, at their first crossing.  A crossing
-    that rounding places just past a located switch is recorded at the end
-    of the segment the switch ends, where its function has already fallen
-    through 0.
+    Both markers are located at their first crossing on the run's steps,
+    each step cut at its segment's end, so a crossing at a switch is found on
+    one side of it.
 
     ``segments`` holds (start, end, dense output of (s, i, q, V)) for each
     solver segment in time order: the capacity branch, the willingness
@@ -316,16 +320,18 @@ def integrate(
 
     The run is at most three segments in a fixed order: the capacity branch
     (rate k, while l*s > k), the willingness branch (rate l*s), then no
-    vaccination up to T.  Each vaccinating segment solves toward T and ends
-    at the first of the rate kink, supply exhaustion and tau, so until tau the
-    run is the always-on run (tau = T) bit for bit.  Once V reaches policy.m,
-    vaccination is off for the rest of the horizon and V stays m.  A program
-    with tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled epidemic.
+    vaccination up to T.  Each vaccinating segment solves toward T until
+    solve_ivp stops it near the first of tau, the rate kink and the
+    stock-out, and ends at the earliest of tau and the kink and stock-out
+    that ``_first_fall`` locates on its steps, so until tau the run is the
+    always-on run (tau = T) bit for bit.  A stock-out is recorded exactly
+    when it is located at or before tau; it stops vaccination for the rest
+    of the horizon and pins V to m.  A program with tau = 0 (or k = 0, l = 0
+    or m = 0) runs the uncontrolled epidemic.
 
-    Every segment also watches the peak and the epidemic end until each is
-    recorded.  solve_ivp drops a root located past the terminal root of the
-    same step, so a marker with no root whose function was above 0 at the
-    segment's start and is at or below 0 at its end is recorded at that end.
+    The peak and the epidemic end are located once the run is solved, by
+    one ``_first_fall`` call on all its steps, each cut at its segment's
+    end: a crossing at a segment's end is found on one side of it.
 
     Raises ValidationError unless 0 <= tau <= T.
     """
@@ -345,47 +351,24 @@ def integrate(
         i = min(max(y[1], 0.0), 1.0)
         return _rhs_values(s, i, rate + willingness * s, epidemic)
 
-    # solve_ivp passes the right-hand side's args to every event function too
-    def epidemic_end(t, y, *branch):
-        return y[1] - EPIDEMIC_END_THRESHOLD
-
-    def peak(t, y, *branch):
-        return beta_e * y[0] - 1.0
-
-    def supply_exhausted(t, y, *branch):
-        return y[3] - m
-
-    def rate_kink(t, y, *branch):
-        return l * y[0] - k
-
-    def program_end(t, y, *branch):
-        return t - tau
-
-    epidemic_end.terminal, epidemic_end.direction = False, -1
-    peak.terminal, peak.direction = False, -1
-    supply_exhausted.terminal, supply_exhausted.direction = True, 1
-    rate_kink.terminal, rate_kink.direction = True, -1
-    program_end.terminal, program_end.direction = True, 1
-
     events: list[Event] = []
     segments: list[tuple[float, float, object]] = []
+    # each segment's solve and how many of its steps start before the segment's end
+    solves: list[tuple[object, int]] = []
     exhaustion_time: float | None = None
-    fired = None  # the terminal watcher that ended the last vaccinating segment
     t0 = 0.0
-    y0 = [scenario.initial.s, scenario.initial.i, 0.0, 0.0]  # q = V = 0
+    y0 = np.array([scenario.initial.s, scenario.initial.i, 0.0, 0.0])  # q = V = 0
     # times closer than this are one time: at the segment ends and in the samples
     time_tol = 1e-12 * T
-    # markers still to record, each once; i peaks where beta_e*s falls through
-    # 1, and with no infections, or with beta_e*s at or below 1 from the
-    # start, i never rises and peaks at 0
-    pending = {epidemic_end: EVENT_EPIDEMIC_END, peak: EVENT_PEAK}
-    if not (y0[1] > 0.0 and beta_e * y0[0] > 1.0):
-        events.append(Event(0.0, pending.pop(peak)))
 
-    def advance(branch, terminal=()):
-        """Solve one segment from t0 toward T; return the terminal watcher that fired."""
+    def advance(branch, g=None):
+        """Solve one segment from t0 and return where g's functions first fall on it.
+
+        solve_ivp stops near the first of tau and those falls.  The segment
+        then ends at the earliest of tau and the located falls, or, without
+        ``g``, at T.
+        """
         nonlocal t0, y0
-        watchers = [*pending, *terminal]
         sol = solve_ivp(
             rhs,
             (t0, T),
@@ -395,52 +378,61 @@ def integrate(
             atol=tol.atol,
             max_step=tol.max_step,
             dense_output=True,
-            events=watchers,
+            events=None if g is None else _stop_at(tau, g),
             args=branch,
         )
         if sol.status < 0:
             raise IntegrationError(f"solver failed on [{t0}, {T}]: {sol.message}")
-        hits = dict(zip(watchers, sol.t_events))
-        fired = next((w for w in terminal if len(hits[w]) > 0), None)
-        # the program ends at tau itself, wherever its watcher's root landed
-        t1 = tau if fired is program_end else float(sol.t[-1])
-        y1 = sol.sol(t1)
-        for watcher in [*pending]:
-            # its first root, else t1 when solve_ivp dropped a root rounded past t1
-            fell = watcher(t0, y0, *branch) > 0.0 >= watcher(t1, y1, *branch)
-            if len(hits[watcher]) > 0 or fell:
-                events.append(Event(float([*hits[watcher], t1][0]), pending.pop(watcher)))
+        interpolants = sol.sol.interpolants
+        n = len(interpolants)
+        falls = []
+        t1 = float(sol.t[-1])
+        if g is not None:
+            # the step solve_ivp's stop cut short is searched in full
+            last = interpolants[-1]
+            edges = np.append(sol.t[:n], last.t)
+            at_edges = np.column_stack((sol.y[:, :n], last(last.t)))
+            falls = _first_fall(edges, at_edges[:, None], interpolants, g)[0][:, 0].tolist()
+            t1 = min(tau, *falls)
+        solves.append((sol, int(np.searchsorted(sol.t[:n], t1))))
         segments.append((t0, t1, sol.sol))
-        t0, y0 = t1, y1.tolist()
-        return fired
+        t0, y0 = t1, sol.sol(t1)
+        return falls
 
     if tau > 0.0 and k > 0.0 and l > 0.0:
         if m == 0.0:
             exhaustion_time = 0.0
         else:
-            if l * y0[0] > k:
-                fired = advance((k, 0.0), (supply_exhausted, program_end, rate_kink))
-                if fired is rate_kink:
-                    events.append(Event(t0, EVENT_RATE_KINK))
-            # a kink located at or past tau comes after the program's end
-            if fired is None or fired is rate_kink and t0 < tau:
-                fired = advance((0.0, l), (supply_exhausted, program_end))
-            if fired is supply_exhausted:
+            willing = l * y0[0] <= k
+            if not willing:
+                kink, stock_out = advance((k, 0.0), lambda y: [l * y[0] - k, m - y[3]])
+                # the willingness branch follows a kink before the stock-out and tau
+                willing = kink < min(stock_out, tau)
+                if willing:
+                    events.append(Event(kink, EVENT_RATE_KINK))
+            if willing:
+                (stock_out,) = advance((0.0, l), lambda y: [m - y[3]])
+            if stock_out <= tau:
                 # the stock is used up: V stays m, bit for bit, without vaccination
+                exhaustion_time = stock_out
                 y0[3] = m
-            # the stock has also run out where the program ends with V within the
-            # drift band of m; V stays short of it there (a pin would add doses)
-            if m - y0[3] <= _drift_band(tol.atol):
-                exhaustion_time = t0
         if exhaustion_time is not None:
             events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
     # past a stock-out the pinned V is read off this segment, however short
-    if not segments or fired is supply_exhausted or t0 < T - time_tol:
+    if not segments or exhaustion_time is not None or t0 < T - time_tol:
         advance((0.0, 0.0))
 
-    if peak in pending:
-        # beta_e*s stayed above 1, so i rose throughout
-        events.append(Event(T, EVENT_PEAK))
+    # the run's steps, each cut at its segment's end
+    edges = np.concatenate([sol.t[:used] for sol, used in solves] + [[t0]])
+    at_edges = np.column_stack([sol.y[:, :used] for sol, used in solves] + [y0])
+    steps = [step for sol, used in solves for step in sol.sol.interpolants[:used]]
+    peak, end = _first_fall(edges, at_edges[:, None], steps, _markers(beta_e))[0][:, 0].tolist()
+    # i peaks where beta_e*s falls through 1, at T if it never does, and at 0
+    # with no infections or with beta_e*s at or below 1 from the start
+    rising = scenario.initial.i > 0.0 and beta_e * scenario.initial.s > 1.0
+    events.append(Event(min(peak, T) if rising else 0.0, EVENT_PEAK))
+    if end < math.inf:
+        events.append(Event(end, EVENT_EPIDEMIC_END))
     if tau > 0.0:
         events.append(Event(tau, EVENT_PROGRAM_END))
     events.sort(key=lambda e: (e.time, e.kind))
@@ -504,7 +496,12 @@ def stopped_programs(
     below 0, where the tail has no fall to find: so a program shares the
     peak too when beta_e*s is at or below 1 at tau, and, once past the
     always-on peak, the end too when i is at or below
-    ``EPIDEMIC_END_THRESHOLD`` at tau.
+    ``EPIDEMIC_END_THRESHOLD`` at tau.  One ``_first_fall`` call per chunk
+    searches every tail from its start, for the peak where beta_e*s falls
+    through 1, as ``integrate`` locates it, and for the end where i falls
+    through the threshold.  With no vaccination i rises while beta_e*s > 1
+    and falls after, so its first fall through the threshold comes after
+    its peak.  A tail where beta_e*s stays above 1 peaks at T.
     """
     taus = np.asarray(taus, dtype=float)
     scenario, tol = always_on.scenario, always_on.tolerances
@@ -535,16 +532,16 @@ def stopped_programs(
             final[cols] = sol.y[:, -1].reshape(-1, len(spans)).T
         final[cols] = _clamp(final[cols], tol.atol)
         if locate:
-            _tail_crossings(
-                sol,
-                taus[cols],
-                T,
-                beta_e,
-                final[cols, 1],
-                tail_peak[cols],
-                tail_end[cols],
-                (peak_time[cols], peak_i[cols], end_time[cols]),
+            falls, at = _first_fall(
+                sol.t, sol.y.reshape(4, len(spans), -1), sol.sol.interpolants, _markers(beta_e)
             )
+            found = (falls < np.inf) & np.stack((tail_peak[cols], tail_end[cols]))
+            located = np.minimum(taus[cols] + np.where(found, falls, 0.0) * spans, T)
+            peak_time[cols] = np.where(found[0], located[0], peak_time[cols])
+            # a tail whose beta_e*s stays above 1 peaks at T, where i is highest
+            rose = np.where(tail_peak[cols], final[cols, 1], peak_i[cols])
+            peak_i[cols] = np.where(found[0], at[1, 0], rose)
+            end_time[cols] = np.where(found[1], located[1], end_time[cols])
     final = _read_out(final, scenario)
     if not crossings:
         return StoppedPrograms(final)
@@ -590,92 +587,118 @@ def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, 
 _NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(8) / 7)
 _WEIGHTS = np.array([0.5, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -0.5])
 
-#: Bisection steps that shrink [0, 1] below the spacing of doubles.
-_BISECTIONS = 60
+#: Bits to which the search narrows a crossing's position in [0, 1], below
+#: the spacing of doubles there.
+_BITS = 60
+
+#: Pieces per round of the search, shared by the crossings searched
+#: together: a lone run's few crossings take hundreds each, so few rounds,
+#: and a chunk of tails takes two, a bisection.
+_PIECES = 512
 
 
-def _step_nodes(sol, width: int, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Dense output of tail ``cols[j]`` at the nodes of its step ``steps[j]``.
+def _markers(beta_e: float):
+    """The peak's function beta_e*s - 1 and the epidemic end's i - ``EPIDEMIC_END_THRESHOLD``."""
+    return lambda y: [beta_e * y[0] - 1.0, y[1] - EPIDEMIC_END_THRESHOLD]
 
-    Shape (4, len(cols), len(_NODES)) for the state (s, i, q, V): one
-    interpolant call per distinct step.
+
+def _stop_at(tau: float, g):
+    """A terminal solve_ivp event at the first of tau and the falls of g's functions.
+
+    Each of them falls through 0 at most once on a segment, so their
+    minimum does too, where the first of them does.
     """
-    out = np.empty((len(sol.y) // width, len(cols), len(_NODES)))
-    for step in np.unique(steps):
-        here = steps == step
-        t0, t1 = sol.t[step], sol.t[step + 1]
-        values = sol.sol.interpolants[step](t0 + _NODES * (t1 - t0))
-        out[:, here] = values.reshape(-1, width, len(_NODES))[:, cols[here]]
-    return out
+
+    # solve_ivp passes the right-hand side's args to the event too
+    def stop(t, y, *branch):
+        return min(tau - t, *g(y))
+
+    stop.terminal, stop.direction = True, -1
+    return stop
 
 
-def _interpolate(node_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row j's polynomial through ``node_values[j]`` on ``_NODES``, at ``x[j]``."""
+def _first_fall(edges, states, interpolants, g):
+    """Where each of g's functions first falls through 0 on each stacked run.
+
+    The steps of one solve run from ``edges[j]`` to ``edges[j + 1]``;
+    ``states`` holds the state at the edges, shape (4, width, len(edges)),
+    and ``interpolants[j]`` is a dense output of the stacked state, component
+    first, on step j (or on an interval containing it).  ``g`` maps a state
+    array (4, ...) to a list of its n functions' values.  As solve_ivp finds
+    an event of direction -1, a crossing lies in the first step with g >= 0
+    at its start and g <= 0 at its end; ``_fall_position`` then narrows it
+    on the step's polynomial.  This is the one place that locates crossings:
+    the rate kink, the stock-out, the peak and the epidemic end, of one run
+    (width 1) or of stacked tails.
+
+    Returns each crossing's time, shape (n, width), inf where g does not
+    fall through 0, and the state there, shape (4, n, width), NaN where it
+    does not.
+    """
+    values = np.asarray(g(states))
+    down = (values[..., :-1] >= 0.0) & (values[..., 1:] <= 0.0)
+    func, run = np.nonzero(down.any(axis=-1))
+    step = down[func, run].argmax(axis=-1)
+    # the state at the Chebyshev nodes of each crossing's step
+    nodes = np.empty((len(states), len(step), len(_NODES)))
+    for j in set(step.tolist()):
+        here = step == j
+        t0, t1 = edges[j], edges[j + 1]
+        at_nodes = interpolants[j](t0 + _NODES * (t1 - t0))
+        nodes[:, here] = at_nodes.reshape(len(states), -1, len(_NODES))[:, run[here]]
+    x = _fall_position(np.asarray(g(nodes))[func, np.arange(len(step))])
+    times = np.full(values.shape[:2], np.inf)
+    times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
+    crossing = np.full((len(states), *values.shape[:2]), np.nan)
+    crossing[:, func, run] = (nodes * _lagrange(x)).sum(axis=-1)
+    return times, crossing
+
+
+def _fall_position(node_values: np.ndarray) -> np.ndarray:
+    """Where row j's polynomial through ``node_values[j]`` on ``_NODES`` falls through 0.
+
+    Each polynomial is >= 0 at 0 and <= 0 at 1.  Every round splits each
+    bracket into equal pieces, keeps the first piece that ends at or below
+    0 and re-expresses the polynomial by its values at that piece's nodes,
+    so a round is one matrix product and the fall found is the first at the
+    pieces' resolution.  Returns the bracket's right end.
+    """
+    rows = len(node_values)
+    if rows == 0:
+        return np.zeros(0)
+    bits = max(1, int(math.log2(_PIECES / rows)))
+    splits, to_pieces = 2**bits, _piece_basis(bits)
+    every = np.arange(rows)
+    lo, width = np.zeros(rows), 1.0
+    for _ in range(-(-_BITS // bits)):
+        pieces = (node_values @ to_pieces).reshape(rows, splits, len(_NODES))
+        fallen = pieces[:, :, -1] <= 0.0
+        # the last piece ends where the bracket does, at or below 0
+        fallen[:, -1] = True
+        first = fallen.argmax(axis=1)
+        node_values = pieces[every, first]
+        width /= splits
+        lo += first * width
+    return lo + width
+
+
+@functools.cache
+def _piece_basis(bits: int) -> np.ndarray:
+    """Maps values at ``_NODES`` to values at the nodes of each of 2**bits equal pieces of [0, 1].
+
+    Shape (len(_NODES), 2**bits * len(_NODES)).
+    """
+    splits = 2**bits
+    return _lagrange(((np.arange(splits)[:, None] + _NODES) / splits).ravel()).T
+
+
+def _lagrange(x: np.ndarray) -> np.ndarray:
+    """The Lagrange basis on ``_NODES`` at each of ``x``: shape (len(x), len(_NODES))."""
     diff = x[:, None] - _NODES
     on_node = diff == 0.0
     diff[on_node] = 1.0
     w = _WEIGHTS / diff
-    out = (w * node_values).sum(axis=1) / w.sum(axis=1)
-    rows, nodes = np.nonzero(on_node)
-    out[rows] = node_values[rows, nodes]
-    return out
-
-
-def _first_fall(sol, width, cols, g):
-    """First fall of g through 0 on each tail in ``cols``.
-
-    ``g`` maps the stacked state, component first, to the watched function.
-    As solve_ivp finds an event of direction -1, the crossing lies in the
-    first step with g >= 0 at its start and g <= 0 at its end; bisection on
-    the step's dense output then finds the position x in [0, 1] within it.
-    Returns each tail's step and x, step -1 where g does not fall through 0.
-    """
-    values = g(sol.y.reshape(-1, width, sol.y.shape[1])[:, cols])
-    down = (values[:, :-1] >= 0.0) & (values[:, 1:] <= 0.0)
-    step = np.where(down.any(axis=1), down.argmax(axis=1), -1)
-    todo = np.flatnonzero(step >= 0)
-    nodes = g(_step_nodes(sol, width, cols[todo], step[todo]))
-    lo, hi = np.zeros(len(todo)), np.ones(len(todo))
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        fallen = _interpolate(nodes, mid) <= 0.0
-        hi = np.where(fallen, mid, hi)
-        lo = np.where(fallen, lo, mid)
-    x = np.zeros(len(cols))
-    x[todo] = hi
-    return step, x
-
-
-def _tail_crossings(sol, taus, T, beta_e, final_i, tail_peak, tail_end, out) -> None:
-    """Locate peaks and ends on the tails of one solve, writing them into ``out``.
-
-    ``out`` is (peak_time, peak_i, end_time), arrays over the tails that
-    already hold T, or the always-on run's crossings where those apply.
-    ``tail_peak`` and ``tail_end`` flag the tails to search; beta_e*s starts
-    above 1 on every tail in ``tail_peak``.  Both crossings are searched from
-    the tail's start: the peak where beta_e*s falls through 1, as
-    ``integrate``'s ``peak`` watcher finds it, and the end where i falls
-    through ``EPIDEMIC_END_THRESHOLD``.  With no vaccination i rises while
-    beta_e*s > 1 and falls after, so its first fall through the threshold
-    comes after its peak.  A tail where beta_e*s stays above 1 peaks at T.
-    """
-    peak_time, peak_i, end_time = out
-    width = len(taus)
-
-    def time(cols, step, x):
-        u = sol.t[step] + x * (sol.t[step + 1] - sol.t[step])
-        return np.minimum(taus[cols] + u * (T - taus[cols]), T)
-
-    cols = np.flatnonzero(tail_peak)
-    step, x = _first_fall(sol, width, cols, lambda y: beta_e * y[0] - 1.0)
-    found = step >= 0
-    peak_time[cols[found]] = time(cols[found], step[found], x[found])
-    nodes = _step_nodes(sol, width, cols[found], step[found])[1]
-    peak_i[cols[found]] = _interpolate(nodes, x[found])
-    # i rose to the end of the tail: the peak is at T
-    peak_i[cols[~found]] = final_i[cols[~found]]
-
-    cols = np.flatnonzero(tail_end)
-    step, x = _first_fall(sol, width, cols, lambda y: y[1] - EPIDEMIC_END_THRESHOLD)
-    found = step >= 0
-    end_time[cols[found]] = time(cols[found], step[found], x[found])
+    basis = w / w.sum(axis=1, keepdims=True)
+    exact = on_node.any(axis=1)
+    basis[exact] = on_node[exact]
+    return basis

@@ -332,8 +332,10 @@ class TestNestedScan:
         assert abs(plan.tau_star - tau) <= planner.DEFAULT_OPT_TOL
         assert plan.cost_star == pytest.approx(cost, rel=1e-12, abs=0.0)
 
-    # 0.05, 0.123456 and 0.2 run out on the capacity branch, 0.4 on the willingness branch
-    @pytest.mark.parametrize("m", [0.05, 0.123456, 0.2, 0.4])
+    # 0.05, 0.123456 and 0.2 run out on the capacity branch, 0.4 on the willingness
+    # branch; at 0.005497495826377295's cap the program ends with V 5.2e-18 short
+    # of m unless the run locates the stock-out at the cap itself and pins V there
+    @pytest.mark.parametrize("m", [0.005497495826377295, 0.05, 0.123456, 0.2, 0.4])
     def test_binding_stock_returns_the_cap_itself(self, scenario, m):
         resources = (0.1, 0.3, m)
         result = minimize_tau(scenario, resources)
