@@ -6,8 +6,9 @@ Every candidate program follows the same always-on run until it ends, so one
 such run gives the stock cap and every candidate's state at its end.  Nested
 uniform scans then cost their candidates together, each with one batched
 solve of the uncontrolled tails, each over the neighbours of the previous
-scan's best point, until the spacing reaches the tolerance.  One exact
-simulation at the last best point gives the returned duration and cost.
+scan's best point, until the spacing reaches the tolerance.  The answer is
+the always-on run cut at the last best point: only its unvaccinated rest is
+solved again, so each answer makes one ``integrate`` call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .analysis import EpidemicIndicators, indicators
 from .model import Scenario, VaccinationPolicy
-from .solver import Tolerances, Trajectory, integrate, stopped_programs
+from .solver import Tolerances, Trajectory, integrate, stopped_program, stopped_programs
 
 #: Points per scan; each scan narrows the bracket by a factor (PRESCAN_POINTS - 1) / 2.
 PRESCAN_POINTS = 64
@@ -47,7 +48,7 @@ class OptimizationResult:
     """Best duration found, its cost, indicators and trajectory.
 
     ``evaluations`` counts the durations the search costed: the points of
-    every batched scan plus the one exact objective evaluation.
+    every batched scan plus the returned program, cut from the always-on run.
     """
 
     tau_star: float
@@ -74,21 +75,10 @@ def objective(
     return ObjectiveEvaluation(tau=tau, cost=float(traj.J[-1]), trajectory=traj)
 
 
-def _always_on(
-    scenario: Scenario, resources: Resources, tol: Tolerances
-) -> tuple[float, Trajectory | None]:
-    """``feasible_tau_max`` and the always-on run (tau = T) it is read from.
-
-    With no stock there is no program to run: the cap is 0 and the run None.
-    """
-    k, l, m = resources
-    if m == 0.0:
-        return 0.0, None
-    policy = VaccinationPolicy(k=k, l=l, m=m, tau=scenario.T)
-    traj = integrate(scenario, policy, tol)
-    if traj.exhaustion_time is not None:
-        return traj.exhaustion_time, traj
-    return scenario.T, traj
+def _cap(always_on: Trajectory) -> float:
+    """The longest program the always-on run's stock sustains: its stock-out, or T."""
+    exhausted = always_on.exhaustion_time
+    return always_on.scenario.T if exhausted is None else exhausted
 
 
 def feasible_tau_max(
@@ -99,9 +89,10 @@ def feasible_tau_max(
     Smallest t with V(t) = m under the always-on policy (tau = T), or T if the
     stock is never exhausted.  V is nondecreasing, so the crossing is unique.
     """
-    if not math.isfinite(resources[2]):
-        return scenario.T
-    return _always_on(scenario, resources, tol)[0]
+    # no stock sustains no program, and an unlimited one the whole horizon
+    if not 0.0 < resources[2] < math.inf:
+        return min(resources[2], scenario.T)
+    return _cap(integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T), tol))
 
 
 def minimize_tau(
@@ -111,21 +102,25 @@ def minimize_tau(
 ) -> OptimizationResult:
     """Find the duration minimizing the total cost on [0, feasible_tau_max].
 
-    One always-on run (tau = T) gives the cap ``feasible_tau_max`` and the
-    state at every candidate end of the program.  A ``PRESCAN_POINTS``-point
-    uniform scan of [0, cap], costed by ``stopped_programs`` in one batched
-    tail solve, guards against multimodality and brackets the best basin.
-    The scan is repeated with ``PRESCAN_POINTS`` points over the best point's
-    neighbours until the spacing is at most ``DEFAULT_OPT_TOL``; a grid scan
-    is not misled by the cost's kinks at supply exhaustion and the rate
-    switch.  One exact ``objective`` run at the last scan's best point then
-    gives the returned duration, cost and trajectory.  Every grid includes
-    its end points, so a best point on the cap returns the cap itself.  A
-    program that vaccinates nobody (k, l or m zero) costs the same at every
-    tau, so its search is the one run at tau = 0.
+    The one ``integrate`` call of the search is the always-on run (tau = T).
+    It gives the cap ``feasible_tau_max`` and the state at every candidate
+    end of the program.  A ``PRESCAN_POINTS``-point uniform scan of
+    [0, cap], costed by ``stopped_programs`` in one batched tail solve,
+    guards against multimodality and brackets the best basin.  The scan is
+    repeated with ``PRESCAN_POINTS`` points over the best point's neighbours
+    until the spacing is at most ``DEFAULT_OPT_TOL``; a grid scan is not
+    misled by the cost's kinks at supply exhaustion and the rate switch.
+    The always-on run cut at the last scan's best point by
+    ``stopped_program``, which is ``integrate`` at that duration bit for
+    bit, gives the returned duration, cost and trajectory.  Every grid
+    includes its end points, so a best point on the cap returns the cap
+    itself, and a binding stock's program then records its stock-out at
+    exactly the cap.  A program that vaccinates nobody (k, l or m zero)
+    costs the same at every tau, so its answer is the run cut at tau = 0.
     """
     k, l, _ = resources
-    cap, always_on = (0.0, None) if k == 0.0 or l == 0.0 else _always_on(scenario, resources, tol)
+    always_on = integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T), tol)
+    cap = 0.0 if k == 0.0 or l == 0.0 else _cap(always_on)
     scanned, tau, lo, hi = 0, 0.0, 0.0, cap
     while hi > lo:
         grid = np.linspace(lo, hi, PRESCAN_POINTS)
@@ -135,13 +130,13 @@ def minimize_tau(
         if grid[1] - grid[0] <= DEFAULT_OPT_TOL:
             break
         lo, hi = grid[max(k_best - 1, 0)], grid[min(k_best + 1, len(grid) - 1)]
-    best = objective(tau, scenario, resources, tol)
+    best = stopped_program(always_on, tau)
     return OptimizationResult(
-        tau_star=best.tau,
-        cost_star=best.cost,
-        indicators=indicators(best.trajectory),
+        tau_star=tau,
+        cost_star=float(best.J[-1]),
+        indicators=indicators(best),
         evaluations=scanned + 1,
-        trajectory=best.trajectory,
+        trajectory=best,
     )
 
 

@@ -20,6 +20,12 @@ peak and the epidemic end of a run, and those of the batched tails in
 terminal event; the segment then ends at the earliest of tau and the
 located kink and stock-out.
 
+Until tau a run is the always-on run (tau = T) bit for bit, so
+``stopped_program`` cuts that run's vaccinating segments at tau instead of
+solving them again.  ``integrate`` and ``stopped_program`` share one
+finishing step, ``_finish``: the cut, the stock-out, the unvaccinated rest,
+the peak and the end, and the samples.
+
 The integrated state is (s, i, q, V): the susceptible and infected
 fractions, q the integral of i over time, and V the vaccine used.  The
 recovered and dead fractions and the accumulated cost are linear in q and V
@@ -31,7 +37,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -324,109 +330,110 @@ def integrate(
     solve_ivp stops it near the first of tau, the rate kink and the
     stock-out, and ends at the earliest of tau and the kink and stock-out
     that ``_first_fall`` locates on its steps, so until tau the run is the
-    always-on run (tau = T) bit for bit.  A stock-out is recorded exactly
-    when it is located at or before tau; it stops vaccination for the rest
-    of the horizon and pins V to m.  A program with tau = 0 (or k = 0, l = 0
-    or m = 0) runs the uncontrolled epidemic.
-
-    The peak and the epidemic end are located once the run is solved, by
-    one ``_first_fall`` call on all its steps, each cut at its segment's
-    end: a crossing at a segment's end is found on one side of it.
+    always-on run (tau = T) bit for bit.  ``_finish`` then records the
+    stock-out, solves the unvaccinated rest and locates the peak and the
+    end, as ``stopped_program`` does on the always-on run's segments.  A
+    program with tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled
+    epidemic.
 
     Raises ValidationError unless 0 <= tau <= T.
     """
     T = scenario.T
-    # NaN fails every comparison, so the range test is written to fail on it
-    if not 0.0 <= policy.tau <= T:
-        raise ValidationError(f"tau must lie in [0, {T}], got {policy.tau}")
-
     epidemic = scenario.epidemic
-    beta_e = epidemic.transmission_rate
     k, l, m, tau = policy.k, policy.l, policy.m, policy.tau
-
-    def rhs(t, y, rate, willingness):
-        # one rate branch per segment: v = rate + willingness*s is k on the
-        # capacity branch, l*s on the willingness branch and 0 when off
-        s = min(max(y[0], 0.0), 1.0)
-        i = min(max(y[1], 0.0), 1.0)
-        return _rhs_values(s, i, rate + willingness * s, epidemic)
-
-    events: list[Event] = []
     segments: list[tuple[float, float, object]] = []
-    # each segment's solve and how many of its steps start before the segment's end
-    solves: list[tuple[object, int]] = []
-    exhaustion_time: float | None = None
-    t0 = 0.0
-    y0 = np.array([scenario.initial.s, scenario.initial.i, 0.0, 0.0])  # q = V = 0
-    # times closer than this are one time: at the segment ends and in the samples
-    time_tol = 1e-12 * T
+    stock_out = math.inf
+    t0, y0 = 0.0, _initial_state(scenario)
 
-    def advance(branch, g=None):
-        """Solve one segment from t0 and return where g's functions first fall on it.
+    def advance(rate, willingness, g):
+        """Solve one vaccinating segment from t0 and return where g's functions first fall on it.
 
         solve_ivp stops near the first of tau and those falls.  The segment
-        then ends at the earliest of tau and the located falls, or, without
-        ``g``, at T.
+        then ends at the earliest of tau and the located falls.
         """
         nonlocal t0, y0
-        sol = solve_ivp(
-            rhs,
-            (t0, T),
-            y0,
-            method=_METHOD,
-            rtol=tol.rtol,
-            atol=tol.atol,
-            max_step=tol.max_step,
-            dense_output=True,
-            events=None if g is None else _stop_at(tau, g),
-            args=branch,
-        )
-        if sol.status < 0:
-            raise IntegrationError(f"solver failed on [{t0}, {T}]: {sol.message}")
-        interpolants = sol.sol.interpolants
-        n = len(interpolants)
-        falls = []
-        t1 = float(sol.t[-1])
-        if g is not None:
-            # the step solve_ivp's stop cut short is searched in full
-            last = interpolants[-1]
-            edges = np.append(sol.t[:n], last.t)
-            at_edges = np.column_stack((sol.y[:, :n], last(last.t)))
-            falls = _first_fall(edges, at_edges[:, None], interpolants, g)[0][:, 0].tolist()
-            t1 = min(tau, *falls)
-        solves.append((sol, int(np.searchsorted(sol.t[:n], t1))))
-        segments.append((t0, t1, sol.sol))
-        t0, y0 = t1, sol.sol(t1)
+        rhs = _branch(epidemic, rate, willingness)
+        sol = _solve(rhs, (t0, T), y0, tol, events=_stop_at(tau, g)).sol
+        # the step solve_ivp's stop cut short is searched in full
+        whole = [(t0, sol.interpolants[-1].t, sol)]
+        falls = _first_fall(*_steps(whole), g)[0][:, 0].tolist()
+        t1 = min(tau, *falls)
+        segments.append((t0, t1, sol))
+        t0, y0 = t1, sol(t1)
         return falls
 
-    if tau > 0.0 and k > 0.0 and l > 0.0:
+    # a tau beyond T solves nothing: _finish refuses it
+    if 0.0 < tau <= T and k > 0.0 and l > 0.0:
         if m == 0.0:
-            exhaustion_time = 0.0
+            stock_out = 0.0
         else:
             willing = l * y0[0] <= k
             if not willing:
-                kink, stock_out = advance((k, 0.0), lambda y: [l * y[0] - k, m - y[3]])
+                kink, stock_out = advance(k, 0.0, lambda y: [l * y[0] - k, m - y[3]])
                 # the willingness branch follows a kink before the stock-out and tau
                 willing = kink < min(stock_out, tau)
-                if willing:
-                    events.append(Event(kink, EVENT_RATE_KINK))
             if willing:
-                (stock_out,) = advance((0.0, l), lambda y: [m - y[3]])
-            if stock_out <= tau:
-                # the stock is used up: V stays m, bit for bit, without vaccination
-                exhaustion_time = stock_out
-                y0[3] = m
-        if exhaustion_time is not None:
-            events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
+                (stock_out,) = advance(0.0, l, lambda y: [m - y[3]])
+    return _finish(scenario, policy, tol, segments, stock_out)
+
+
+def stopped_program(always_on: Trajectory, tau: float) -> Trajectory:
+    """The program of duration tau, cut from the always-on run (tau = T).
+
+    Until tau the program is the always-on run bit for bit, so this is
+    ``integrate`` at tau with the vaccinating segments taken from that run
+    rather than solved again: only the unvaccinated rest is solved.
+
+    Raises ValidationError unless 0 <= tau <= T.
+    """
+    policy = replace(always_on.policy, tau=tau)
+    # a program that vaccinates nobody has no vaccinating segments
+    vaccinating = always_on.segments if policy.k > 0.0 and policy.l > 0.0 else ()
+    exhausted = always_on.exhaustion_time
+    stock_out = math.inf if exhausted is None else exhausted
+    return _finish(always_on.scenario, policy, always_on.tolerances, vaccinating, stock_out)
+
+
+def _finish(
+    scenario: Scenario,
+    policy: VaccinationPolicy,
+    tol: Tolerances,
+    vaccinating,
+    stock_out: float,
+) -> Trajectory:
+    """The run of ``policy`` from its vaccinating segments, solved toward T.
+
+    The segments are cut at tau, or at the located stock-out ``stock_out``
+    when that lies at or before tau (tau > 0): the stock-out is then
+    recorded, stops vaccination for the rest of the horizon and pins V to m.
+    A second segment starts at the rate kink.  The unvaccinated rest is
+    solved up to T, and the peak and the epidemic end are located by one
+    ``_first_fall`` call on the run's steps, each cut at its segment's end:
+    a crossing at a segment's end is found on one side of it.
+    """
+    T, tau = scenario.T, policy.tau
+    # NaN fails every comparison, so the range test is written to fail on it
+    if not 0.0 <= tau <= T:
+        raise ValidationError(f"tau must lie in [0, {T}], got {tau}")
+    exhaustion_time = stock_out if 0.0 < tau and stock_out <= tau else None
+    cut = tau if exhaustion_time is None else exhaustion_time
+    segments = [(t_lo, min(t_hi, cut), sol) for t_lo, t_hi, sol in vaccinating if t_lo < cut]
+    events = [Event(t_lo, EVENT_RATE_KINK) for t_lo, _, _ in segments[1:]]
+    t0 = segments[-1][1] if segments else 0.0
+    y0 = segments[-1][2](t0) if segments else _initial_state(scenario)
+    if exhaustion_time is not None:
+        # the stock is used up: V stays m, bit for bit, without vaccination
+        y0[3] = policy.m
+        events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
+    # times closer than this are one time: at the segment ends and in the samples
+    time_tol = 1e-12 * T
     # past a stock-out the pinned V is read off this segment, however short
     if not segments or exhaustion_time is not None or t0 < T - time_tol:
-        advance((0.0, 0.0))
+        sol = _solve(_branch(scenario.epidemic, 0.0, 0.0), (t0, T), y0, tol)
+        segments.append((t0, T, sol.sol))
 
-    # the run's steps, each cut at its segment's end
-    edges = np.concatenate([sol.t[:used] for sol, used in solves] + [[t0]])
-    at_edges = np.column_stack([sol.y[:, :used] for sol, used in solves] + [y0])
-    steps = [step for sol, used in solves for step in sol.sol.interpolants[:used]]
-    peak, end = _first_fall(edges, at_edges[:, None], steps, _markers(beta_e))[0][:, 0].tolist()
+    beta_e = scenario.epidemic.transmission_rate
+    peak, end = _first_fall(*_steps(segments), _markers(beta_e))[0][:, 0].tolist()
     # i peaks where beta_e*s falls through 1, at T if it never does, and at 0
     # with no infections or with beta_e*s at or below 1 from the start
     rising = scenario.initial.i > 0.0 and beta_e * scenario.initial.s > 1.0
@@ -440,9 +447,7 @@ def integrate(
     grid = np.linspace(0.0, T, SAMPLE_POINTS)
     times = _merge_times(grid, [e.time for e in events], time_tol)
 
-    raw = _sample(segments, times)
-    rows = _read_out(_clamp(raw, tol.atol), scenario)
-
+    rows = _read_out(_clamp(_sample(segments, times), tol.atol), scenario)
     return Trajectory(
         times=times,
         values=rows,
@@ -564,21 +569,63 @@ def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, 
         dt = np.array(_rhs_values(s, i, no_vaccination, epidemic))
         return (dt * spans).ravel()
 
+    scaled = replace(tol, max_step=tol.max_step / spans.max())
+    # a copy: the solver keeps y0 as its first step's start, and with one
+    # tail ravel() would return a view of the caller's rows
+    return _solve(rhs, (0.0, 1.0), start.T.flatten(), scaled, dense=dense)
+
+
+def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None):
+    """The one solve_ivp call: DOP853 over ``span`` from ``y0``; a failed solve raises IntegrationError."""
     sol = solve_ivp(
         rhs,
-        (0.0, 1.0),
-        # a copy: the solver keeps y0 as its first step's start, and with one
-        # tail ravel() would return a view of the caller's rows
-        start.T.flatten(),
+        span,
+        y0,
         method=_METHOD,
         rtol=tol.rtol,
         atol=tol.atol,
-        max_step=tol.max_step / spans.max(),
+        max_step=tol.max_step,
         dense_output=dense,
+        events=events,
     )
     if sol.status < 0:
-        raise IntegrationError(f"batched tail solve failed: {sol.message}")
+        raise IntegrationError(f"solver failed on [{span[0]}, {span[1]}]: {sol.message}")
     return sol
+
+
+def _initial_state(scenario: Scenario) -> np.ndarray:
+    """The integrated state (s, i, q, V) at t = 0, where q = V = 0."""
+    return np.array([scenario.initial.s, scenario.initial.i, 0.0, 0.0])
+
+
+def _branch(epidemic, rate: float, willingness: float):
+    """The right-hand side on one rate branch: v = rate + willingness*s.
+
+    That is k on the capacity branch, l*s on the willingness branch and 0
+    when the program is off.
+    """
+
+    def rhs(t, y):
+        s = min(max(y[0], 0.0), 1.0)
+        i = min(max(y[1], 0.0), 1.0)
+        return _rhs_values(s, i, rate + willingness * s, epidemic)
+
+    return rhs
+
+
+def _steps(segments):
+    """The steps of a run's segments, each kept while it starts before its segment's end.
+
+    Returns them as ``_first_fall`` takes them: the edges (each step's
+    start, then the last segment's end), the state there, shape
+    (4, 1, edges), and the steps.  A step's start state is its ``y_old``,
+    which DOP853's dense output returns exactly there.
+    """
+    steps = [step for _, t_hi, sol in segments for step in sol.interpolants if step.t_old < t_hi]
+    t_end, last = segments[-1][1], segments[-1][2]
+    edges = np.array([step.t_old for step in steps] + [t_end])
+    states = np.column_stack([step.y_old for step in steps] + [last(t_end)])
+    return edges, states[:, None], steps
 
 
 #: Chebyshev points of the second kind on [0, 1], as many as a DOP853 dense
@@ -609,8 +656,7 @@ def _stop_at(tau: float, g):
     minimum does too, where the first of them does.
     """
 
-    # solve_ivp passes the right-hand side's args to the event too
-    def stop(t, y, *branch):
+    def stop(t, y):
         return min(tau - t, *g(y))
 
     stop.terminal, stop.direction = True, -1

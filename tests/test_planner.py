@@ -244,60 +244,73 @@ class TestBatchedScan:
 
 
 class TestExactPolish:
+    """The answer is the always-on run cut at tau*, with no second integration."""
+
     @pytest.mark.parametrize(
         "resources", [RESOURCES_VARIANT1, (0.1, 0.3, 0.4)], ids=["variant1", "stock-0.4"]
     )
     def test_never_worse_than_any_exact_run_and_none_repeated(
         self, scenario, monkeypatch, resources
     ):
-        runs = []
+        cuts = []
         scanned = []
-        exact_objective = planner.objective
+        cut = planner.stopped_program
         scan = planner.stopped_programs
 
-        def recording(tau, *args, **kwargs):
-            evaluation = exact_objective(tau, *args, **kwargs)
-            runs.append((tau, evaluation.cost))
-            return evaluation
+        def recording(always_on, tau):
+            cuts.append(tau)
+            return cut(always_on, tau)
 
         def counting(always_on, taus, *args, **kwargs):
             scanned.append(len(taus))
             return scan(always_on, taus, *args, **kwargs)
 
-        monkeypatch.setattr(planner, "objective", recording)
+        monkeypatch.setattr(planner, "stopped_program", recording)
         monkeypatch.setattr(planner, "stopped_programs", counting)
         result = minimize_tau(scenario, resources)
-        assert runs == [(result.tau_star, result.cost_star)]
+        # the one exact program is the answer, cut once
+        assert cuts == [result.tau_star]
+        assert result.cost_star == result.trajectory.J[-1]
+        assert result.cost_star == objective(result.tau_star, scenario, resources).cost
         assert set(scanned) == {PRESCAN_POINTS}
-        assert result.evaluations == sum(scanned) + len(runs)
+        # the returned program counts as one evaluation, as the exact run it replaced did
+        assert result.evaluations == sum(scanned) + 1
 
     @pytest.mark.parametrize(
-        "scenario_name, resources, runs",
+        "scenario_name, resources",
         [
-            ("scenario", RESOURCES_VARIANT1, 2),
-            ("scenario", (0.1, 0.3, 0.4), 2),
-            ("scenario", RESOURCES_UNLIMITED, 2),
-            ("scenario", (0.1, 0.3, 0.0), 1),
-            ("scenario", (0.0, 0.3, 0.5), 1),
-            ("disease_free", RESOURCES_VARIANT1, 2),
+            ("scenario", RESOURCES_VARIANT1),
+            ("scenario", (0.1, 0.3, 0.4)),
+            ("scenario", RESOURCES_UNLIMITED),
+            ("scenario", (0.1, 0.3, 0.0)),
+            ("scenario", (0.0, 0.3, 0.5)),
+            ("disease_free", RESOURCES_VARIANT1),
         ],
         ids=["variant1", "stock-0.4", "unlimited", "m-0", "k-0", "disease-free"],
     )
     def test_one_always_on_run_and_one_exact_run(
-        self, request, monkeypatch, scenario_name, resources, runs
+        self, request, monkeypatch, scenario_name, resources
     ):
-        calls = []
+        runs, cuts = [], []
         exact_integrate = planner.integrate
+        cut = planner.stopped_program
 
         def counting(*args, **kwargs):
-            calls.append(args[1].tau)
+            runs.append(args[1].tau)
             return exact_integrate(*args, **kwargs)
 
+        def recording(always_on, tau):
+            cuts.append(tau)
+            return cut(always_on, tau)
+
         monkeypatch.setattr(planner, "integrate", counting)
+        monkeypatch.setattr(planner, "stopped_program", recording)
         scenario = request.getfixturevalue(scenario_name)
         result = minimize_tau(scenario, resources)
-        assert len(calls) == runs
-        assert calls[-1] == result.tau_star
+        # one integration per answer, the always-on run, even where tau* = 0
+        assert runs == [scenario.T]
+        assert cuts == [result.tau_star]
+        assert result.cost_star == result.trajectory.J[-1]
 
 
 class TestNestedScan:
@@ -334,13 +347,15 @@ class TestNestedScan:
 
     # 0.05, 0.123456 and 0.2 run out on the capacity branch, 0.4 on the willingness
     # branch; at 0.005497495826377295's cap the program ends with V 5.2e-18 short
-    # of m unless the run locates the stock-out at the cap itself and pins V there
+    # of m unless its stock-out is recorded at the cap itself and V pinned there.
+    # The answer is the always-on run cut at the cap, which is that run's
+    # recorded stock-out, so it records the stock-out there by construction
     @pytest.mark.parametrize("m", [0.005497495826377295, 0.05, 0.123456, 0.2, 0.4])
     def test_binding_stock_returns_the_cap_itself(self, scenario, m):
         resources = (0.1, 0.3, m)
         result = minimize_tau(scenario, resources)
         assert result.tau_star == feasible_tau_max(scenario, resources)
-        # the exact run at the cap locates the always-on run's stock-out and pins V there
+        # the exact run at the cap records the always-on run's stock-out and pins V there
         assert result.trajectory.exhaustion_time == result.tau_star
         assert result.indicators.total_vaccinated == m
 

@@ -639,6 +639,52 @@ class TestAlwaysOnPrefix:
                 assert traj.exhaustion_time == always_on.exhaustion_time
 
 
+# the stock 0.005497495826377295 runs out within 5.2e-18 of V = m at its cap
+STOPPED_PROGRAM_STOCKS = (0.0, 0.005497495826377295, 0.2, 0.4, math.inf)
+
+
+def stopped_program_cases():
+    """(id, scenario, resources): variant 1 at five stocks, k = 0, disease-free, random k, l > 0."""
+    disease_free = dataclasses.replace(
+        VARIANT1, initial=SirdState(s=0.999, i=0.0, rho=0.001, d=0.0)
+    )
+    cases = [(f"m-{m}", VARIANT1, (0.1, 0.3, m)) for m in STOPPED_PROGRAM_STOCKS]
+    cases += [("k-0", VARIANT1, (0.0, 0.3, 2.949)), ("disease-free", disease_free, (0.1, 0.3, 2.949))]
+    cases += [
+        (f"random-{n}", scenario, (policy.k, policy.l, policy.m))
+        for n, (scenario, policy) in enumerate(random_cases(40, seed=7))
+        if policy.k > 0.0 and policy.l > 0.0
+    ]
+    return [pytest.param(scenario, resources, id=name) for name, scenario, resources in cases]
+
+
+class TestStoppedProgram:
+    """``stopped_program`` cuts the always-on run at tau; it is ``integrate`` at tau bit for bit."""
+
+    @pytest.mark.parametrize("scenario, resources", stopped_program_cases())
+    def test_the_cut_is_the_integrated_program(self, scenario, resources):
+        always_on = integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T))
+        cap = feasible_tau_max(scenario, resources)
+        # the always-on run's kink, peak and end, where the program may end on them
+        marks = [e.time for e in always_on.events if e.kind != EVENT_PROGRAM_END]
+        interior = np.linspace(0.0, cap, 7)[1:-1].tolist()
+        taus = {0.0, math.nextafter(cap, 0.0), cap, *interior, *(t for t in marks if t <= cap)}
+        for tau in sorted(taus):
+            cut = sirdvax.solver.stopped_program(always_on, tau)
+            run = integrate(scenario, VaccinationPolicy(*resources, tau=tau))
+            assert np.array_equal(cut.times, run.times), tau
+            assert np.array_equal(cut.values, run.values), tau
+            assert cut.events == run.events, tau
+            assert cut.exhaustion_time == run.exhaustion_time, tau
+            assert [seg[:2] for seg in cut.segments] == [seg[:2] for seg in run.segments], tau
+            assert cut.policy == run.policy
+
+    def test_refuses_a_duration_outside_the_horizon(self, full_program_traj):
+        for tau in (-1.0, 16.0, math.nan):
+            with pytest.raises(ValidationError):
+                sirdvax.solver.stopped_program(full_program_traj, tau)
+
+
 class TestFinalSizeRelation:
     def test_unvaccinated_terminal_susceptibles(self, epidemic, cost):
         # classical final-size identity of the uncontrolled epidemic:
