@@ -57,7 +57,7 @@ def stopped_program_indicators(always_on: Trajectory, taus) -> list[EpidemicIndi
     ``always_on`` is a run with the program on for the whole horizon; every
     program of duration tau follows it until tau.  The durations may come in
     any order and repeat; each distinct one is solved once by
-    ``stopped_programs``.
+    ``stopped_programs``, which refuses a run that is not always-on.
     """
     unique, position = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
     tails = stopped_programs(always_on, unique, crossings=True)

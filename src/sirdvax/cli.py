@@ -1,8 +1,8 @@
 """Command-line front end: simulate, optimize, procure, and sweep runs.
 
 Outputs are plot-ready CSV (one row per sample time, 9 significant digits)
-and JSON summaries.  Exit codes: 0 success, 1 validation error, 2 numerical
-failure.
+and JSON summaries.  Exit codes: 0 success, 1 validation or usage error, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ def _write_csv(path: Path, header: tuple[str, ...], template: str, rows) -> None
     path.write_text("\n".join(lines) + "\n", "utf-8")
 
 
-def _out_dir(args, config: ScenarioConfig) -> Path:
-    out = args.out or config.output_dir or "."
-    path = Path(out)
+def _out_dir(args) -> Path:
+    path = Path(args.out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -63,7 +62,7 @@ def _write_run(
     config, ``extra``, the indicators, the trajectory file's name and, with
     a population, head counts.
     """
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     json_name, csv_name = (args.prefix + name for name in names)
     population = config.population
     columns = [traj.times, traj.values[:, :4], traj.rates, traj.values[:, 4:]]
@@ -181,16 +180,27 @@ def parse_values(spec: str) -> list[float]:
         raise ValidationError(f"values: {exc}") from exc
 
 
+def _checked_tau(tau: float, T: float) -> float:
+    """``tau`` if it lies in [0, T].
+
+    ``integrate`` refuses it too, but a sweep checks every value before it
+    integrates any, and ``VaccinationPolicy`` would refuse a negative tau with
+    a message that does not name T.
+    """
+    # NaN fails every comparison, so the range test is written to fail on it
+    if not 0.0 <= tau <= T:
+        raise ValidationError(f"tau must lie in [0, {T}], got {tau}")
+    return tau
+
+
 def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
     """Scenario and policy with one parameter replaced, validated.
 
-    ``integrate`` refuses a tau outside [0, T] too, but a sweep checks every
-    value before it integrates any, and ``VaccinationPolicy`` would refuse a
-    negative tau with a message that does not name T.
+    ``tau``, the duration when ``param`` is not tau, has been checked already.
     """
     scenario, resources = config.scenario, config.resources
     if param == "tau":
-        tau = value
+        tau = _checked_tau(value, scenario.T)
     # as in a config file, only the stock may be infinite (unlimited)
     elif not (math.isfinite(value) or (param == "m" and value == math.inf)):
         raise ValidationError(f"values: {param} must be finite, got {value}")
@@ -200,25 +210,25 @@ def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
         scenario = replace(scenario, cost=replace(scenario.cost, **{param: value}))
     else:
         scenario = replace(scenario, epidemic=replace(scenario.epidemic, **{param: value}))
-    if not 0.0 <= tau <= scenario.T:
-        raise ValidationError(f"tau must lie in [0, {scenario.T}], got {tau}")
     return scenario, VaccinationPolicy(*resources, tau=tau)
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
+    T = config.scenario.T
+    # --tau is checked whatever the parameter, and however few values there are
+    base_tau = T if args.tau is None else _checked_tau(args.tau, T)
     if args.param not in SWEEPABLE:
         raise ValidationError(
             f"param: unknown parameter {args.param!r}; choose one of {', '.join(SWEEPABLE)}"
         )
     values = parse_values(args.values)
-    base_tau = float(args.tau) if args.tau is not None else config.scenario.T
 
     # every value is checked before anything is integrated
     points = [_with_value(config, args.param, value, base_tau) for value in values]
     if args.param == "tau" and values:
         # every program follows the always-on run until it ends
-        policy = VaccinationPolicy(*config.resources, tau=config.scenario.T)
+        policy = VaccinationPolicy(*config.resources, tau=T)
         always_on = integrate(config.scenario, policy, config.tolerances)
         found = stopped_program_indicators(always_on, values)
     else:
@@ -228,7 +238,7 @@ def cmd_sweep(args) -> int:
         ]
     rows = [(args.param, value, *astuple(ind)) for value, ind in zip(values, found)]
 
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     template = ",".join(["%s"] + ["%.9g"] * (len(SWEEP_COLUMNS) - 1))
     _write_csv(out / (args.prefix + "sweep.csv"), SWEEP_COLUMNS, template, rows)
     return 0
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="path to a scenario JSON file, or a bundled name (variant1, variant2)",
         )
-        p.add_argument("--out", default=None, help="output directory (default: config or '.')")
+        p.add_argument("--out", default=None, help="output directory (default: '.')")
         p.add_argument("--prefix", default="", help="prefix for output file names")
 
     p_sim = sub.add_parser("simulate", help="integrate one program duration and emit the trajectory")
@@ -285,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (its code 2), or the help (code 0)
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:

@@ -22,13 +22,16 @@ _SECTIONS = {
     **{name: tuple(f.name for f in fields(model)) for name, model in _MODELS.items()},
     "resources": ("k", "l", "m"),
 }
-_OPTIONAL_TOP = ("tolerances", "population", "output_dir")
+_OPTIONAL_TOP = ("tolerances", "population")
 _TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one run needs: scenario, resource limits, tolerances, output."""
+    """Everything one run needs: scenario, resource limits, tolerances, population.
+
+    ``population``, when set, scales the fractions to head counts in the outputs.
+    """
 
     scenario: Scenario
     k: float
@@ -36,7 +39,6 @@ class ScenarioConfig:
     m: float
     tolerances: Tolerances
     population: float | None = None
-    output_dir: str | None = None
 
     @property
     def resources(self) -> tuple[float, float, float]:
@@ -119,10 +121,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     # only an absent or null section means the defaults
     tol_data = _section(data, "tolerances") if data.get("tolerances") is not None else {}
-    tol_kwargs = {
-        key: (_limit if key == "max_step" else _as_number)("tolerances", key, value)
-        for key, value in tol_data.items()
-    }
+    tol_kwargs = {key: _as_number("tolerances", key, value) for key, value in tol_data.items()}
     tolerances = build("tolerances", Tolerances, tol_kwargs)
 
     population = None
@@ -131,10 +130,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if population <= 0:
             raise ValidationError(f"population: must be positive, got {population}")
 
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ValidationError(f"output_dir: expected a string, got {output_dir!r}")
-
     return ScenarioConfig(
         scenario=scenario,
         k=k,
@@ -142,20 +137,18 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         m=m,
         tolerances=tolerances,
         population=population,
-        output_dir=output_dir,
     )
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Canonical JSON-ready form; inverse of config_from_dict."""
-    sc, tol = config.scenario, config.tolerances
+    sc = config.scenario
     return {
         **{name: asdict(getattr(sc, name)) for name in _MODELS},
         "resources": {"k": config.k, "l": config.l, "m": _unlimited_as_null(config.m)},
         "T": sc.T,
-        "tolerances": {**asdict(tol), "max_step": _unlimited_as_null(tol.max_step)},
+        "tolerances": asdict(config.tolerances),
         "population": config.population,
-        "output_dir": config.output_dir,
     }
 
 

@@ -76,7 +76,7 @@ RTOL_FLOOR = 100 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Integration tolerances.
+    """Integration tolerances: solve_ivp's ``rtol`` and ``atol``, both positive and finite.
 
     Measured against a fixed-step 4th-order reference at step 1e-4: with the
     defaults, the bundled variants (i0 = 1e-3, tau = 7.5 or 15) agree to
@@ -87,16 +87,13 @@ class Tolerances:
 
     rtol: float = 1e-8
     atol: float = 1e-11
-    max_step: float = math.inf
 
     def __post_init__(self) -> None:
-        for name in ("rtol", "atol", "max_step"):
+        for name in ("rtol", "atol"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValidationError(f"{name} must be positive, got {value}")
-            # an infinite tolerance accepts any step; only max_step may be unlimited
-            if math.isinf(value) and name != "max_step":
-                raise ValidationError(f"{name} must be finite, got {value}")
+            # an infinite tolerance accepts any step, and NaN fails both comparisons
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.rtol < RTOL_FLOOR:
             raise ValidationError(f"rtol must be at least {RTOL_FLOOR:.3g}, got {self.rtol}")
 
@@ -377,6 +374,18 @@ def integrate(
     return _finish(scenario, policy, tol, segments, stock_out)
 
 
+def _require_always_on(run: Trajectory) -> None:
+    """Refuse a run whose program does not last the whole horizon (tau = T).
+
+    A shorter run has stopped vaccinating at its own tau, so it is not the
+    run that every program follows until its end.
+    """
+    if run.policy.tau != run.scenario.T:
+        raise ValidationError(
+            f"expected the always-on run (tau = T = {run.scenario.T}), got tau = {run.policy.tau}"
+        )
+
+
 def stopped_program(always_on: Trajectory, tau: float) -> Trajectory:
     """The program of duration tau, cut from the always-on run (tau = T).
 
@@ -384,8 +393,10 @@ def stopped_program(always_on: Trajectory, tau: float) -> Trajectory:
     ``integrate`` at tau with the vaccinating segments taken from that run
     rather than solved again: only the unvaccinated rest is solved.
 
-    Raises ValidationError unless 0 <= tau <= T.
+    Raises ValidationError unless ``always_on`` runs its program for the
+    whole horizon and 0 <= tau <= T.
     """
+    _require_always_on(always_on)
     policy = replace(always_on.policy, tau=tau)
     # a program that vaccinates nobody has no vaccinating segments
     vaccinating = always_on.segments if policy.k > 0.0 and policy.l > 0.0 else ()
@@ -507,7 +518,11 @@ def stopped_programs(
     through the threshold.  With no vaccination i rises while beta_e*s > 1
     and falls after, so its first fall through the threshold comes after
     its peak.  A tail where beta_e*s stays above 1 peaks at T.
+
+    Raises ValidationError unless ``always_on`` runs its program for the
+    whole horizon and ``taus`` are sorted within [0, T].
     """
+    _require_always_on(always_on)
     taus = np.asarray(taus, dtype=float)
     scenario, tol = always_on.scenario, always_on.tolerances
     T = scenario.T
@@ -569,10 +584,9 @@ def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, 
         dt = np.array(_rhs_values(s, i, no_vaccination, epidemic))
         return (dt * spans).ravel()
 
-    scaled = replace(tol, max_step=tol.max_step / spans.max())
     # a copy: the solver keeps y0 as its first step's start, and with one
     # tail ravel() would return a view of the caller's rows
-    return _solve(rhs, (0.0, 1.0), start.T.flatten(), scaled, dense=dense)
+    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense)
 
 
 def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None):
@@ -584,7 +598,6 @@ def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None):
         method=_METHOD,
         rtol=tol.rtol,
         atol=tol.atol,
-        max_step=tol.max_step,
         dense_output=dense,
         events=events,
     )

@@ -220,6 +220,16 @@ class TestStoppedProgramIndicators:
         with pytest.raises(ValidationError, match="durations"):
             entry(run, taus)
 
+    @pytest.mark.parametrize(
+        "entry", [stopped_programs, stopped_program_indicators], ids=["solver", "analysis"]
+    )
+    def test_a_run_that_is_not_always_on_is_refused(self, scenario, entry):
+        # every program follows the always-on run until it ends; a run that
+        # stopped at 5 would give a program of duration 10 too few doses
+        short = integrate(scenario, VaccinationPolicy(0.1, 0.3, 2.949, tau=5.0))
+        with pytest.raises(ValidationError, match="always-on run"):
+            entry(short, [10.0])
+
     @pytest.mark.parametrize("m", [2.949, 0.2])
     def test_one_duration_alone_agrees_with_it_among_others(self, scenario, m):
         # a solve of one tail must not read its start from the caller's rows,

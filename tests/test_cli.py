@@ -488,6 +488,44 @@ class TestSweep:
         assert rc == 1
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("param, values", [("m", ""), ("m", "0.2"), ("tau", "2,6")])
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1", "99"])
+    def test_tau_outside_the_horizon_is_refused_before_writing(
+        self, tmp_path, capsys, param, values, tau
+    ):
+        # whatever the parameter and however many values, even none
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", param, "--values", values,
+                   "--tau", tau, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: tau must lie in [0, 15.0], got {float(tau)}\n"
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as a numerical failure."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "variant1", "--tau", "abc"],
+            ["simulate", "--tau", "1"],
+            ["simulate", "--config", "variant1"],
+            ["simulate", "--config", "variant1", "--tau", "1", "--unknown"],
+            ["bisect", "--config", "variant1"],
+            [],
+        ],
+        ids=["bad-number", "no-config", "no-tau", "unknown-option", "unknown-command", "empty"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: sirdvax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["main", "sweep"])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: sirdvax" in capsys.readouterr().out
+
 
 class TestOutputFiles:
     """The files each command writes and the keys of its summary."""

@@ -94,10 +94,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^resources.m: missing required field"):
             config_from_dict(data)
 
-    def test_output_dir_must_be_a_string(self):
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [(None, "output_dir", "out"), (None, "output_dir", None),
+         ("tolerances", "max_step", 0.1), ("tolerances", "max_step", None)],
+        ids=["output_dir", "output_dir-null", "max_step", "max_step-null"],
+    )
+    def test_removed_settings_are_refused_by_name(self, section, key, value):
+        # configs that older versions dumped carry both keys, set to null
         data = variant1_dict()
-        data["output_dir"] = 3
-        with pytest.raises(ValidationError, match="^output_dir: expected a string"):
+        if section is None:
+            data[key] = value
+        else:
+            data[section] = {"rtol": 1e-8, "atol": 1e-11, key: value}
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValidationError, match=f"^{name}: unknown field"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("key", ["event_tol", "gamma"])
@@ -194,8 +205,9 @@ class TestRoundTrip:
 
     def test_tolerances_survive_the_round_trip(self):
         data = variant1_dict()
-        data["tolerances"] = {"rtol": 1e-7, "atol": 1e-10, "max_step": None}
+        data["tolerances"] = {"rtol": 1e-7, "atol": 1e-10}
         config = config_from_dict(data)
         assert config.tolerances.rtol == 1e-7
-        assert math.isinf(config.tolerances.max_step)
+        assert config.tolerances.atol == 1e-10
+        assert config_to_dict(config)["tolerances"] == {"rtol": 1e-7, "atol": 1e-10}
         assert config_from_dict(config_to_dict(config)) == config

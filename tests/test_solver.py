@@ -51,7 +51,7 @@ def event_times(traj, kind):
 
 
 class TestToleranceValidation:
-    @pytest.mark.parametrize("field", ["rtol", "atol", "max_step"])
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValidationError):
             Tolerances(**{field: 0.0})
@@ -73,11 +73,6 @@ class TestToleranceValidation:
         with pytest.raises(ValidationError, match="rtol"):
             Tolerances(rtol=1e-20)
         assert Tolerances(rtol=100 * np.finfo(float).eps).rtol > 0.0
-
-    def test_max_step_may_be_unlimited_but_not_nan(self):
-        assert Tolerances(max_step=math.inf).max_step == math.inf
-        with pytest.raises(ValidationError, match="max_step"):
-            Tolerances(max_step=math.nan)
 
 
 class TestFullProgramRun:
@@ -683,6 +678,14 @@ class TestStoppedProgram:
         for tau in (-1.0, 16.0, math.nan):
             with pytest.raises(ValidationError):
                 sirdvax.solver.stopped_program(full_program_traj, tau)
+
+    def test_refuses_a_run_that_is_not_always_on(self):
+        # cut from a run that stopped at 5, a program of duration 10 would
+        # record a kink at 5 and a positive rate on [5, 10] while V stays flat
+        resources = load_config("variant1").resources
+        short = integrate(VARIANT1, VaccinationPolicy(*resources, tau=5.0))
+        with pytest.raises(ValidationError, match="always-on run"):
+            sirdvax.solver.stopped_program(short, 10.0)
 
 
 class TestFinalSizeRelation:
