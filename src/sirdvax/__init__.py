@@ -8,7 +8,7 @@ together with the vaccine amount such a program consumes.
 
 from .analysis import EpidemicIndicators, indicators
 from .config import ScenarioConfig, config_from_dict, config_to_dict, dump_config, load_config
-from .errors import DomainError, IntegrationError, ValidationError
+from .errors import IntegrationError, ValidationError
 from .model import (
     AugmentedState,
     CostParams,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedState",
     "CostParams",
-    "DomainError",
     "EPIDEMIC_END_THRESHOLD",
     "EVENT_EPIDEMIC_END",
     "EVENT_PEAK",

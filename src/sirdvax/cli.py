@@ -11,19 +11,25 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import EpidemicIndicators, indicators, stopped_program_indicators
-from .config import ScenarioConfig, config_to_dict, load_config
+from .config import ScenarioConfig, config_from_dict, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
 from .model import VaccinationPolicy
 from .planner import minimize_tau, procurement_plan
 from .solver import Trajectory, integrate
 
-SWEEPABLE = ("tau", "k", "l", "m", "a", "b", "c", "eps", "r")
+#: Each parameter a sweep may vary, and the config section that holds it.
+SWEEPABLE = {
+    "tau": None,
+    **dict.fromkeys(("k", "l", "m"), "resources"),
+    **dict.fromkeys(("a", "b", "c"), "cost"),
+    **dict.fromkeys(("eps", "r"), "epidemic"),
+}
 
 #: Most values one sweep may take; a range spec expanding to more is refused.
 MAX_SWEEP_VALUES = 100_000
@@ -96,8 +102,7 @@ def _events_list(traj: Trajectory) -> list[dict]:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    tau = float(args.tau)
-    traj = integrate(*_with_value(config, "tau", tau, tau), config.tolerances)
+    traj = integrate(*_with_value(config, "tau", args.tau, args.tau), config.tolerances)
     final = dict(zip(("s", "i", "rho", "d", "J", "V"), traj.values[-1].tolist()))
     _write_run(
         args,
@@ -105,7 +110,7 @@ def cmd_simulate(args) -> int:
         traj,
         indicators(traj),
         ("summary.json", "trajectory.csv"),
-        tau=tau,
+        tau=args.tau,
         events=_events_list(traj),
         final_state=final,
     )
@@ -180,48 +185,28 @@ def parse_values(spec: str) -> list[float]:
         raise ValidationError(f"values: {exc}") from exc
 
 
-def _checked_tau(tau: float, T: float) -> float:
-    """``tau`` if it lies in [0, T].
-
-    ``integrate`` refuses it too, but a sweep checks every value before it
-    integrates any, and ``VaccinationPolicy`` would refuse a negative tau with
-    a message that does not name T.
-    """
-    # NaN fails every comparison, so the range test is written to fail on it
-    if not 0.0 <= tau <= T:
-        raise ValidationError(f"tau must lie in [0, {T}], got {tau}")
-    return tau
-
-
 def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
-    """Scenario and policy with one parameter replaced, validated.
+    """Scenario and policy with one parameter set to ``value``, checked.
 
-    ``tau``, the duration when ``param`` is not tau, has been checked already.
+    A duration is checked against the horizon; any other value is written
+    into the config as a file would hold it, and the config's rules check
+    it.  ``tau``, the duration when ``param`` is not tau, has been checked
+    already.
     """
-    scenario, resources = config.scenario, config.resources
     if param == "tau":
-        tau = _checked_tau(value, scenario.T)
-    # as in a config file, only the stock may be infinite (unlimited)
-    elif not (math.isfinite(value) or (param == "m" and value == math.inf)):
-        raise ValidationError(f"values: {param} must be finite, got {value}")
-    elif param in ("k", "l", "m"):
-        resources = replace(config, **{param: value}).resources
-    elif param in ("a", "b", "c"):
-        scenario = replace(scenario, cost=replace(scenario.cost, **{param: value}))
+        tau = config.scenario.in_horizon("tau", value)
     else:
-        scenario = replace(scenario, epidemic=replace(scenario.epidemic, **{param: value}))
-    return scenario, VaccinationPolicy(*resources, tau=tau)
+        data = config_to_dict(config)
+        data[SWEEPABLE[param]][param] = "inf" if value == math.inf else value
+        config = config_from_dict(data)
+    return config.scenario, VaccinationPolicy(*config.resources, tau=tau)
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     T = config.scenario.T
     # --tau is checked whatever the parameter, and however few values there are
-    base_tau = T if args.tau is None else _checked_tau(args.tau, T)
-    if args.param not in SWEEPABLE:
-        raise ValidationError(
-            f"param: unknown parameter {args.param!r}; choose one of {', '.join(SWEEPABLE)}"
-        )
+    base_tau = T if args.tau is None else config.scenario.in_horizon("tau", args.tau)
     values = parse_values(args.values)
 
     # every value is checked before anything is integrated
@@ -278,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="indicators for a list of values of one parameter")
     common(p_swp)
-    p_swp.add_argument("--param", required=True, help=f"one of: {', '.join(SWEEPABLE)}")
+    p_swp.add_argument("--param", required=True, choices=SWEEPABLE, help="parameter to sweep")
     p_swp.add_argument(
         "--values",
         required=True,

@@ -5,9 +5,5 @@ class ValidationError(ValueError):
     """A parameter, state, or configuration violates its documented invariants."""
 
 
-class DomainError(ValueError):
-    """An operation was called with arguments outside its mathematical domain."""
-
-
 class IntegrationError(RuntimeError):
     """The ODE solver failed (step-size underflow or an unrepairable state excursion)."""

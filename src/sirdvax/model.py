@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 #: Allowed complementarity gap between the recovery and death rates.
 ALPHA_BETA_TOL = 1e-12
@@ -165,17 +165,27 @@ class Scenario:
         )
         _require(self.initial.i >= 0.0, "initial infected fraction must be nonnegative")
 
+    def in_horizon(self, name: str, t: float) -> float:
+        """``t`` if it lies in [0, T]; otherwise a ValidationError naming ``name``.
+
+        The one check of a time against the horizon, for a program duration
+        as for a time a trajectory is read at.
+        """
+        # NaN fails every comparison, so the range test is written to fail on it
+        _require(0.0 <= t <= self.T, f"{name} must lie in [0, {self.T}], got {t}")
+        return t
+
 
 def infection_intensity(i: float, params: EpidemicParams) -> float:
     """Probability per unit time for one susceptible to become infected.
 
     Linear in the infected fraction: ``transmission_rate * i``.
 
-    Raises DomainError outside 0 <= i <= 1; a caller handing in an
+    Raises ValidationError outside 0 <= i <= 1; a caller handing in an
     out-of-range fraction has a corrupted state, not a modeling choice.
     """
     if i < 0.0 or i > 1.0:
-        raise DomainError(f"infected fraction must lie in [0, 1], got {i}")
+        raise ValidationError(f"infected fraction must lie in [0, 1], got {i}")
     return params.transmission_rate * i
 
 
@@ -187,9 +197,9 @@ def exact_infection_probability(i: float, dt: float, params: EpidemicParams) -> 
     never inside the dynamics.
     """
     if dt < 0.0:
-        raise DomainError(f"interval length must be nonnegative, got {dt}")
+        raise ValidationError(f"interval length must be nonnegative, got {dt}")
     if i < 0.0 or i > 1.0:
-        raise DomainError(f"infected fraction must lie in [0, 1], got {i}")
+        raise ValidationError(f"infected fraction must lie in [0, 1], got {i}")
     # 1 - e^x with x = r*dt*i*ln(1-eps) <= 0, computed without cancellation
     return -math.expm1(params.r * dt * i * math.log1p(-params.eps))
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, IntegrationError, ValidationError
+from .errors import IntegrationError, ValidationError
 from .model import (
     AugmentedState,
     Scenario,
@@ -114,7 +114,9 @@ class Trajectory:
     integrated state (s, i, q, V) by ``_read_out``.
 
     Samples sit on a uniform grid of ``SAMPLE_POINTS`` points plus every
-    located event time.  ``events`` lists, in time order:
+    located event time.  They start at 0 and end at T: a time within
+    1e-12*T of another is one sample, and an event that close to 0 or T is
+    sampled at that end.  ``events`` lists, in time order:
 
     - ``program_end`` at t = tau whenever tau > 0 (the scheduled end of the
       program, recorded even if the stock ran out earlier),
@@ -188,11 +190,10 @@ class Trajectory:
 
         The samples were read through the same ``_sample`` and ``_clamp``,
         and DOP853's dense output is evaluated element by element, so at a
-        sample time this returns the stored sample bit for bit.
+        sample time this returns the stored sample bit for bit.  Raises
+        ValidationError outside [0, T].
         """
-        # NaN fails every comparison, so the range test is written to fail on it
-        if not 0.0 <= t <= self.scenario.T:
-            raise DomainError(f"time {t} outside the trajectory range [0, {self.scenario.T}]")
+        self.scenario.in_horizon("t", t)
         rows = _clamp(_sample(self.segments, np.array([t])), self.tolerances.atol)
         s, i, rho, d, J, V = _read_out(rows, self.scenario)[0]
         return AugmentedState(SirdState(s, i, rho, d), J, V)
@@ -215,11 +216,13 @@ class Trajectory:
         """The epidemic's peak time, the infected fraction there, and its end.
 
         The peak is the ``peak`` event and the end is the first
-        ``epidemic_end`` at or after it, or T if there is none.
+        ``epidemic_end`` at or after it, or T if there is none.  The
+        infected fraction is read at the sample nearest the peak: the peak
+        time is a sample time, or within the merge tolerance of one (an end
+        point, say, for a peak just after 0).
         """
         peak_time = next(e.time for e in self.events if e.kind == EVENT_PEAK)
-        # the peak time is a sample time, or within the merge tolerance of one
-        row = min(int(np.searchsorted(self.times, peak_time)), len(self.times) - 1)
+        row = int(np.abs(self.times - peak_time).argmin())
         end_time = next(
             (e.time for e in self.events if e.kind == EVENT_EPIDEMIC_END and e.time >= peak_time),
             self.scenario.T,
@@ -297,21 +300,27 @@ def _sample(segments, times: np.ndarray) -> np.ndarray:
 
 
 def _merge_times(grid: np.ndarray, extra: list[float], tol: float) -> np.ndarray:
-    """Union of grid and event times; those within ``tol`` collapse onto the event time."""
+    """Union of grid and event times; times within ``tol`` of each other are one.
+
+    A grid point within ``tol`` of an event moves onto the event time, but
+    the grid's end points stay: an event that close to an end is sampled at
+    the end, so the samples start at the first grid point and end at the last.
+    """
     merged = list(grid)
     for t in sorted(extra):
         pos = bisect.bisect_left(merged, t)
         for neighbor in (pos - 1, pos):
             if 0 <= neighbor < len(merged) and abs(merged[neighbor] - t) <= tol:
-                merged[neighbor] = t
+                if 0 < neighbor < len(merged) - 1:
+                    merged[neighbor] = t
                 break
         else:
             merged.insert(pos, t)
     out = [merged[0]]
-    for t in merged[1:]:
-        if t - out[-1] > tol:
+    for t in merged[1:-1]:
+        if t - out[-1] > tol and merged[-1] - t > tol:
             out.append(t)
-    return np.array(out)
+    return np.array([*out, merged[-1]])
 
 
 def integrate(
@@ -422,10 +431,7 @@ def _finish(
     ``_first_fall`` call on the run's steps, each cut at its segment's end:
     a crossing at a segment's end is found on one side of it.
     """
-    T, tau = scenario.T, policy.tau
-    # NaN fails every comparison, so the range test is written to fail on it
-    if not 0.0 <= tau <= T:
-        raise ValidationError(f"tau must lie in [0, {T}], got {tau}")
+    T, tau = scenario.T, scenario.in_horizon("tau", policy.tau)
     exhaustion_time = stock_out if 0.0 < tau and stock_out <= tau else None
     cut = tau if exhaustion_time is None else exhaustion_time
     segments = [(t_lo, min(t_hi, cut), sol) for t_lo, t_hi, sol in vaccinating if t_lo < cut]

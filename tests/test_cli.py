@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -354,6 +355,37 @@ class TestSweep:
         _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == n
 
+    @pytest.mark.parametrize("tau", [None, "7.5"], ids=["default-tau", "tau-7.5"])
+    @pytest.mark.parametrize(
+        "param, values",
+        [("k", "0,0.05,0.2"), ("l", "0,0.6,1"), ("m", "0,0.2,inf"), ("a", "0,20"),
+         ("b", "0,100"), ("c", "0,1000"), ("eps", "0.1,0.5"), ("r", "4,25")],
+    )
+    def test_other_sweep_rows_are_the_indicators_of_a_direct_run(
+        self, tmp_path, param, values, tau
+    ):
+        out = tmp_path / "run"
+        argv = ["sweep", "--config", "variant1", "--param", param, "--values", values]
+        rc = main([*argv, *(["--tau", tau] if tau else []), "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out / "sweep.csv")
+        config = load_config("variant1")
+        scenario, policy = config.scenario, VaccinationPolicy(*config.resources, tau=15.0)
+        if tau:
+            policy = dataclasses.replace(policy, tau=float(tau))
+        for row, value in zip(rows, values.split(","), strict=True):
+            value = float(value)
+            if param in ("k", "l", "m"):
+                run = (scenario, dataclasses.replace(policy, **{param: value}))
+            elif param in ("a", "b", "c"):
+                cost = dataclasses.replace(scenario.cost, **{param: value})
+                run = (dataclasses.replace(scenario, cost=cost), policy)
+            else:
+                epidemic = dataclasses.replace(scenario.epidemic, **{param: value})
+                run = (dataclasses.replace(scenario, epidemic=epidemic), policy)
+            expected = indicators(integrate(*run, config.tolerances))
+            assert row == [param, "%.9g" % value, *("%.9g" % x for x in astuple(expected))]
+
     def test_one_value_agrees_with_a_direct_run(self, tmp_path):
         # 3.29 ends just before the peak, which then lies in the tail's first step
         config = load_config("variant1")
@@ -387,7 +419,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "param, values",
         [("tau", "7.5,nan"), ("tau", "7.5,20"), ("tau", "7.5,-1"), ("m", "0.2,nan"),
-         ("eps", "0.3,1.5"), ("r", "10,inf"), ("k", "0.1,inf")],
+         ("eps", "0.3,1.5"), ("r", "10,inf"), ("k", "0.1,inf"), ("l", "0.3,1.5"),
+         ("a", "5,-1"), ("m", "0.2,-inf"), ("c", "100,nan")],
     )
     def test_every_value_is_validated_before_integrating(
         self, tmp_path, monkeypatch, param, values

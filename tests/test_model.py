@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from sirdvax import (
     AugmentedState,
     CostParams,
-    DomainError,
     EpidemicParams,
     IntegrationError,
     Scenario,
@@ -160,7 +159,7 @@ class TestInfectionIntensity:
 
     @pytest.mark.parametrize("bad", [-1e-9, -1.0, 1.0 + 1e-9, 2.0])
     def test_domain_errors(self, bad, epidemic):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             infection_intensity(bad, epidemic)
 
     @given(
@@ -187,7 +186,7 @@ class TestExactInfectionProbability:
         assert got == pytest.approx(EXACT_PROB_TABLE1, abs=1e-9)
 
     def test_negative_interval_rejected(self, epidemic):
-        with pytest.raises(DomainError, match="interval length"):
+        with pytest.raises(ValidationError, match="interval length"):
             exact_infection_probability(0.001, -0.01, epidemic)
 
     def test_result_is_a_probability(self, epidemic):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import sirdvax.solver
 from sirdvax import (
     CostParams,
-    DomainError,
     EVENT_EPIDEMIC_END,
     EVENT_PEAK,
     EVENT_PROGRAM_END,
@@ -32,7 +31,14 @@ from sirdvax import (
     integrate,
     load_config,
 )
-from sirdvax.solver import SAMPLE_POINTS, _clamp, _drift_band, _read_out, _sample
+from sirdvax.solver import (
+    SAMPLE_POINTS,
+    _clamp,
+    _drift_band,
+    _merge_times,
+    _read_out,
+    _sample,
+)
 from oracles import random_cases, rk4_reference
 
 # frozen from a 1e-11/1e-13 adaptive run cross-checked against the fixed-step
@@ -380,16 +386,47 @@ class TestDenseOutput:
                 assert np.array_equal(np.array(got), row)
 
     def test_out_of_range_rejected(self, full_program_traj):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             full_program_traj.state_at(-1e-9)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             full_program_traj.state_at(15.0 + 1e-9)
 
     def test_nan_time_rejected(self, full_program_traj):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             full_program_traj.state_at(math.nan)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             full_program_traj.rate_at(math.nan)
+
+    def test_samples_start_at_zero_with_an_event_just_after_it(self, scenario):
+        traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=1e-13))
+        assert event_times(traj, EVENT_PROGRAM_END) == [1e-13]
+        assert traj.times[0] == 0.0
+        assert tuple(traj.values[0]) == (*scenario.initial.as_tuple(), 0.0, 0.0)
+
+    def test_samples_end_at_the_horizon_with_an_event_just_before_it(self, scenario):
+        tau = 15.0 - 1e-11
+        traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=tau))
+        assert event_times(traj, EVENT_PROGRAM_END) == [tau]
+        assert traj.times[-1] == 15.0
+        assert tuple(traj.values[-1]) == traj.state_at(15.0).as_vector()
+
+    def test_merged_times_keep_both_ends(self):
+        # 0.005 lies within tol of 0, and 0.993 moves the sample at 0.985 to
+        # within tol of 1: both ends stay
+        times = _merge_times(np.array([0.0, 0.5, 1.0]), [0.005, 0.985, 0.993], 0.01)
+        assert times.tolist() == [0.0, 0.5, 1.0]
+
+    def test_peak_just_after_zero_is_read_at_zero(self, cost):
+        # beta_e*s0 = 1 + 1e-13: i peaks about 1e-13 after the start
+        eps = 0.3
+        r = (2.0 + 2e-13) / -math.log1p(-eps)
+        epidemic = EpidemicParams(alpha=0.95, beta=0.05, r=r, eps=eps)
+        scenario = Scenario(epidemic, cost, SirdState(s=0.5, i=0.5, rho=0.0, d=0.0), T=15.0)
+        traj = integrate(scenario, VaccinationPolicy(0.0, 0.0, 0.0, 0.0))
+        (t_peak,) = event_times(traj, EVENT_PEAK)
+        assert 0.0 < t_peak < 1e-12
+        assert traj.times[0] == 0.0
+        assert indicators(traj).peak_i == traj.i[0] == 0.5
 
     def test_between_samples_tracks_a_tighter_reference(self, scenario, tolerances):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=15.0)
