@@ -181,11 +181,11 @@ def infection_intensity(i: float, params: EpidemicParams) -> float:
 
     Linear in the infected fraction: ``transmission_rate * i``.
 
-    Raises ValidationError outside 0 <= i <= 1; a caller handing in an
-    out-of-range fraction has a corrupted state, not a modeling choice.
+    Raises ValidationError for an i outside [0, 1] or NaN; a caller handing
+    in such a fraction has a corrupted state, not a modeling choice.
     """
-    if i < 0.0 or i > 1.0:
-        raise ValidationError(f"infected fraction must lie in [0, 1], got {i}")
+    # NaN fails every comparison, so the range test is written to fail on it
+    _require(0.0 <= i <= 1.0, f"infected fraction must lie in [0, 1], got {i}")
     return params.transmission_rate * i
 
 
@@ -194,12 +194,11 @@ def exact_infection_probability(i: float, dt: float, params: EpidemicParams) -> 
 
     Returns ``1 - (1 - eps)^(r*dt*i)``.  This is the quantity the linear
     intensity approximates; it is used to validate that approximation and
-    never inside the dynamics.
+    never inside the dynamics.  Raises ValidationError for a negative or NaN
+    dt and for an i outside [0, 1] or NaN.
     """
-    if dt < 0.0:
-        raise ValidationError(f"interval length must be nonnegative, got {dt}")
-    if i < 0.0 or i > 1.0:
-        raise ValidationError(f"infected fraction must lie in [0, 1], got {i}")
+    _require(dt >= 0.0, f"interval length must be nonnegative, got {dt}")
+    _require(0.0 <= i <= 1.0, f"infected fraction must lie in [0, 1], got {i}")
     # 1 - e^x with x = r*dt*i*ln(1-eps) <= 0, computed without cancellation
     return -math.expm1(params.r * dt * i * math.log1p(-params.eps))
 
@@ -213,15 +212,16 @@ def treatment_cost_rate(epidemic: EpidemicParams, cost: CostParams) -> float:
 
 
 def _rhs_values(
-    s: float, i: float, v: float, epidemic: EpidemicParams
+    s: float, i: float, v: float, beta_e: float
 ) -> tuple[float, float, float, float]:
     """Time derivative of the stored state (s, i, q, V) at vaccination rate v.
 
-    q is the integral of i over time and V the vaccine used; the recovered
-    and dead fractions and the cost are linear in them and are read off by
-    ``solver._read_out``, so no unit cost enters here.  s and i must already
-    lie in [0, 1]; scalars and arrays of one shape are both accepted.  The
-    four derivatives sum to zero by construction.
+    ``beta_e`` is the epidemic's ``transmission_rate``, read once per solve
+    by the caller.  q is the integral of i over time and V the vaccine used;
+    the recovered and dead fractions and the cost are linear in them and are
+    read off by ``solver._read_out``, so no unit cost enters here.  s and i
+    must already lie in [0, 1]; scalars and arrays of one shape are both
+    accepted.  The four derivatives sum to zero by construction.
     """
-    infections = s * (epidemic.transmission_rate * i)
+    infections = s * (beta_e * i)
     return (-infections - v, infections - i, i, v)

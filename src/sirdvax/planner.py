@@ -88,11 +88,14 @@ def feasible_tau_max(
 
     Smallest t with V(t) = m under the always-on policy (tau = T), or T if the
     stock is never exhausted.  V is nondecreasing, so the crossing is unique.
+    Raises ValidationError for resources ``VaccinationPolicy`` refuses,
+    before any shortcut.
     """
+    policy = VaccinationPolicy(*resources, tau=scenario.T)
     # no stock sustains no program, and an unlimited one the whole horizon
-    if not 0.0 < resources[2] < math.inf:
-        return min(resources[2], scenario.T)
-    return _cap(integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T), tol))
+    if not 0.0 < policy.m < math.inf:
+        return min(policy.m, scenario.T)
+    return _cap(integrate(scenario, policy, tol))
 
 
 def minimize_tau(

@@ -34,7 +34,6 @@ recovered and dead fractions and the accumulated cost are linear in q and V
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -238,14 +237,11 @@ def _rates(
 ) -> np.ndarray:
     """The vaccination rule at each of ``times`` with susceptibles ``s``.
 
-    min(k, l*s) while t < tau and t < ``exhaustion_time``, else 0.
+    min(k, l*s) before tau, or before ``exhaustion_time`` when the stock ran
+    out earlier, and 0 from there on: the cut ``_finish`` applies.
     """
-    v = np.zeros(len(times))
-    live = times < policy.tau
-    if exhaustion_time is not None:
-        live &= times < exhaustion_time
-    v[live] = np.minimum(policy.k, policy.l * s[live])
-    return v
+    end = policy.tau if exhaustion_time is None else min(policy.tau, exhaustion_time)
+    return np.where(times < end, np.minimum(policy.k, policy.l * s), 0.0)
 
 
 def _drift_band(atol: float) -> float:
@@ -302,25 +298,21 @@ def _sample(segments, times: np.ndarray) -> np.ndarray:
 def _merge_times(grid: np.ndarray, extra: list[float], tol: float) -> np.ndarray:
     """Union of grid and event times; times within ``tol`` of each other are one.
 
-    A grid point within ``tol`` of an event moves onto the event time, but
-    the grid's end points stay: an event that close to an end is sampled at
-    the end, so the samples start at the first grid point and end at the last.
+    A grid point within ``tol`` of an event gives way to the event, but the
+    grid's end points stay: an event that close to an end is sampled at the
+    end, so the samples start at the first grid point and end at the last.
+    Of events within ``tol`` of each other, the last one stands.  The grid
+    points are tested against every event, before close events are merged.
     """
-    merged = list(grid)
-    for t in sorted(extra):
-        pos = bisect.bisect_left(merged, t)
-        for neighbor in (pos - 1, pos):
-            if 0 <= neighbor < len(merged) and abs(merged[neighbor] - t) <= tol:
-                if 0 < neighbor < len(merged) - 1:
-                    merged[neighbor] = t
-                break
-        else:
-            merged.insert(pos, t)
-    out = [merged[0]]
-    for t in merged[1:-1]:
-        if t - out[-1] > tol and merged[-1] - t > tol:
-            out.append(t)
-    return np.array([*out, merged[-1]])
+    events = np.sort(extra)
+    # each grid point's distance to the nearest event below and above it
+    pos = np.searchsorted(events, grid)
+    padded = np.concatenate(([-np.inf], events, [np.inf]))
+    near = np.minimum(grid - padded[pos], padded[pos + 1] - grid) <= tol
+    near[[0, -1]] = False
+    events = events[np.diff(events, append=np.inf) > tol]
+    events = events[(events - grid[0] > tol) & (grid[-1] - events > tol)]
+    return np.union1d(grid[~near], events)
 
 
 def integrate(
@@ -580,14 +572,14 @@ def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, 
     The state vector stacks the tails component by component: all s, then
     all i, and so on.
     """
-    epidemic, n = scenario.epidemic, len(spans)
+    beta_e, n = scenario.epidemic.transmission_rate, len(spans)
     no_vaccination = np.zeros(n)
 
     def rhs(u, y):
         y = y.reshape(-1, n)
         s = np.clip(y[0], 0.0, 1.0)
         i = np.clip(y[1], 0.0, 1.0)
-        dt = np.array(_rhs_values(s, i, no_vaccination, epidemic))
+        dt = np.array(_rhs_values(s, i, no_vaccination, beta_e))
         return (dt * spans).ravel()
 
     # a copy: the solver keeps y0 as its first step's start, and with one
@@ -621,13 +613,15 @@ def _branch(epidemic, rate: float, willingness: float):
     """The right-hand side on one rate branch: v = rate + willingness*s.
 
     That is k on the capacity branch, l*s on the willingness branch and 0
-    when the program is off.
+    when the program is off.  The transmission rate beta_e is read once,
+    when the branch is built, not on every call.
     """
+    beta_e = epidemic.transmission_rate
 
     def rhs(t, y):
         s = min(max(y[0], 0.0), 1.0)
         i = min(max(y[1], 0.0), 1.0)
-        return _rhs_values(s, i, rate + willingness * s, epidemic)
+        return _rhs_values(s, i, rate + willingness * s, beta_e)
 
     return rhs
 

@@ -64,7 +64,8 @@ def rate(t, s, policy, exhaustion_time=None):
 
 def rhs(scenario, v):
     """The right-hand side the solver integrates, at the scenario's initial state."""
-    return _rhs_values(scenario.initial.s, scenario.initial.i, v, scenario.epidemic)
+    beta_e = scenario.epidemic.transmission_rate
+    return _rhs_values(scenario.initial.s, scenario.initial.i, v, beta_e)
 
 
 class TestParameterValidation:
@@ -157,7 +158,7 @@ class TestInfectionIntensity:
         two = infection_intensity(0.002, epidemic)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [-1e-9, -1.0, 1.0 + 1e-9, 2.0])
+    @pytest.mark.parametrize("bad", [-1e-9, -1.0, 1.0 + 1e-9, 2.0, math.nan])
     def test_domain_errors(self, bad, epidemic):
         with pytest.raises(ValidationError):
             infection_intensity(bad, epidemic)
@@ -188,6 +189,15 @@ class TestExactInfectionProbability:
     def test_negative_interval_rejected(self, epidemic):
         with pytest.raises(ValidationError, match="interval length"):
             exact_infection_probability(0.001, -0.01, epidemic)
+
+    @pytest.mark.parametrize(
+        ("i", "dt", "message"),
+        [(math.nan, 1.0, "infected fraction"), (0.1, math.nan, "interval length")],
+        ids=["i-nan", "dt-nan"],
+    )
+    def test_nan_rejected(self, i, dt, message, epidemic):
+        with pytest.raises(ValidationError, match=message):
+            exact_infection_probability(i, dt, epidemic)
 
     def test_result_is_a_probability(self, epidemic):
         for i in (0.0, 0.3, 1.0):

@@ -84,6 +84,23 @@ class TestObjective:
 
 
 class TestFeasibleTauMax:
+    @pytest.mark.parametrize(
+        "resources",
+        [
+            (0.1, 0.3, -1.0),
+            (0.1, 0.3, math.nan),
+            (0.1, 0.3, -math.inf),
+            (-1.0, 0.3, 0.0),
+            (math.nan, 0.3, math.inf),
+            (0.1, 7.0, math.inf),
+        ],
+        ids=["m-negative", "m-nan", "m-minus-inf", "k-negative", "k-nan", "l-above-one"],
+    )
+    def test_refuses_invalid_resources(self, scenario, resources):
+        # the no-stock and unlimited-stock answers need no run, but the rules still apply
+        with pytest.raises(ValidationError):
+            feasible_tau_max(scenario, resources)
+
     def test_no_stock_no_program(self, scenario):
         assert feasible_tau_max(scenario, (0.1, 0.3, 0.0)) == 0.0
 

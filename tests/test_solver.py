@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sirdvax.solver
@@ -54,6 +54,34 @@ RANDOM_269 = random_cases(600, seed=11)[269]
 
 def event_times(traj, kind):
     return [e.time for e in traj.events if e.kind == kind]
+
+
+MERGE_TOL = 1e-3
+
+
+@st.composite
+def merge_cases(draw):
+    """A grid far coarser than ``MERGE_TOL`` and clusters of events near its points.
+
+    Each cluster spans at most half the tolerance, lies near a grid point (an
+    end point too) or anywhere, and keeps more than twice the tolerance from
+    the others.  A cluster near the last grid point lies within the tolerance
+    of it or not at all, so the end that absorbs its last event absorbs all.
+    """
+    grid = np.linspace(0.0, 1.0, draw(st.integers(2, 21)))
+    clusters = []
+    for _ in range(draw(st.integers(0, 4))):
+        anchor = draw(st.sampled_from(grid.tolist()) | st.floats(0.0, 1.0))
+        start = anchor + draw(st.floats(-MERGE_TOL, MERGE_TOL))
+        spread = draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3))
+        cluster = np.clip(start + MERGE_TOL * np.array(spread), 0.0, 1.0)
+        near_end = 1.0 - cluster <= MERGE_TOL
+        assume(near_end.all() or not near_end.any())
+        clusters.append(cluster)
+    bounds = sorted((c.min(), c.max()) for c in clusters)
+    assume(all(lo - hi > 2 * MERGE_TOL for (_, hi), (lo, _) in zip(bounds, bounds[1:])))
+    events = [float(t) for c in clusters for t in c]
+    return grid, draw(st.permutations(events))
 
 
 class TestToleranceValidation:
@@ -416,6 +444,27 @@ class TestDenseOutput:
         times = _merge_times(np.array([0.0, 0.5, 1.0]), [0.005, 0.985, 0.993], 0.01)
         assert times.tolist() == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        ("events", "kept"), [([0.495, 0.503], 0.503), ([0.508, 0.517], 0.517)]
+    )
+    def test_grid_point_near_a_replaced_event_gives_way(self, events, kept):
+        # 0.5 lies within tol of the first event, which the second replaces:
+        # 0.5 goes, also where the second lies farther than tol from it
+        times = _merge_times(np.array([0.0, 0.5, 1.0]), events, 0.01)
+        assert times.tolist() == [0.0, kept, 1.0]
+
+    @given(case=merge_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_merged_times_cover_grid_and_events(self, case):
+        grid, events = case
+        times = _merge_times(grid, events, MERGE_TOL)
+        assert times[0] == grid[0] and times[-1] == grid[-1]
+        assert np.all(np.diff(times) > MERGE_TOL)
+        for t in events:
+            assert np.abs(times - t).min() <= MERGE_TOL
+        for g in grid:
+            assert g in times or any(abs(g - t) <= MERGE_TOL for t in events)
+
     def test_peak_just_after_zero_is_read_at_zero(self, cost):
         # beta_e*s0 = 1 + 1e-13: i peaks about 1e-13 after the start
         eps = 0.3
@@ -444,6 +493,21 @@ class TestDenseOutput:
             y_ref = np.array(tight.state_at(float(t)).as_vector())
             bound = 50.0 * (tolerances.rtol * np.abs(y_ref) + tolerances.atol)
             assert np.all(np.abs(y - y_ref) <= bound)
+
+
+class TestRateColumn:
+    """The rate column of whole runs, against the rule read one time at a time."""
+
+    @pytest.mark.parametrize("tau", [0.0, 3.0, 7.5, 15.0])
+    @pytest.mark.parametrize("m", [0.2, 0.4, math.inf])
+    def test_rates_follow_the_program(self, m, tau):
+        traj = integrate(VARIANT1, VaccinationPolicy(k=0.1, l=0.3, m=m, tau=tau))
+        rates = traj.rates
+        assert rates.tolist() == [traj.rate_at(t) for t in traj.times]
+        stock_out = math.inf if traj.exhaustion_time is None else traj.exhaustion_time
+        on = traj.times < min(tau, stock_out)
+        assert np.all(rates[~on] == 0.0)
+        assert np.all(rates[on] > 0.0)
 
 
 class TestAccuracy:
