@@ -10,14 +10,11 @@ from .analysis import EpidemicIndicators, indicators
 from .config import ScenarioConfig, config_from_dict, config_to_dict, dump_config, load_config
 from .errors import IntegrationError, ValidationError
 from .model import (
-    AugmentedState,
     CostParams,
     EpidemicParams,
     Scenario,
     SirdState,
     VaccinationPolicy,
-    exact_infection_probability,
-    infection_intensity,
     treatment_cost_rate,
 )
 from .planner import (
@@ -44,7 +41,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedState",
     "CostParams",
     "EPIDEMIC_END_THRESHOLD",
     "EVENT_EPIDEMIC_END",
@@ -68,10 +64,8 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "dump_config",
-    "exact_infection_probability",
     "feasible_tau_max",
     "indicators",
-    "infection_intensity",
     "integrate",
     "load_config",
     "minimize_tau",

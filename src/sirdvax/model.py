@@ -47,7 +47,7 @@ class EpidemicParams:
     eps: float
 
     def __post_init__(self) -> None:
-        _require(self.alpha >= 0.0, f"alpha must be nonnegative, got {self.alpha}")
+        _require(0.0 <= self.alpha <= 1.0, f"alpha must lie in [0, 1], got {self.alpha}")
         _require(self.beta >= 0.0, f"beta must be nonnegative, got {self.beta}")
         _require(
             abs(self.alpha + self.beta - 1.0) <= ALPHA_BETA_TOL,
@@ -128,26 +128,6 @@ class SirdState:
             f"compartments must sum to 1 within {SIMPLEX_SUM_TOL}, got {total}",
         )
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.s, self.i, self.rho, self.d)
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """A SIRD state plus accumulated cost J and accumulated vaccine usage V."""
-
-    state: SirdState
-    J: float
-    V: float
-
-    def __post_init__(self) -> None:
-        _require(self.J >= 0.0, f"accumulated cost J must be nonnegative, got {self.J}")
-        _require(self.V >= 0.0, f"accumulated usage V must be nonnegative, got {self.V}")
-
-    def as_vector(self) -> tuple[float, float, float, float, float, float]:
-        s, i, rho, d = self.state.as_tuple()
-        return (s, i, rho, d, self.J, self.V)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -174,33 +154,6 @@ class Scenario:
         # NaN fails every comparison, so the range test is written to fail on it
         _require(0.0 <= t <= self.T, f"{name} must lie in [0, {self.T}], got {t}")
         return t
-
-
-def infection_intensity(i: float, params: EpidemicParams) -> float:
-    """Probability per unit time for one susceptible to become infected.
-
-    Linear in the infected fraction: ``transmission_rate * i``.
-
-    Raises ValidationError for an i outside [0, 1] or NaN; a caller handing
-    in such a fraction has a corrupted state, not a modeling choice.
-    """
-    # NaN fails every comparison, so the range test is written to fail on it
-    _require(0.0 <= i <= 1.0, f"infected fraction must lie in [0, 1], got {i}")
-    return params.transmission_rate * i
-
-
-def exact_infection_probability(i: float, dt: float, params: EpidemicParams) -> float:
-    """Exact contact-model probability of infection over a finite interval.
-
-    Returns ``1 - (1 - eps)^(r*dt*i)``.  This is the quantity the linear
-    intensity approximates; it is used to validate that approximation and
-    never inside the dynamics.  Raises ValidationError for a negative or NaN
-    dt and for an i outside [0, 1] or NaN.
-    """
-    _require(dt >= 0.0, f"interval length must be nonnegative, got {dt}")
-    _require(0.0 <= i <= 1.0, f"infected fraction must lie in [0, 1], got {i}")
-    # 1 - e^x with x = r*dt*i*ln(1-eps) <= 0, computed without cancellation
-    return -math.expm1(params.r * dt * i * math.log1p(-params.eps))
 
 
 def treatment_cost_rate(epidemic: EpidemicParams, cost: CostParams) -> float:

@@ -42,14 +42,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ValidationError
-from .model import (
-    AugmentedState,
-    Scenario,
-    SirdState,
-    VaccinationPolicy,
-    _rhs_values,
-    treatment_cost_rate,
-)
+from .model import Scenario, VaccinationPolicy, _rhs_values, treatment_cost_rate
 
 EVENT_PROGRAM_END = "program_end"
 EVENT_RATE_KINK = "rate_kink"
@@ -184,18 +177,15 @@ class Trajectory:
     def V(self) -> np.ndarray:
         return self.values[:, 5]
 
-    def state_at(self, t: float) -> AugmentedState:
-        """Interpolated state at any time in [0, T]; exact at sample points.
+    def state_at(self, t: float) -> np.ndarray:
+        """The row (s, i, rho, d, J, V) at any time in [0, T], as ``values`` holds it.
 
-        The samples were read through the same ``_sample`` and ``_clamp``,
-        and DOP853's dense output is evaluated element by element, so at a
-        sample time this returns the stored sample bit for bit.  Raises
-        ValidationError outside [0, T].
+        Read by ``_rows``, as the samples are, and DOP853's dense output is
+        evaluated element by element, so at a sample time this is that sample
+        bit for bit.  Raises ValidationError outside [0, T].
         """
         self.scenario.in_horizon("t", t)
-        rows = _clamp(_sample(self.segments, np.array([t])), self.tolerances.atol)
-        s, i, rho, d, J, V = _read_out(rows, self.scenario)[0]
-        return AugmentedState(SirdState(s, i, rho, d), J, V)
+        return _rows(self.segments, np.array([t]), self.scenario, self.tolerances.atol)[0]
 
     @property
     def rates(self) -> np.ndarray:
@@ -203,12 +193,12 @@ class Trajectory:
         return _rates(self.policy, self.exhaustion_time, self.times, self.s)
 
     def rate_at(self, t: float) -> float:
-        """Vaccination rate in effect just after time t.
+        """Vaccination rate in effect just after time t, for s in ``state_at``'s row.
 
         Right-continuous at switch-off points: 0 at and after the scheduled
         program end and at and after supply exhaustion.
         """
-        s = np.array([self.state_at(t).state.s])
+        s = self.state_at(t)[:1]
         return float(_rates(self.policy, self.exhaustion_time, np.array([t]), s)[0])
 
     def peak_and_end(self) -> tuple[float, float, float]:
@@ -279,6 +269,15 @@ def _read_out(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
     rho = initial.rho + epidemic.alpha * q + V
     J = scenario.cost.a * V + treatment_cost_rate(epidemic, scenario.cost) * q
     return np.column_stack((s, i, rho, initial.d + epidemic.beta * q, J, V))
+
+
+def _rows(segments, times: np.ndarray, scenario: Scenario, atol: float) -> np.ndarray:
+    """The rows (s, i, rho, d, J, V) of a run's segments at sorted times.
+
+    The segments' dense output, repaired or refused by ``_clamp`` and read
+    out: the one reader of the samples and of ``Trajectory.state_at``.
+    """
+    return _read_out(_clamp(_sample(segments, times), atol), scenario)
 
 
 def _sample(segments, times: np.ndarray) -> np.ndarray:
@@ -456,10 +455,9 @@ def _finish(
     grid = np.linspace(0.0, T, SAMPLE_POINTS)
     times = _merge_times(grid, [e.time for e in events], time_tol)
 
-    rows = _read_out(_clamp(_sample(segments, times), tol.atol), scenario)
     return Trajectory(
         times=times,
-        values=rows,
+        values=_rows(segments, times, scenario, tol.atol),
         events=tuple(events),
         scenario=scenario,
         policy=policy,

@@ -109,6 +109,15 @@ def rk4_reference(scenario, policy, h, sample_times):
     return np.array([out[t] for t in sample_times])
 
 
+def exact_infection_probability(i, dt, epidemic):
+    """Exact contact-model probability of infection over an interval: 1 - (1 - eps)^(r*dt*i).
+
+    This is the quantity the package's linear intensity beta_e*i approximates.
+    """
+    # 1 - e^x with x = r*dt*i*ln(1-eps) <= 0, computed without cancellation
+    return -math.expm1(epidemic.r * dt * i * math.log1p(-epidemic.eps))
+
+
 def random_cases(n, seed=20260810):
     """Reproducible valid (scenario, policy) pairs spanning the model's ranges."""
     rng = np.random.default_rng(seed)

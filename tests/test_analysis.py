@@ -20,6 +20,7 @@ from sirdvax import (
 )
 from sirdvax.analysis import stopped_program_indicators
 from sirdvax.solver import stopped_programs
+from oracles import random_cases
 
 PEAK_I_FULL_PROGRAM = 0.1786375065  # frozen from a 1e-11/1e-13 reference run
 PEAK_I_UNVACCINATED = 0.3633827668
@@ -47,6 +48,14 @@ class TestPeak:
     def test_vaccination_lowers_the_peak(self, full_program_traj, unvaccinated_traj):
         assert indicators(full_program_traj).peak_i < indicators(unvaccinated_traj).peak_i
 
+    def test_peak_value_is_the_row_at_the_peak_time(self):
+        # the peak value is the sample at the peak, as state_at reads it there
+        for scenario, policy in random_cases(40, seed=7):
+            for tau in (policy.tau, scenario.T, 0.0):
+                traj = integrate(scenario, dataclasses.replace(policy, tau=tau))
+                ind = indicators(traj)
+                assert ind.peak_i == traj.state_at(ind.peak_time)[1]
+
 
 class TestDuration:
     def test_threshold_not_reached_within_horizon(self, full_program_traj):
@@ -69,7 +78,7 @@ class TestDuration:
         traj = integrate(config.scenario, policy, config.tolerances)
         ind = indicators(traj)
         assert ind.peak_time < ind.duration < 17.57
-        assert traj.state_at(ind.duration).state.i == pytest.approx(1e-6, rel=1e-6)
+        assert traj.state_at(ind.duration)[1] == pytest.approx(1e-6, rel=1e-6)
 
     def test_disease_free_trajectory(self, disease_free):
         traj = integrate(disease_free, VaccinationPolicy(k=0.0, l=0.0, m=0.0, tau=0.0))
@@ -256,7 +265,7 @@ class TestStoppedProgramIndicators:
             run = always_on(dataclasses.replace(scenario, epidemic=epidemic), (0.1, 0.3, math.inf))
             peak_time, peak_i, _ = run.peak_and_end()
             tau = np.nextafter(peak_time, 0.0)
-            below += epidemic.transmission_rate * run.state_at(tau).state.s <= 1.0
+            below += epidemic.transmission_rate * run.state_at(tau)[0] <= 1.0
             row = stopped_program_indicators(run, [tau, 12.0])[0]
             assert row.peak_time == pytest.approx(peak_time, abs=1e-12)
             assert row.peak_i == pytest.approx(peak_i, rel=1e-12)

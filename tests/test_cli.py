@@ -16,6 +16,7 @@ import pytest
 import sirdvax
 from sirdvax import (
     VaccinationPolicy,
+    IntegrationError,
     dump_config,
     indicators,
     integrate,
@@ -197,7 +198,6 @@ class TestSimulate:
         assert not out.exists()
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
-        from sirdvax import IntegrationError
         import sirdvax.cli as cli_module
 
         def explode(*args, **kwargs):
@@ -207,6 +207,32 @@ class TestSimulate:
         rc = main(["simulate", "--config", "variant1", "--tau", "15", "--out", str(tmp_path)])
         assert rc == 2
 
+
+
+class TestSamplesLeavingTheUnitInterval:
+    """Variant 1 at rtol 1e-2: a sample of i lands at -3.9e-6, outside the repair band of 1e-9."""
+
+    def test_integrate_refuses_the_run(self, tmp_path):
+        config = load_config(str(write_config(tmp_path, tolerances={"rtol": 1e-2})))
+        policy = VaccinationPolicy(k=config.k, l=config.l, m=config.m, tau=15.0)
+        with pytest.raises(IntegrationError, match=r"left \[0, 1\]"):
+            integrate(config.scenario, policy, config.tolerances)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--tau", "15"],
+            ["optimize"],
+            ["sweep", "--param", "m", "--values", "0.4,2.949", "--tau", "15"],
+            ["sweep", "--param", "tau", "--values", "0,7.5,15"],
+        ],
+        ids=["simulate", "optimize", "sweep-m", "sweep-tau"],
+    )
+    def test_commands_exit_2(self, tmp_path, capsys, argv):
+        config = write_config(tmp_path, tolerances={"rtol": 1e-2})
+        rc = main([argv[0], "--config", str(config), *argv[1:], "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "left [0, 1]" in capsys.readouterr().err
 
 class TestOptimize:
     def test_variant1(self, tmp_path):

@@ -134,7 +134,7 @@ class TestFullProgramRun:
         (t_kink,) = event_times(full_program_traj, EVENT_RATE_KINK)
         assert t_kink == pytest.approx(KINK_TIME, abs=1e-3)
         # at the kink the willingness branch meets the capacity branch
-        s_kink = full_program_traj.state_at(t_kink).state.s
+        s_kink = full_program_traj.state_at(t_kink)[0]
         assert 0.3 * s_kink == pytest.approx(0.1, abs=1e-8)
 
     def test_program_end_marker(self, full_program_traj):
@@ -163,11 +163,11 @@ class TestSupplyExhaustion:
         (t_e,) = event_times(tight_supply_traj, EVENT_SUPPLY_EXHAUSTED)
         assert t_e == pytest.approx(2.0, abs=1e-6)
         s_at = tight_supply_traj.state_at
-        assert min(s_at(t).state.s for t in np.linspace(0.0, t_e, 50)) >= 1.0 / 3.0
+        assert min(s_at(t)[0] for t in np.linspace(0.0, t_e, 50)) >= 1.0 / 3.0
 
     def test_usage_meets_the_stock_at_the_event(self, tight_supply_traj):
         (t_e,) = event_times(tight_supply_traj, EVENT_SUPPLY_EXHAUSTED)
-        assert abs(tight_supply_traj.state_at(t_e).V - 0.2) <= 1e-11
+        assert abs(tight_supply_traj.state_at(t_e)[5] - 0.2) <= 1e-11
 
     def test_usage_never_exceeds_the_stock(self, tight_supply_traj):
         # the located stock-out pins V to the stock exactly, at and between samples
@@ -175,7 +175,7 @@ class TestSupplyExhaustion:
         after = traj.times >= traj.exhaustion_time
         assert traj.V.max() == 0.2 and np.all(traj.V[after] == 0.2)
         between = np.linspace(traj.exhaustion_time, 15.0, 37)
-        assert all(traj.state_at(float(t)).V == 0.2 for t in [*traj.times[after], *between])
+        assert all(traj.state_at(float(t))[5] == 0.2 for t in [*traj.times[after], *between])
 
     def test_vaccination_stops_at_exhaustion(self, tight_supply_traj):
         (t_e,) = event_times(tight_supply_traj, EVENT_SUPPLY_EXHAUSTED)
@@ -226,7 +226,7 @@ class TestSupplyExhaustion:
             dataclasses.replace(disease_free, T=T), VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
         )
         assert traj.exhaustion_time == T
-        assert traj.V[-1] == traj.state_at(T).V == k * T
+        assert traj.V[-1] == traj.state_at(T)[5] == k * T
 
     def test_zero_stock_never_vaccinates(self, scenario):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=0.0, tau=15.0)
@@ -265,7 +265,7 @@ class TestEpidemicEndEvent:
         traj = integrate(long_scenario, VaccinationPolicy(0.0, 0.0, 0.0, 0.0))
         (t_end,) = event_times(traj, EVENT_EPIDEMIC_END)
         assert 15.0 < t_end < 25.0
-        assert traj.state_at(t_end).state.i == pytest.approx(1e-6, rel=1e-3)
+        assert traj.state_at(t_end)[1] == pytest.approx(1e-6, rel=1e-3)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -312,7 +312,7 @@ class TestPeakEvent:
         ind = indicators(traj)
         assert ind.peak_time == t_peak
         beta_e = traj.scenario.epidemic.transmission_rate
-        assert abs(beta_e * traj.state_at(t_peak).state.s - 1.0) <= 1e-9
+        assert abs(beta_e * traj.state_at(t_peak)[0] - 1.0) <= 1e-9
         assert ind.peak_i >= traj.i.max()
         # the RK4 oracle at h = 1e-4 is accurate far below this bound
         ref = rk4_reference(traj.scenario, traj.policy, 1e-4, [t_peak])[-1]
@@ -331,7 +331,7 @@ class TestPeakEvent:
             assert indicators(traj).peak_i >= traj.i.max()
             if 0.0 < t_peak < traj.scenario.T:
                 beta_e = traj.scenario.epidemic.transmission_rate
-                assert abs(beta_e * traj.state_at(t_peak).state.s - 1.0) <= 1e-9
+                assert abs(beta_e * traj.state_at(t_peak)[0] - 1.0) <= 1e-9
 
     def test_no_rise_peaks_at_zero(self, epidemic, cost, disease_free):
         subcritical = Scenario(
@@ -365,7 +365,7 @@ class TestPeakEvent:
         if switch == "program-end":
             policy = VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=t_peak)
         elif switch == "stock-out":
-            used = full_program_traj.state_at(t_peak).V
+            used = full_program_traj.state_at(t_peak)[5]
             policy = VaccinationPolicy(k=0.1, l=0.3, m=used, tau=15.0)
         else:
             # l*s = k where beta_e*s = 1 when l = k*beta_e
@@ -403,15 +403,13 @@ class TestPeakEvent:
 
 class TestDenseOutput:
     def test_initial_state_exact(self, full_program_traj, scenario):
-        state = full_program_traj.state_at(0.0)
-        assert state.state.as_tuple() == scenario.initial.as_tuple()
-        assert state.J == 0.0 and state.V == 0.0
+        row = full_program_traj.state_at(0.0)
+        assert tuple(row) == (*dataclasses.astuple(scenario.initial), 0.0, 0.0)
 
     def test_sample_points_exact(self, full_program_traj, tight_supply_traj):
         for traj in (full_program_traj, tight_supply_traj):
             for t, row in zip(traj.times, traj.values):
-                got = traj.state_at(float(t)).as_vector()
-                assert np.array_equal(np.array(got), row)
+                assert np.array_equal(traj.state_at(float(t)), row)
 
     def test_out_of_range_rejected(self, full_program_traj):
         with pytest.raises(ValidationError):
@@ -429,14 +427,14 @@ class TestDenseOutput:
         traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=1e-13))
         assert event_times(traj, EVENT_PROGRAM_END) == [1e-13]
         assert traj.times[0] == 0.0
-        assert tuple(traj.values[0]) == (*scenario.initial.as_tuple(), 0.0, 0.0)
+        assert tuple(traj.values[0]) == (*dataclasses.astuple(scenario.initial), 0.0, 0.0)
 
     def test_samples_end_at_the_horizon_with_an_event_just_before_it(self, scenario):
         tau = 15.0 - 1e-11
         traj = integrate(scenario, VaccinationPolicy(k=0.1, l=0.3, m=math.inf, tau=tau))
         assert event_times(traj, EVENT_PROGRAM_END) == [tau]
         assert traj.times[-1] == 15.0
-        assert tuple(traj.values[-1]) == traj.state_at(15.0).as_vector()
+        assert tuple(traj.values[-1]) == tuple(traj.state_at(15.0))
 
     def test_merged_times_keep_both_ends(self):
         # 0.005 lies within tol of 0, and 0.993 moves the sample at 0.985 to
@@ -489,8 +487,8 @@ class TestDenseOutput:
         # tolerance scale; the factor absorbs global error amplification
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 15.0, size=40):
-            y = np.array(coarse.state_at(float(t)).as_vector())
-            y_ref = np.array(tight.state_at(float(t)).as_vector())
+            y = coarse.state_at(float(t))
+            y_ref = tight.state_at(float(t))
             bound = 50.0 * (tolerances.rtol * np.abs(y_ref) + tolerances.atol)
             assert np.all(np.abs(y - y_ref) <= bound)
 
@@ -572,7 +570,7 @@ class TestRateBranches:
         traj = integrate(low, VaccinationPolicy(k=0.1, l=0.2, m=math.inf, tau=15.0))
         assert event_times(traj, EVENT_RATE_KINK) == []
         # s falls from the start, so usage lags the capacity k*t at once
-        assert traj.state_at(1.0).V < 0.1 * 1.0 - 1e-3
+        assert traj.state_at(1.0)[5] < 0.1 * 1.0 - 1e-3
         self.assert_matches_reference(traj)
 
     def test_program_ending_at_the_kink(self, scenario, full_program_traj):
