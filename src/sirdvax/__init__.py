@@ -18,7 +18,6 @@ from .model import (
     treatment_cost_rate,
 )
 from .planner import (
-    ObjectiveEvaluation,
     OptimizationResult,
     feasible_tau_max,
     minimize_tau,
@@ -52,7 +51,6 @@ __all__ = [
     "EpidemicParams",
     "Event",
     "IntegrationError",
-    "ObjectiveEvaluation",
     "OptimizationResult",
     "Scenario",
     "ScenarioConfig",

@@ -17,19 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import EpidemicIndicators, indicators, stopped_program_indicators
-from .config import ScenarioConfig, config_from_dict, config_to_dict, load_config
+from .config import _SECTIONS, ScenarioConfig, config_from_dict, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
 from .model import VaccinationPolicy
 from .planner import minimize_tau, procurement_plan
 from .solver import Trajectory, integrate
 
-#: Each parameter a sweep may vary, and the config section that holds it.
-SWEEPABLE = {
-    "tau": None,
-    **dict.fromkeys(("k", "l", "m"), "resources"),
-    **dict.fromkeys(("a", "b", "c"), "cost"),
-    **dict.fromkeys(("eps", "r"), "epidemic"),
-}
+#: Each parameter a sweep may vary: the duration and the config fields below.
+SWEEPABLE = ("tau", "k", "l", "m", "a", "b", "c", "eps", "r")
 
 #: Most values one sweep may take; a range spec expanding to more is refused.
 MAX_SWEEP_VALUES = 100_000
@@ -197,7 +192,8 @@ def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
         tau = config.scenario.in_horizon("tau", value)
     else:
         data = config_to_dict(config)
-        data[SWEEPABLE[param]][param] = "inf" if value == math.inf else value
+        section = next(name for name, keys in _SECTIONS.items() if param in keys)
+        data[section][param] = "inf" if value == math.inf else value
         config = config_from_dict(data)
     return config.scenario, VaccinationPolicy(*config.resources, tau=tau)
 

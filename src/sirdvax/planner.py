@@ -1,7 +1,8 @@
 """Cost-optimal vaccination-program duration and procurement planning.
 
 The decision variable is the single scalar tau (how long the program runs).
-The objective is evaluated by simulation, so the search is derivative-free.
+The objective is the total cost J(T), evaluated by simulation, so the search
+is derivative-free; ``objective`` returns it for one duration as a float.
 Every candidate program follows the same always-on run until it ends, so one
 such run gives the stock cap and every candidate's state at its end.  Nested
 uniform scans then cost their candidates together, each with one batched
@@ -32,18 +33,6 @@ Resources = tuple[float, float, float]  # (k, l, m)
 
 
 @dataclass(frozen=True)
-class ObjectiveEvaluation:
-    """One evaluation of the total-cost objective at a candidate duration.
-
-    ``trajectory.exhaustion_time`` tells whether, and when, the stock ran out.
-    """
-
-    tau: float
-    cost: float
-    trajectory: Trajectory
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     """Best duration found, its cost, indicators and trajectory.
 
@@ -63,16 +52,14 @@ def objective(
     scenario: Scenario,
     resources: Resources,
     tol: Tolerances = Tolerances(),
-) -> ObjectiveEvaluation:
-    """Total per-capita cost of running the program for ``tau`` time units.
+) -> float:
+    """Total per-capita cost J(T) of running the program for ``tau`` time units.
 
-    The system is integrated over the full horizon [0, T] and the cost is
-    J(T): vaccination spend stops when the program does, treatment spend
-    keeps accruing while infections persist.  ``integrate`` refuses a tau
-    outside [0, T].
+    The system is integrated over the full horizon [0, T]: vaccination spend
+    stops when the program does, treatment spend keeps accruing while
+    infections persist.  ``integrate`` refuses a tau outside [0, T].
     """
-    traj = integrate(scenario, VaccinationPolicy(*resources, tau=tau), tol)
-    return ObjectiveEvaluation(tau=tau, cost=float(traj.J[-1]), trajectory=traj)
+    return float(integrate(scenario, VaccinationPolicy(*resources, tau=tau), tol).J[-1])
 
 
 def _cap(always_on: Trajectory) -> float:

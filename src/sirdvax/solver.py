@@ -206,17 +206,16 @@ class Trajectory:
 
         The peak is the ``peak`` event and the end is the first
         ``epidemic_end`` at or after it, or T if there is none.  The
-        infected fraction is read at the sample nearest the peak: the peak
-        time is a sample time, or within the merge tolerance of one (an end
-        point, say, for a peak just after 0).
+        infected fraction is the row at the peak time, read by ``_rows`` as
+        ``state_at`` and the samples are.
         """
         peak_time = next(e.time for e in self.events if e.kind == EVENT_PEAK)
-        row = int(np.abs(self.times - peak_time).argmin())
+        row = _rows(self.segments, np.array([peak_time]), self.scenario, self.tolerances.atol)[0]
         end_time = next(
             (e.time for e in self.events if e.kind == EVENT_EPIDEMIC_END and e.time >= peak_time),
             self.scenario.T,
         )
-        return peak_time, float(self.i[row]), end_time
+        return peak_time, float(row[1]), end_time
 
 
 def _rates(

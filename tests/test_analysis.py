@@ -16,7 +16,6 @@ from sirdvax import (
     config_from_dict,
     indicators,
     integrate,
-    objective,
 )
 from sirdvax.analysis import stopped_program_indicators
 from sirdvax.solver import stopped_programs
@@ -43,7 +42,7 @@ class TestPeak:
 
     def test_peak_dominates_every_sample(self, full_program_traj):
         ind = indicators(full_program_traj)
-        assert ind.peak_i >= full_program_traj.i.max()
+        assert ind.peak_i == full_program_traj.i.max()
 
     def test_vaccination_lowers_the_peak(self, full_program_traj, unvaccinated_traj):
         assert indicators(full_program_traj).peak_i < indicators(unvaccinated_traj).peak_i
@@ -145,7 +144,7 @@ def worst_disagreement(scenario, resources, taus):
     rows = stopped_program_indicators(always_on(scenario, resources), taus)
     worst = dict.fromkeys(INDICATOR_FIELDS, 0.0)
     for tau, row in zip(taus, rows):
-        exact = indicators(objective(float(tau), scenario, resources).trajectory)
+        exact = indicators(integrate(scenario, VaccinationPolicy(*resources, tau=float(tau))))
         for name in INDICATOR_FIELDS:
             got, want = getattr(row, name), getattr(exact, name)
             if got != want:
@@ -154,7 +153,7 @@ def worst_disagreement(scenario, resources, taus):
 
 
 class TestStoppedProgramIndicators:
-    """Batched tau-sweep rows against ``objective`` plus ``indicators``."""
+    """Batched tau-sweep rows against ``integrate`` plus ``indicators``."""
 
     @pytest.mark.parametrize(
         "scenario_name, resources",
@@ -208,9 +207,17 @@ class TestStoppedProgramIndicators:
         taus = np.linspace(0.0, 15.0, TAIL_CHUNK + 3)
         rows = stopped_program_indicators(always_on(scenario, (0.1, 0.3, math.inf)), taus)
         for j in (0, TAIL_CHUNK - 1, TAIL_CHUNK, len(taus) - 1):
-            exact = indicators(objective(float(taus[j]), scenario, (0.1, 0.3, math.inf)).trajectory)
+            policy = VaccinationPolicy(0.1, 0.3, math.inf, tau=float(taus[j]))
+            exact = indicators(integrate(scenario, policy))
             for name in INDICATOR_FIELDS:
                 assert getattr(rows[j], name) == pytest.approx(getattr(exact, name), rel=1e-7)
+
+    def test_the_full_duration_is_the_always_on_run_exactly(self):
+        # a program of duration T shares every crossing of the always-on run
+        # and has no tail to solve, so its row is that run's indicators
+        for scenario, policy in random_cases(40, seed=7):
+            run = integrate(scenario, dataclasses.replace(policy, tau=scenario.T))
+            assert stopped_program_indicators(run, [scenario.T]) == [indicators(run)]
 
     def test_no_durations_give_no_rows(self, scenario):
         run = always_on(scenario, (0.1, 0.3, 0.4))

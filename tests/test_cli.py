@@ -338,7 +338,7 @@ class TestSweep:
         for row in rows:
             expected = objective(
                 float(row[1]), config.scenario, config.resources, config.tolerances
-            ).cost
+            )
             assert float(row[-1]) == pytest.approx(expected, rel=1e-8)
 
     def test_tau_sweep_integrates_once(self, tmp_path, monkeypatch):
@@ -416,7 +416,9 @@ class TestSweep:
         # 3.29 ends just before the peak, which then lies in the tail's first step
         config = load_config("variant1")
         expected = indicators(
-            objective(3.29, config.scenario, config.resources, config.tolerances).trajectory
+            integrate(
+                config.scenario, VaccinationPolicy(*config.resources, tau=3.29), config.tolerances
+            )
         )
         for values in ("3.29", "3.29,5"):
             out = tmp_path / values
@@ -439,7 +441,7 @@ class TestSweep:
         for row in rows:
             expected = objective(
                 float(row[1]), config.scenario, config.resources, config.tolerances
-            ).cost
+            )
             assert float(row[-1]) == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from sirdvax import (
     EVENT_RATE_KINK,
     EVENT_SUPPLY_EXHAUSTED,
     IntegrationError,
+    Tolerances,
     VaccinationPolicy,
     ValidationError,
     feasible_tau_max,
@@ -38,6 +39,11 @@ PROCUREMENT_STOCK = 0.43093
 COST_NO_PROGRAM = 70.20865
 
 
+def run(tau, scenario, resources, tol=Tolerances()):
+    """The run ``objective`` costs at ``tau``."""
+    return integrate(scenario, VaccinationPolicy(*resources, tau=tau), tol)
+
+
 class TestObjective:
     def test_rejects_tau_outside_horizon(self, scenario):
         with pytest.raises(ValidationError):
@@ -46,28 +52,29 @@ class TestObjective:
             objective(16.0, scenario, RESOURCES_UNLIMITED)
 
     def test_disease_free_program_costs_nothing(self, disease_free):
-        assert objective(0.0, disease_free, RESOURCES_UNLIMITED).cost == 0.0
+        assert objective(0.0, disease_free, RESOURCES_UNLIMITED) == 0.0
 
     def test_no_program_cost_matches_policy_free_integration(self, scenario, tolerances):
         # same integrator with no resources either: the step sequences
         # coincide, so the costs must agree essentially bit-for-bit
         with_zero_duration = objective(0.0, scenario, RESOURCES_VARIANT1, tolerances)
         without_policy = integrate(scenario, VaccinationPolicy(0.0, 0.0, 0.0, 0.0), tolerances)
-        assert abs(with_zero_duration.cost - without_policy.J[-1]) <= 1e-9
-        assert with_zero_duration.cost == pytest.approx(COST_NO_PROGRAM, abs=1e-3)
+        assert isinstance(with_zero_duration, float)
+        assert abs(with_zero_duration - without_policy.J[-1]) <= 1e-9
+        assert with_zero_duration == pytest.approx(COST_NO_PROGRAM, abs=1e-3)
 
     def test_no_program_cost_matches_treatment_quadrature(self, scenario, tolerances):
-        evaluation = objective(0.0, scenario, RESOURCES_VARIANT1, tolerances)
-        traj = evaluation.trajectory
+        cost = objective(0.0, scenario, RESOURCES_VARIANT1, tolerances)
+        traj = run(0.0, scenario, RESOURCES_VARIANT1, tolerances)
         t, i = traj.times, traj.i
         treatment = 72.5 * np.sum(np.diff(t) * (i[1:] + i[:-1]) / 2.0)  # trapezoid rule
-        assert evaluation.cost == pytest.approx(treatment, rel=1e-4)
+        assert cost == pytest.approx(treatment, rel=1e-4)
 
     def test_feasibility_flag_tracks_truncation(self, scenario):
         # the stock of 0.2 runs out at t = 2 on the capacity branch
-        assert objective(1.5, scenario, RESOURCES_TIGHT).trajectory.exhaustion_time is None
-        truncated = objective(5.0, scenario, RESOURCES_TIGHT)
-        assert truncated.trajectory.exhaustion_time == pytest.approx(2.0, abs=1e-6)
+        assert run(1.5, scenario, RESOURCES_TIGHT).exhaustion_time is None
+        truncated = run(5.0, scenario, RESOURCES_TIGHT)
+        assert truncated.exhaustion_time == pytest.approx(2.0, abs=1e-6)
 
     def test_cost_differences_beyond_the_epidemic_are_pure_vaccine_spend(
         self, scenario, tolerances
@@ -75,10 +82,10 @@ class TestObjective:
         # infections are negligible after t ~ 14, so extending the program
         # only adds dose cost: delta j == a * delta V up to the tiny change
         # the extra vaccination makes to the remaining epidemic
-        early = objective(14.0, scenario, RESOURCES_UNLIMITED, tolerances)
-        late = objective(15.0, scenario, RESOURCES_UNLIMITED, tolerances)
-        dj = late.cost - early.cost
-        dv = late.trajectory.V[-1] - early.trajectory.V[-1]
+        early = (14.0, scenario, RESOURCES_UNLIMITED, tolerances)
+        late = (15.0, scenario, RESOURCES_UNLIMITED, tolerances)
+        dj = objective(*late) - objective(*early)
+        dv = run(*late).V[-1] - run(*early).V[-1]
         assert dj > 0.0
         assert abs(dj - 5.0 * dv) <= 1e-3 * dj
 
@@ -141,7 +148,7 @@ class TestMinimizeTau:
     def test_dominates_a_uniform_grid(self, scenario, tolerances):
         result = minimize_tau(scenario, RESOURCES_VARIANT1, tolerances)
         grid_costs = [
-            objective(tau, scenario, RESOURCES_VARIANT1, tolerances).cost
+            objective(tau, scenario, RESOURCES_VARIANT1, tolerances)
             for tau in np.linspace(0.0, 15.0, 201)
         ]
         assert result.cost_star <= min(grid_costs) + 1e-6
@@ -169,7 +176,7 @@ class TestMinimizeTau:
         assert result.tau_star <= cap + 1e-12
         assert result.indicators.total_vaccinated <= 0.2 + 1e-6
         grid_costs = [
-            objective(tau, scenario, RESOURCES_TIGHT, tolerances).cost
+            objective(tau, scenario, RESOURCES_TIGHT, tolerances)
             for tau in np.linspace(0.0, cap, 101)
         ]
         assert result.cost_star <= min(grid_costs) + 1e-6
@@ -214,7 +221,7 @@ class TestBatchedScan:
         grid = scan_grid(scenario, resources, tolerances)
         scanned = stopped_program_costs(always_on_run(scenario, resources, tolerances), grid)
         exact = np.array(
-            [objective(float(tau), scenario, resources, tolerances).cost for tau in grid]
+            [objective(float(tau), scenario, resources, tolerances) for tau in grid]
         )
         np.testing.assert_allclose(scanned, exact, rtol=1e-5, atol=0.0)
         assert int(np.argmin(scanned)) == int(np.argmin(exact))
@@ -234,7 +241,7 @@ class TestBatchedScan:
         )
         np.testing.assert_allclose(scanned, a * used, rtol=1e-6, atol=0.0)
         assert int(np.argmin(scanned)) == 0
-        assert objective(0.0, disease_free, RESOURCES_VARIANT1, tolerances).cost == 0.0
+        assert objective(0.0, disease_free, RESOURCES_VARIANT1, tolerances) == 0.0
 
     @pytest.mark.parametrize("m", [0.2, 0.4])
     def test_last_point_is_the_cap_where_the_stock_runs_out(self, scenario, tolerances, m):
@@ -242,7 +249,7 @@ class TestBatchedScan:
         always_on = always_on_run(scenario, resources, tolerances)
         grid = scan_grid(scenario, resources, tolerances)
         assert grid[-1] == always_on.exhaustion_time < scenario.T
-        last = objective(float(grid[-1]), scenario, resources, tolerances).trajectory
+        last = run(float(grid[-1]), scenario, resources, tolerances)
         assert last.exhaustion_time == grid[-1]
         assert any(e.kind == EVENT_SUPPLY_EXHAUSTED for e in last.events)
 
@@ -288,7 +295,7 @@ class TestExactPolish:
         # the one exact program is the answer, cut once
         assert cuts == [result.tau_star]
         assert result.cost_star == result.trajectory.J[-1]
-        assert result.cost_star == objective(result.tau_star, scenario, resources).cost
+        assert result.cost_star == objective(result.tau_star, scenario, resources)
         assert set(scanned) == {PRESCAN_POINTS}
         # the returned program counts as one evaluation, as the exact run it replaced did
         assert result.evaluations == sum(scanned) + 1
@@ -388,7 +395,7 @@ class TestNestedScan:
         result = minimize_tau(scenario, RESOURCES_UNLIMITED)
         assert abs(result.tau_star - kink) <= 1e-3 < scenario.T / (PRESCAN_POINTS - 1)
         reference = minimize_scalar(
-            lambda tau: objective(float(tau), scenario, RESOURCES_UNLIMITED).cost,
+            lambda tau: objective(float(tau), scenario, RESOURCES_UNLIMITED),
             bounds=(kink - 0.25, kink + 0.25),
             method="bounded",
             options={"xatol": 1e-6},
