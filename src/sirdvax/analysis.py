@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import EPIDEMIC_END_THRESHOLD, Trajectory, stopped_programs
+from .solver import (
+    EPIDEMIC_END_THRESHOLD,
+    StoppedPrograms,
+    Tolerances,
+    Trajectory,
+    stacked_runs,
+    stopped_programs,
+)
 
 
 @dataclass(frozen=True)
@@ -60,9 +67,23 @@ def stopped_program_indicators(always_on: Trajectory, taus) -> list[EpidemicIndi
     ``stopped_programs``, which refuses a run that is not always-on.
     """
     unique, position = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
-    tails = stopped_programs(always_on, unique, crossings=True)
-    rows = [
-        _from_crossings(*crossing, final)
-        for *crossing, final in zip(tails.peak_time, tails.peak_i, tails.end_time, tails.final)
-    ]
+    rows = _indicator_rows(stopped_programs(always_on, unique, crossings=True))
     return [rows[j] for j in position.ravel()]
+
+
+def run_indicators(points, tol: Tolerances = Tolerances()) -> list[EpidemicIndicators]:
+    """Indicators of the run of each (scenario, policy) in ``points``, in the given order.
+
+    Each row is ``indicators(integrate(scenario, policy, tol))`` within
+    tolerance: ``stacked_runs`` solves all the runs together rather than one
+    by one, and solves runs alike in their dynamics once.
+    """
+    return _indicator_rows(stacked_runs(points, tol))
+
+
+def _indicator_rows(programs: StoppedPrograms) -> list[EpidemicIndicators]:
+    """Indicators of each row of ``programs``, from its crossings and its state at T."""
+    return [
+        _from_crossings(*row)
+        for row in zip(programs.peak_time, programs.peak_i, programs.end_time, programs.final)
+    ]

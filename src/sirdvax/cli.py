@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import EpidemicIndicators, indicators, stopped_program_indicators
+from .analysis import EpidemicIndicators, indicators, run_indicators, stopped_program_indicators
 from .config import _SECTIONS, ScenarioConfig, config_from_dict, config_to_dict, load_config
 from .errors import IntegrationError, ValidationError
 from .model import VaccinationPolicy
@@ -199,13 +199,21 @@ def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
 
 
 def cmd_sweep(args) -> int:
+    """Write one indicators row per value of ``--param``, in the order given.
+
+    Every value is checked before anything is solved.  A tau sweep cuts one
+    always-on run at each duration (``stopped_program_indicators``).  A
+    sweep of any other parameter solves all its rows together in stacked
+    solves (``run_indicators``) and calls ``integrate`` not at all; its rows
+    agree with single runs within tolerance.
+    """
     config = load_config(args.config)
     T = config.scenario.T
     # --tau is checked whatever the parameter, and however few values there are
     base_tau = T if args.tau is None else config.scenario.in_horizon("tau", args.tau)
     values = parse_values(args.values)
 
-    # every value is checked before anything is integrated
+    # every value is checked before anything is solved
     points = [_with_value(config, args.param, value, base_tau) for value in values]
     if args.param == "tau" and values:
         # every program follows the always-on run until it ends
@@ -213,10 +221,7 @@ def cmd_sweep(args) -> int:
         always_on = integrate(config.scenario, policy, config.tolerances)
         found = stopped_program_indicators(always_on, values)
     else:
-        found = [
-            indicators(integrate(scenario, policy, config.tolerances))
-            for scenario, policy in points
-        ]
+        found = run_indicators(points, config.tolerances)
     rows = [(args.param, value, *astuple(ind)) for value, ind in zip(values, found)]
 
     out = _out_dir(args)

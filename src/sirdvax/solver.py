@@ -16,9 +16,15 @@ DOP853).  Its 7th-order dense output backs interpolation between samples
 and every located crossing.  One locator, ``_first_fall``, finds them all
 on a solve's steps: the rate kink and the stock-out that end a segment, the
 peak and the epidemic end of a run, and those of the batched tails in
-``stopped_programs``.  solve_ivp only stops a vaccinating segment, with one
-terminal event; the segment then ends at the earliest of tau and the
-located kink and stock-out.
+``stopped_programs`` and of the stacked runs in ``stacked_runs``.
+solve_ivp only stops a vaccinating segment, with one terminal event; the
+segment then ends at the earliest of tau and the located kink and
+stock-out.
+
+``stacked_runs`` answers many runs that differ in their parameters, not
+only in tau, with one stacked solve per piece: each row of
+``_solve_tails``, the one stacked solve, has its own transmission rate and
+vaccination rate.
 
 Until tau a run is the always-on run (tau = T) bit for bit, so
 ``stopped_program`` cuts that run's vaccinating segments at tau instead of
@@ -58,8 +64,9 @@ SAMPLE_POINTS = 1001
 
 _METHOD = "DOP853"
 
-#: Tails per batched solve in ``stopped_programs``; bounds the memory one
-#: solve and its dense output take, whatever the number of durations.
+#: Rows per stacked solve in ``stopped_programs`` and ``stacked_runs``;
+#: bounds the memory one solve and its dense output take, whatever the
+#: number of rows.
 TAIL_CHUNK = 256
 
 #: Smallest rtol solve_ivp honours; it raises a smaller one to this with only a warning.
@@ -365,11 +372,11 @@ def integrate(
         else:
             willing = l * y0[0] <= k
             if not willing:
-                kink, stock_out = advance(k, 0.0, lambda y: [l * y[0] - k, m - y[3]])
+                kink, stock_out = advance(k, 0.0, lambda y, _: [l * y[0] - k, m - y[3]])
                 # the willingness branch follows a kink before the stock-out and tau
                 willing = kink < min(stock_out, tau)
             if willing:
-                (stock_out,) = advance(0.0, l, lambda y: [m - y[3]])
+                (stock_out,) = advance(0.0, l, lambda y, _: [m - y[3]])
     return _finish(scenario, policy, tol, segments, stock_out)
 
 
@@ -440,7 +447,7 @@ def _finish(
         segments.append((t0, T, sol.sol))
 
     beta_e = scenario.epidemic.transmission_rate
-    peak, end = _first_fall(*_steps(segments), _markers(beta_e))[0][:, 0].tolist()
+    peak, end = _first_fall(*_steps(segments), _markers(np.array([beta_e])))[0][:, 0].tolist()
     # i peaks where beta_e*s falls through 1, at T if it never does, and at 0
     # with no infections or with beta_e*s at or below 1 from the start
     rising = scenario.initial.i > 0.0 and beta_e * scenario.initial.s > 1.0
@@ -468,10 +475,12 @@ def _finish(
 
 @dataclass(frozen=True)
 class StoppedPrograms:
-    """Programs ended at each of a set of durations, read off one always-on run.
+    """Programs read off one always-on run, or stacked runs of their own.
+
+    ``stopped_programs`` gives the first and ``stacked_runs`` the second.
 
     ``final`` holds each program's state (s, i, rho, d, J, V) at T, one row
-    per duration.
+    per program.
     When crossings are located, ``peak_time`` and ``peak_i`` give each
     program's ``peak`` event and the infected fraction there, and
     ``end_time`` its first ``epidemic_end`` at or after the peak, or T, as
@@ -525,12 +534,12 @@ def stopped_programs(
     if np.any(np.diff(taus) < 0.0) or not np.all((taus >= 0.0) & (taus <= T)):
         raise ValidationError(f"durations must be sorted within [0, {T}]")
     final = _sample(always_on.segments, taus)
+    beta_e = scenario.epidemic.transmission_rate
     if crossings:
         peak_on, peak_i_on, end_on = always_on.peak_and_end()
         # a tail's crossing is searched for where its function starts above 0,
         # and otherwise is the always-on run's; i below the threshold before
         # the peak may still rise through it, so that end is searched for
-        beta_e = scenario.epidemic.transmission_rate
         tail_peak = (taus < peak_on) & (beta_e * final[:, 0] > 1.0)
         tail_end = (taus < end_on) & ((taus < peak_on) | (final[:, 1] > EPIDEMIC_END_THRESHOLD))
         peak_time = np.where(tail_peak, T, peak_on)
@@ -543,12 +552,15 @@ def stopped_programs(
         # a tail to search has tau < T, so it is solved
         locate = crossings and bool(tail_peak[cols].any() or tail_end[cols].any())
         if spans.max() > 0.0:
-            sol = _solve_tails(scenario, tol, spans, final[cols], locate)
+            sol = _solve_tails(tol, spans, final[cols], beta_e, 0.0, 0.0, locate)
             final[cols] = sol.y[:, -1].reshape(-1, len(spans)).T
         final[cols] = _clamp(final[cols], tol.atol)
         if locate:
             falls, at = _first_fall(
-                sol.t, sol.y.reshape(4, len(spans), -1), sol.sol.interpolants, _markers(beta_e)
+                sol.t,
+                sol.y.reshape(4, len(spans), -1),
+                sol.sol.interpolants,
+                _markers(np.full(len(spans), beta_e)),
             )
             found = (falls < np.inf) & np.stack((tail_peak[cols], tail_end[cols]))
             located = np.minimum(taus[cols] + np.where(found, falls, 0.0) * spans, T)
@@ -563,25 +575,224 @@ def stopped_programs(
     return StoppedPrograms(final, peak_time, peak_i, end_time)
 
 
-def _solve_tails(scenario: Scenario, tol: Tolerances, spans, start: np.ndarray, dense: bool):
-    """One solve of the uncontrolled tails from the rows of ``start`` over ``spans``.
+def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
+    """The run of each (scenario, policy) in ``points``, from stacked solves of all of them.
 
-    The state vector stacks the tails component by component: all s, then
-    all i, and so on.
+    Row j holds ``integrate(*points[j], tol)`` as ``StoppedPrograms`` holds a
+    program: its state at T, its peak and its end.  Runs alike in all their
+    dynamics read (s0, i0, beta_e, k, l, m, tau and T) are solved once, and
+    each row's state at T is read out with its own scenario, so unit costs
+    and alpha need no solve of their own.
+
+    Per ``TAIL_CHUNK`` distinct runs, three stacked ``_solve_tails`` calls
+    follow ``integrate``'s segments:
+
+    1. the capacity branch on [0, tau], for the runs with l*s0 > k;
+    2. the willingness branch from each run's rate kink (or from 0) to tau;
+    3. no vaccination, from each run's cut to T.
+
+    A run with k, l, m or tau 0 vaccinates nobody and has only the third.
+    A vaccinating solve stops at one terminal event, once every row has
+    passed its own cut: the first of tau, the rate kink (l*s falls through
+    k) and the stock-out (V reaches m).  A row past its cut rides on with
+    the others, and its values there are never read.  ``_first_fall`` then
+    locates each row's kink, stock-out, peak and end on the solve's steps.
+    A peak or end counts where it lies at or before the row's cut.  A row
+    with beta_e*s already at or below 1 where its part of a solve starts,
+    its peak's fall put just past the previous cut by rounding, peaks there,
+    as in ``stopped_programs``.  A row whose stock runs out at or
+    before tau has V pinned to m, as ``_finish`` pins it.  The peak is at 0
+    when beta_e*s0 <= 1 or i0 = 0, and at T when beta_e*s stays above 1; the
+    end is the first at or after the peak, or T.  Runs whose stock never
+    runs out and that are alike in all else are one run, and take one row's
+    results.
+
+    The rows share each solve's steps, so a row agrees with its own
+    ``integrate`` run within tolerance, not bit for bit.  The vaccinating
+    solves divide rtol and atol by the square root of their row count, so
+    that the joint error norm bounds each row as its own solve would.  The
+    unvaccinated rest is solved at ``tol``, as ``stopped_programs`` solves
+    its tails.  Each row's part of each solve is sampled at
+    ``SAMPLE_POINTS`` uniform points and refused by ``_clamp``, as
+    ``integrate``'s samples are.  Raises ValidationError unless every tau
+    lies in [0, T].
     """
-    beta_e, n = scenario.epidemic.transmission_rate, len(spans)
+    keys = np.array(
+        [
+            (
+                scenario.initial.s,
+                scenario.initial.i,
+                scenario.epidemic.transmission_rate,
+                policy.k,
+                policy.l,
+                policy.m,
+                scenario.in_horizon("tau", policy.tau),
+                scenario.T,
+            )
+            for scenario, policy in points
+        ],
+        dtype=float,
+    ).reshape(-1, 8)
+    unique, position = np.unique(keys, axis=0, return_inverse=True)
+    position = position.ravel()
+    at_end = np.empty((len(unique), 4))
+    crossings = np.empty((3, len(unique)))
+    ran_out = np.empty(len(unique), dtype=bool)
+    for lo in range(0, len(unique), TAIL_CHUNK):
+        rows = slice(lo, lo + TAIL_CHUNK)
+        at_end[rows], crossings[:, rows], ran_out[rows] = _stacked_chunk(*unique[rows].T, tol)
+    # a stock that never runs out leaves a run as it is without one, so such
+    # runs alike in all else are one run: they take one row's results, where
+    # the stacked solves would set them apart in their last bits
+    free = np.flatnonzero(~ran_out)
+    _, first, group = np.unique(
+        np.delete(unique[free], 5, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    same = free[first][group.ravel()]
+    at_end[free], crossings[:, free] = at_end[same], crossings[:, same]
+    final = [_read_out(at_end[j : j + 1], sc)[0] for (sc, _), j in zip(points, position)]
+    return StoppedPrograms(np.reshape(final, (-1, 6)), *crossings[:, position])
+
+
+def _stacked_chunk(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
+    """Each stacked run's state (s, i, q, V) at T, its peak time, peak i and end, and its stock-out.
+
+    The runs' parameters come one array each, as ``stacked_runs`` describes.
+    A run ran out of stock where it is recorded at or before tau, or has
+    none (m = 0).
+    """
+    n = len(s0)
+    # where each row's part of the next solve starts, and its state there
+    t = np.zeros(n)
+    y = np.column_stack((s0, i0, np.zeros(n), np.zeros(n)))
+    rising = (i0 > 0.0) & (beta_e * s0 > 1.0)
+    peak_time = np.where(rising, np.nan, 0.0)
+    peak_i = i0.copy()
+    end_time = np.full(n, np.nan)
+    ran_out = m == 0.0
+
+    def advance(rows, ends, rate, willingness, cuts=None):
+        """Solve ``rows`` from (t, y) toward ``ends``, each as far as its first fall of ``cuts``.
+
+        ``cuts`` gives, as ``_first_fall``'s g does for the rows it is
+        handed, the functions whose first fall cuts a row's part; without it
+        each part runs to its end.  Records the peaks and ends within each
+        row's part, moves the row's (t, y) to its cut, and returns the falls
+        of ``cuts`` as positions in [0, 1], inf where there is none.
+        """
+        # a cut at the peak (a rate kink with k = l/beta_e): rounding can put
+        # the peak's fall just past the cut, with beta_e*s at or below 1 where
+        # the next part starts
+        at_peak = rows[np.isnan(peak_time[rows]) & (beta_e[rows] * y[rows, 0] <= 1.0)]
+        peak_time[at_peak], peak_i[at_peak] = t[at_peak], y[at_peak, 1]
+        spans = ends[rows] - t[rows]
+        markers = _markers(beta_e[rows])
+        if cuts is None:
+            if not spans.max() > 0.0:
+                return None
+            part_tol, events = tol, None
+        else:
+            # solve_ivp's error norm is the RMS over all rows' components, so
+            # it lets one row err sqrt(rows) times what its own solve would
+            root = math.sqrt(len(rows))
+            part_tol = Tolerances(max(tol.rtol / root, RTOL_FLOOR), tol.atol / root)
+
+            def events(u, state):
+                # the last row's first cut function falls through 0 here
+                return np.min(cuts(state.reshape(4, -1, 1), rows), axis=0).max()
+
+            events.terminal, events.direction = True, -1
+
+        def g(state, r):
+            return [*(cuts(state, rows[r]) if cuts else ()), *markers(state, r)]
+
+        sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, events=events)
+        # the step the terminal event cut short is searched in full
+        falls, at = _first_fall(*_steps([(0.0, sol.sol.interpolants[-1].t, sol.sol)]), g)
+        cut = np.minimum(falls[:-2].min(axis=0, initial=np.inf), 1.0)
+        # each row's own part is sampled and checked as integrate's samples are
+        grid = np.linspace(0.0, 1.0, SAMPLE_POINTS)
+        samples = sol.sol(grid).reshape(4, len(rows), -1).transpose(1, 2, 0)
+        _clamp(samples[grid <= cut[:, None]], tol.atol)
+        new = np.isnan(peak_time[rows]) & (falls[-2] <= cut)
+        peak_time[rows[new]] = t[rows[new]] + falls[-2, new] * spans[new]
+        peak_i[rows[new]] = at[1, -2, new]
+        new = np.isnan(end_time[rows]) & (falls[-1] <= cut)
+        end_time[rows[new]] = t[rows[new]] + falls[-1, new] * spans[new]
+        # each row's state at its own cut, one dense-output column per distinct cut
+        cuts_at, which = np.unique(cut, return_inverse=True)
+        states = sol.sol(cuts_at).reshape(4, len(rows), -1)
+        y[rows] = states[:, np.arange(len(rows)), which.ravel()].T
+        t[rows] += cut * spans
+        return falls[:-2]
+
+    vaccinating = (tau > 0.0) & (k > 0.0) & (l > 0.0) & (m > 0.0)
+    capacity = np.flatnonzero(vaccinating & (l * s0 > k))
+    willing = np.flatnonzero(vaccinating & (l * s0 <= k))
+    if len(capacity):
+        kink, stock = advance(
+            capacity,
+            tau,
+            k[capacity],
+            0.0,
+            lambda state, r: [l[r, None] * state[0] - k[r, None], m[r, None] - state[3]],
+        )
+        # the willingness branch follows a kink before the stock-out and tau
+        on = kink < np.minimum(stock, 1.0)
+        exhausted = capacity[~on & (stock < np.inf)]
+        y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
+        willing = np.union1d(willing, capacity[on])
+    if len(willing):
+        (stock,) = advance(willing, tau, 0.0, l[willing], lambda state, r: [m[r, None] - state[3]])
+        exhausted = willing[stock < np.inf]
+        y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
+    advance(np.arange(n), T, 0.0, 0.0)
+
+    final = _clamp(y, tol.atol)
+    # a run whose beta_e*s stays above 1 peaks at T, where i is highest
+    rose = np.isnan(peak_time)
+    peak_i[rose] = final[rose, 1]
+    peak_time = np.where(rose, T, np.minimum(peak_time, T))
+    # NaN, no end located, fails the comparison
+    end_time = np.where(end_time >= peak_time, np.minimum(end_time, T), T)
+    return final, (peak_time, peak_i, end_time), ran_out
+
+
+def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense=True, events=None):
+    """The one stacked solve: row j from ``start[j]`` over an interval of length ``spans[j]``.
+
+    Row j has the transmission rate ``beta_e[j]`` and vaccinates at
+    ``rate[j] + willingness[j]*s``: k on the capacity branch, l*s on the
+    willingness branch, and 0 with both 0.  A scalar stands for the same
+    value in every row.  Each row's interval is mapped
+    onto u in [0, 1] by t = start + u*span, so the rows share one step
+    sequence and the step error is controlled on them jointly.  The state
+    vector stacks the rows component by component: all s, then all i, and so
+    on.
+
+    A solve in which no row vaccinates clips s and i to [0, 1], as
+    ``_branch`` does.  A vaccinating solve does not: a row past its own cut
+    rides on with the others, its s may fall through 0 there, and the clip's
+    kink would shrink every row's steps.  Before its cut a row's s is at
+    least k/l > 0 or falls toward 0 on the willingness branch without
+    reaching it, so there the clip would do nothing.
+    """
+    n = len(spans)
+    vaccinating = bool(np.any(rate) or np.any(willingness))
     no_vaccination = np.zeros(n)
 
     def rhs(u, y):
-        y = y.reshape(-1, n)
-        s = np.clip(y[0], 0.0, 1.0)
-        i = np.clip(y[1], 0.0, 1.0)
-        dt = np.array(_rhs_values(s, i, no_vaccination, beta_e))
+        s, i = y.reshape(-1, n)[:2]
+        if vaccinating:
+            v = rate + willingness * s
+        else:
+            s, i, v = np.clip(s, 0.0, 1.0), np.clip(i, 0.0, 1.0), no_vaccination
+        dt = np.array(_rhs_values(s, i, v, beta_e))
         return (dt * spans).ravel()
 
     # a copy: the solver keeps y0 as its first step's start, and with one
-    # tail ravel() would return a view of the caller's rows
-    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense)
+    # row ravel() would return a view of the caller's rows
+    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense, events=events)
 
 
 def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None):
@@ -628,14 +839,15 @@ def _steps(segments):
 
     Returns them as ``_first_fall`` takes them: the edges (each step's
     start, then the last segment's end), the state there, shape
-    (4, 1, edges), and the steps.  A step's start state is its ``y_old``,
-    which DOP853's dense output returns exactly there.
+    (4, width, edges) for a solve of ``width`` stacked runs, and the
+    steps.  A step's start state is its ``y_old``, which DOP853's dense
+    output returns exactly there.
     """
     steps = [step for _, t_hi, sol in segments for step in sol.interpolants if step.t_old < t_hi]
     t_end, last = segments[-1][1], segments[-1][2]
     edges = np.array([step.t_old for step in steps] + [t_end])
     states = np.column_stack([step.y_old for step in steps] + [last(t_end)])
-    return edges, states[:, None], steps
+    return edges, states.reshape(4, -1, len(edges)), steps
 
 
 #: Chebyshev points of the second kind on [0, 1], as many as a DOP853 dense
@@ -654,20 +866,24 @@ _BITS = 60
 _PIECES = 512
 
 
-def _markers(beta_e: float):
-    """The peak's function beta_e*s - 1 and the epidemic end's i - ``EPIDEMIC_END_THRESHOLD``."""
-    return lambda y: [beta_e * y[0] - 1.0, y[1] - EPIDEMIC_END_THRESHOLD]
+def _markers(beta_e: np.ndarray):
+    """The peak's function beta_e*s - 1 and the epidemic end's i - ``EPIDEMIC_END_THRESHOLD``.
+
+    ``beta_e`` holds each stacked run's transmission rate.
+    """
+    return lambda y, rows: [beta_e[rows, None] * y[0] - 1.0, y[1] - EPIDEMIC_END_THRESHOLD]
 
 
 def _stop_at(tau: float, g):
     """A terminal solve_ivp event at the first of tau and the falls of g's functions.
 
     Each of them falls through 0 at most once on a segment, so their
-    minimum does too, where the first of them does.
+    minimum does too, where the first of them does.  g is that of one run,
+    row 0.
     """
 
     def stop(t, y):
-        return min(tau - t, *g(y))
+        return min(tau - t, *g(y, 0))
 
     stop.terminal, stop.direction = True, -1
     return stop
@@ -680,18 +896,22 @@ def _first_fall(edges, states, interpolants, g):
     ``states`` holds the state at the edges, shape (4, width, len(edges)),
     and ``interpolants[j]`` is a dense output of the stacked state, component
     first, on step j (or on an interval containing it).  ``g`` maps a state
-    array (4, ...) to a list of its n functions' values.  As solve_ivp finds
-    an event of direction -1, a crossing lies in the first step with g >= 0
-    at its start and g <= 0 at its end; ``_fall_position`` then narrows it
-    on the step's polynomial.  This is the one place that locates crossings:
+    array (4, r, ...) and the run each of its r entries belongs to, an index
+    array of shape (r,), to a list of its n functions' values, so that a
+    function can read each run's own parameters.  It is called on the edge
+    states, one entry per run, and on the node states of each crossing's
+    step, one entry per crossing.  As solve_ivp finds an event of direction
+    -1, a crossing lies in the first step with g >= 0 at its start and
+    g <= 0 at its end; ``_fall_position`` then narrows it on the step's
+    polynomial.  This is the one place that locates crossings:
     the rate kink, the stock-out, the peak and the epidemic end, of one run
-    (width 1) or of stacked tails.
+    (width 1), of stacked tails or of stacked runs.
 
     Returns each crossing's time, shape (n, width), inf where g does not
     fall through 0, and the state there, shape (4, n, width), NaN where it
     does not.
     """
-    values = np.asarray(g(states))
+    values = np.asarray(g(states, np.arange(states.shape[1])))
     down = (values[..., :-1] >= 0.0) & (values[..., 1:] <= 0.0)
     func, run = np.nonzero(down.any(axis=-1))
     step = down[func, run].argmax(axis=-1)
@@ -702,7 +922,7 @@ def _first_fall(edges, states, interpolants, g):
         t0, t1 = edges[j], edges[j + 1]
         at_nodes = interpolants[j](t0 + _NODES * (t1 - t0))
         nodes[:, here] = at_nodes.reshape(len(states), -1, len(_NODES))[:, run[here]]
-    x = _fall_position(np.asarray(g(nodes))[func, np.arange(len(step))])
+    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
     times = np.full(values.shape[:2], np.inf)
     times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
     crossing = np.full((len(states), *values.shape[:2]), np.nan)

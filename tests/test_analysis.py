@@ -17,7 +17,7 @@ from sirdvax import (
     indicators,
     integrate,
 )
-from sirdvax.analysis import stopped_program_indicators
+from sirdvax.analysis import run_indicators, stopped_program_indicators
 from sirdvax.solver import stopped_programs
 from oracles import random_cases
 
@@ -277,6 +277,74 @@ class TestStoppedProgramIndicators:
             assert row.peak_time == pytest.approx(peak_time, abs=1e-12)
             assert row.peak_i == pytest.approx(peak_i, rel=1e-12)
         assert below > 0
+
+
+class TestRunIndicators:
+    """Stacked rows of runs that differ in more than their duration."""
+
+    @pytest.mark.parametrize("tau", [15.0, 7.5])
+    @pytest.mark.parametrize("k, l", [(0.1, 0.3), (0.1, 0.05)], ids=["capacity", "willing"])
+    def test_a_stock_that_runs_out_is_used_exactly(self, scenario, tau, k, l):
+        # V = m from every recorded stock-out on, and usage never falls as
+        # the stock grows
+        stocks = [*np.linspace(0.0, 0.6, 31), math.inf]
+        runs = [VaccinationPolicy(k, l, m, tau) for m in stocks]
+        rows = run_indicators([(scenario, policy) for policy in runs])
+        used = [row.total_vaccinated for row in rows]
+        assert np.all(np.diff(used) >= 0.0)
+        ran_out = [integrate(scenario, policy).exhaustion_time is not None for policy in runs]
+        assert 0 < sum(ran_out) < len(runs)
+        pinned = [(u, m) for u, m, out in zip(used, stocks, ran_out) if out]
+        assert all(u == m for u, m in pinned)
+
+    def test_no_runs_give_no_rows(self):
+        assert run_indicators([]) == []
+
+    def test_a_duration_beyond_the_horizon_is_refused(self, scenario):
+        with pytest.raises(ValidationError, match="tau must lie in"):
+            run_indicators([(scenario, VaccinationPolicy(0.1, 0.3, 0.4, tau=scenario.T + 1.0))])
+
+    @pytest.mark.parametrize("tau", [15.0, 7.5])
+    def test_a_rate_kink_at_the_peak(self, scenario, tau):
+        # with k = l/beta_e the rate kink (l*s = k) and the peak (beta_e*s = 1)
+        # fall at one s, so at one time; at r = 3.5 rounding puts the peak's
+        # fall just past the kink, where the willingness branch starts with
+        # beta_e*s already at or below 1
+        scenario = dataclasses.replace(
+            scenario, epidemic=dataclasses.replace(scenario.epidemic, r=3.5)
+        )
+        runs = [
+            VaccinationPolicy(k, 0.3, math.inf, tau)
+            for k in ulp_window(0.3 / scenario.epidemic.transmission_rate, 3)
+        ]
+        rows = run_indicators([(scenario, policy) for policy in runs])
+        for policy, row in zip(runs, rows):
+            exact = indicators(integrate(scenario, policy))
+            assert 0.0 < exact.peak_time < tau
+            for name in INDICATOR_FIELDS:
+                # the epidemic ends within the horizon, where atol leaves the
+                # end about 1e-5 relative uncertain
+                rel = 1e-5 if name == "duration" else 1e-7
+                assert getattr(row, name) == pytest.approx(getattr(exact, name), rel=rel), name
+
+    @pytest.mark.parametrize("m", [math.inf, 0.4])
+    @pytest.mark.parametrize("r", [4.0, 10.0, 25.0])
+    def test_programs_ending_around_the_crossings(self, scenario, r, m):
+        # a row's peak or end within ulps of its program end is still found,
+        # on one side of the cut or the other
+        scenario = dataclasses.replace(
+            scenario, epidemic=dataclasses.replace(scenario.epidemic, r=r)
+        )
+        crossings = indicators(always_on(scenario, (0.1, 0.3, m)))
+        windows = [("peak_time", crossings.peak_time)]
+        if crossings.duration < scenario.T:
+            windows.append(("duration", crossings.duration))
+        for name, at in windows:
+            taus = ulp_window(at)
+            rows = run_indicators([(scenario, VaccinationPolicy(0.1, 0.3, m, tau)) for tau in taus])
+            rel = 1e-5 if name == "duration" else 1e-7
+            for tau, row in zip(taus, rows):
+                assert getattr(row, name) == pytest.approx(at, rel=rel), tau
 
 
 def ulp_window(x, n=12):

@@ -32,6 +32,7 @@ SWEEP_HEADER = "param,value,peak_i,peak_time,duration,total_deaths,total_vaccina
 INDICATOR_KEYS = {
     "peak_i", "peak_time", "duration", "total_deaths", "total_vaccinated", "total_cost"
 }
+INDICATOR_KEYS_IN_ORDER = SWEEP_HEADER.split(",")[2:]
 
 
 def read_csv(path):
@@ -39,6 +40,31 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def direct_run(config, param, value, tau):
+    """``integrate`` of one sweep row, its parameter set by ``dataclasses.replace``, not the CLI."""
+    scenario, policy = config.scenario, VaccinationPolicy(*config.resources, tau=tau)
+    if param in ("k", "l", "m"):
+        policy = dataclasses.replace(policy, **{param: value})
+    elif param in ("a", "b", "c"):
+        cost = dataclasses.replace(scenario.cost, **{param: value})
+        scenario = dataclasses.replace(scenario, cost=cost)
+    else:
+        epidemic = dataclasses.replace(scenario.epidemic, **{param: value})
+        scenario = dataclasses.replace(scenario, epidemic=epidemic)
+    return integrate(scenario, policy, config.tolerances)
+
+
+def assert_row_agrees(tokens, expected, T):
+    """A sweep row's indicators within 1e-7 relative of a direct run's.
+
+    An epidemic that ends within the horizon has i near 1e-6 there, so atol
+    leaves its end about 1e-5 relative uncertain in either run.
+    """
+    for name, token, want in zip(INDICATOR_KEYS_IN_ORDER, tokens, astuple(expected), strict=True):
+        rel = 1e-5 if name == "duration" and want < T else 1e-7
+        assert float(token) == pytest.approx(want, rel=rel), name
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -362,7 +388,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "param, values", [("m", "0,0.1,0.2,0.4,inf"), ("eps", "0.2,0.3"), ("c", "100")]
     )
-    def test_other_sweeps_integrate_once_per_value(self, tmp_path, monkeypatch, param, values):
+    def test_other_sweeps_never_integrate(self, tmp_path, monkeypatch, param, values):
+        # stacked solves of all the rows answer the sweep
         import sirdvax.cli as cli_module
 
         calls = []
@@ -372,14 +399,14 @@ class TestSweep:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(cli_module, "integrate", counting)
+        monkeypatch.setattr(sirdvax.solver, "integrate", counting)
         out = tmp_path / "run"
         rc = main(["sweep", "--config", "variant1", "--param", param, "--values", values,
                    "--tau", "10", "--out", str(out)])
         assert rc == 0
-        n = len(values.split(","))
-        assert len(calls) == n and all(policy.tau == 10.0 for _, policy, _ in calls)
+        assert calls == []
         _, rows = read_csv(out / "sweep.csv")
-        assert len(rows) == n
+        assert len(rows) == len(values.split(","))
 
     @pytest.mark.parametrize("tau", [None, "7.5"], ids=["default-tau", "tau-7.5"])
     @pytest.mark.parametrize(
@@ -396,21 +423,63 @@ class TestSweep:
         assert rc == 0
         _, rows = read_csv(out / "sweep.csv")
         config = load_config("variant1")
-        scenario, policy = config.scenario, VaccinationPolicy(*config.resources, tau=15.0)
-        if tau:
-            policy = dataclasses.replace(policy, tau=float(tau))
         for row, value in zip(rows, values.split(","), strict=True):
-            value = float(value)
-            if param in ("k", "l", "m"):
-                run = (scenario, dataclasses.replace(policy, **{param: value}))
-            elif param in ("a", "b", "c"):
-                cost = dataclasses.replace(scenario.cost, **{param: value})
-                run = (dataclasses.replace(scenario, cost=cost), policy)
-            else:
-                epidemic = dataclasses.replace(scenario.epidemic, **{param: value})
-                run = (dataclasses.replace(scenario, epidemic=epidemic), policy)
-            expected = indicators(integrate(*run, config.tolerances))
-            assert row == [param, "%.9g" % value, *("%.9g" % x for x in astuple(expected))]
+            expected = indicators(direct_run(config, param, float(value), float(tau or 15.0)))
+            assert row[:2] == [param, "%.9g" % float(value)]
+            assert_row_agrees(row[2:], expected, config.scenario.T)
+
+    @pytest.mark.parametrize("tau", ["15", "7.5", "0"])
+    @pytest.mark.parametrize("m", [0.2, 0.4, None], ids=["m-0.2", "m-0.4", "m-inf"])
+    @pytest.mark.parametrize("variant", ["variant1", "variant2"])
+    def test_every_row_agrees_with_a_direct_run(self, tmp_path, variant, m, tau):
+        # unsorted and repeated values, and rows that vaccinate nobody (k, l
+        # or m 0) or whose infections never rise (eps 0.05 and r 0.5 put
+        # beta_e*s0 below 1)
+        sweeps = {
+            "k": "0.2,0,0.05,0.2", "l": "0.6,0,1,0.3", "m": "0.4,0,0.2,inf,0.1",
+            "eps": "0.5,0.05,0.1,0.3,0.1", "r": "25,0.5,4,10,1.5", "a": "20,0,5",
+            "b": "100,0", "c": "1000,0,500",
+        }
+        data = sirdvax.config_to_dict(load_config(variant))
+        data["resources"]["m"] = m
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), "utf-8")
+        config = load_config(str(path))
+        for param, values in sweeps.items():
+            out = tmp_path / param
+            rc = main(["sweep", "--config", str(path), "--param", param, "--values", values,
+                       "--tau", tau, "--out", str(out)])
+            assert rc == 0
+            _, rows = read_csv(out / "sweep.csv")
+            for row, value in zip(rows, values.split(","), strict=True):
+                assert row[:2] == [param, "%.9g" % float(value)]
+                expected = indicators(direct_run(config, param, float(value), float(tau)))
+                assert_row_agrees(row[2:], expected, config.scenario.T)
+
+    def test_rows_across_a_chunk_boundary_agree_with_direct_runs(self, tmp_path):
+        # more distinct values than one stacked solve takes
+        from sirdvax.solver import TAIL_CHUNK
+
+        values = [0.3 * j / (TAIL_CHUNK + 2) for j in range(TAIL_CHUNK + 3)]
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant2", "--param", "m", "--values",
+                   ",".join(map(repr, values)), "--tau", "7.5", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == len(values)
+        config = load_config("variant2")
+        for j in (0, 1, TAIL_CHUNK - 1, TAIL_CHUNK, len(values) - 1):
+            expected = indicators(direct_run(config, "m", values[j], 7.5))
+            assert_row_agrees(rows[j][2:], expected, config.scenario.T)
+
+    def test_empty_value_list_of_another_parameter_writes_header_only(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", "eps", "--values", "",
+                   "--out", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out / "sweep.csv")
+        assert ",".join(header) == SWEEP_HEADER
+        assert rows == []
 
     def test_one_value_agrees_with_a_direct_run(self, tmp_path):
         # 3.29 ends just before the peak, which then lies in the tail's first step
