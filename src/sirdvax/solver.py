@@ -13,7 +13,11 @@ so every run has at most three smooth pieces, always in this order:
 to its branch, so no step straddles a switch and every smooth piece is
 integrated at the full order of the Dormand-Prince 8(5,3) pair (SciPy's
 DOP853).  Its 7th-order dense output backs interpolation between samples
-and every located crossing.  One locator, ``_first_fall``, finds them all
+and every located crossing.  Each solve's steps are read once into arrays
+(``_read_steps``), and one kernel, ``_dense``, evaluates any number of
+points on them in one array pass, with SciPy's choice of step and its
+Horner order, so every value equals SciPy's dense output bit for bit.
+One locator, ``_first_fall``, finds them all
 on a solve's steps: the rate kink and the stock-out that end a segment, the
 peak and the epidemic end of a run, and those of the batched tails in
 ``stopped_programs`` and of the stacked runs in ``stacked_runs``.
@@ -43,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -138,9 +143,11 @@ class Trajectory:
     each step cut at its segment's end, so a crossing at a switch is found on
     one side of it.
 
-    ``segments`` holds (start, end, dense output of (s, i, q, V)) for each
-    solver segment in time order: the capacity branch, the willingness
-    branch and the unvaccinated rest, as far as the run has them.
+    ``segments`` holds (start, end, steps) for each solver segment in time
+    order: the capacity branch, the willingness branch and the unvaccinated
+    rest, as far as the run has them.  The steps are the segment's solve,
+    read once into arrays of DOP853 dense-output coefficients of
+    (s, i, q, V); ``_sample`` reads every segment in one array pass.
 
     Immutable after construction; safe to share between threads.
     """
@@ -152,7 +159,7 @@ class Trajectory:
     policy: VaccinationPolicy
     tolerances: Tolerances
     exhaustion_time: float | None
-    segments: tuple[tuple[float, float, object], ...]
+    segments: tuple[tuple[float, float, _Steps], ...]
 
     def __post_init__(self) -> None:
         for name in ("times", "values"):
@@ -287,17 +294,20 @@ def _rows(segments, times: np.ndarray, scenario: Scenario, atol: float) -> np.nd
 
 
 def _sample(segments, times: np.ndarray) -> np.ndarray:
-    """Dense output of the segments at sorted times, one array call per segment.
+    """Dense output of the segments at ``times``, one ``_dense`` call for all of them.
 
-    A time equal to a segment start is read from the segment it starts.
+    A time equal to a segment start is read from the segment it starts,
+    and a time past a segment's end at that end.  Within a segment the
+    step is the one SciPy's ``OdeSolution`` picks, so each row is that
+    segment's dense output bit for bit.
     """
-    # times are sorted, so each segment's samples form one run of rows
-    edges = [0, *np.searchsorted(times, [seg[0] for seg in segments[1:]]), len(times)]
-    raw = np.empty((len(times), 4))  # s, i, q, V
-    for (_, t_hi, interpolant), lo, hi in zip(segments, edges, edges[1:]):
-        if hi > lo:
-            raw[lo:hi] = interpolant(np.minimum(times[lo:hi], t_hi)).T
-    return raw
+    steps, counts = _join(segments, "right")
+    ends = np.cumsum(counts)
+    seg = np.searchsorted([t_lo for t_lo, _, _ in segments[1:]], times, side="right")
+    times = np.minimum(times, np.array([t_hi for _, t_hi, _ in segments])[seg])
+    # the joined steps are in time order: SciPy's step for each time, kept within its segment
+    k = np.clip(np.searchsorted(steps.t_old, times) - 1, (ends - counts)[seg], ends[seg] - 1)
+    return _dense(steps, k, times)
 
 
 def _merge_times(grid: np.ndarray, extra: list[float], tol: float) -> np.ndarray:
@@ -344,7 +354,7 @@ def integrate(
     T = scenario.T
     epidemic = scenario.epidemic
     k, l, m, tau = policy.k, policy.l, policy.m, policy.tau
-    segments: list[tuple[float, float, object]] = []
+    segments: list[tuple[float, float, _Steps]] = []
     stock_out = math.inf
     t0, y0 = 0.0, _initial_state(scenario)
 
@@ -357,12 +367,13 @@ def integrate(
         nonlocal t0, y0
         rhs = _branch(epidemic, rate, willingness)
         sol = _solve(rhs, (t0, T), y0, tol, events=_stop_at(tau, g)).sol
+        steps = _read_steps(sol)
         # the step solve_ivp's stop cut short is searched in full
-        whole = [(t0, sol.interpolants[-1].t, sol)]
+        whole = [(t0, sol.interpolants[-1].t, steps)]
         falls = _first_fall(*_steps(whole), g)[0][:, 0].tolist()
         t1 = min(tau, *falls)
-        segments.append((t0, t1, sol))
-        t0, y0 = t1, sol(t1)
+        segments.append((t0, t1, steps))
+        t0, y0 = t1, _at(steps, np.array([t1]))[0]
         return falls
 
     # a tau beyond T solves nothing: _finish refuses it
@@ -431,10 +442,10 @@ def _finish(
     T, tau = scenario.T, scenario.in_horizon("tau", policy.tau)
     exhaustion_time = stock_out if 0.0 < tau and stock_out <= tau else None
     cut = tau if exhaustion_time is None else exhaustion_time
-    segments = [(t_lo, min(t_hi, cut), sol) for t_lo, t_hi, sol in vaccinating if t_lo < cut]
+    segments = [(t_lo, min(t_hi, cut), steps) for t_lo, t_hi, steps in vaccinating if t_lo < cut]
     events = [Event(t_lo, EVENT_RATE_KINK) for t_lo, _, _ in segments[1:]]
     t0 = segments[-1][1] if segments else 0.0
-    y0 = segments[-1][2](t0) if segments else _initial_state(scenario)
+    y0 = _at(segments[-1][2], np.array([t0]))[0] if segments else _initial_state(scenario)
     if exhaustion_time is not None:
         # the stock is used up: V stays m, bit for bit, without vaccination
         y0[3] = policy.m
@@ -444,7 +455,7 @@ def _finish(
     # past a stock-out the pinned V is read off this segment, however short
     if not segments or exhaustion_time is not None or t0 < T - time_tol:
         sol = _solve(_branch(scenario.epidemic, 0.0, 0.0), (t0, T), y0, tol)
-        segments.append((t0, T, sol.sol))
+        segments.append((t0, T, _read_steps(sol.sol)))
 
     beta_e = scenario.epidemic.transmission_rate
     peak, end = _first_fall(*_steps(segments), _markers(np.array([beta_e])))[0][:, 0].tolist()
@@ -559,7 +570,7 @@ def stopped_programs(
             falls, at = _first_fall(
                 sol.t,
                 sol.y.reshape(4, len(spans), -1),
-                sol.sol.interpolants,
+                _read_steps(sol.sol),
                 _markers(np.full(len(spans), beta_e)),
             )
             found = (falls < np.inf) & np.stack((tail_peak[cols], tail_end[cols]))
@@ -706,23 +717,22 @@ def _stacked_chunk(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
         def g(state, r):
             return [*(cuts(state, rows[r]) if cuts else ()), *markers(state, r)]
 
-        sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, events=events)
+        sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, events=events).sol
+        steps = _read_steps(sol)
         # the step the terminal event cut short is searched in full
-        falls, at = _first_fall(*_steps([(0.0, sol.sol.interpolants[-1].t, sol.sol)]), g)
+        falls, at = _first_fall(*_steps([(0.0, sol.interpolants[-1].t, steps)]), g)
         cut = np.minimum(falls[:-2].min(axis=0, initial=np.inf), 1.0)
         # each row's own part is sampled and checked as integrate's samples are
         grid = np.linspace(0.0, 1.0, SAMPLE_POINTS)
-        samples = sol.sol(grid).reshape(4, len(rows), -1).transpose(1, 2, 0)
+        samples = _at(steps, grid).reshape(-1, 4, len(rows)).transpose(2, 0, 1)
         _clamp(samples[grid <= cut[:, None]], tol.atol)
         new = np.isnan(peak_time[rows]) & (falls[-2] <= cut)
         peak_time[rows[new]] = t[rows[new]] + falls[-2, new] * spans[new]
         peak_i[rows[new]] = at[1, -2, new]
         new = np.isnan(end_time[rows]) & (falls[-1] <= cut)
         end_time[rows[new]] = t[rows[new]] + falls[-1, new] * spans[new]
-        # each row's state at its own cut, one dense-output column per distinct cut
-        cuts_at, which = np.unique(cut, return_inverse=True)
-        states = sol.sol(cuts_at).reshape(4, len(rows), -1)
-        y[rows] = states[:, np.arange(len(rows)), which.ravel()].T
+        # each row's state at its own cut
+        y[rows] = _at(steps, cut, np.arange(len(rows))[:, None] + len(rows) * np.arange(4))
         t[rows] += cut * spans
         return falls[:-2]
 
@@ -768,7 +778,16 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
     onto u in [0, 1] by t = start + u*span, so the rows share one step
     sequence and the step error is controlled on them jointly.  The state
     vector stacks the rows component by component: all s, then all i, and so
-    on.
+    on.  ``_stacked_branch`` gives its right-hand side.
+    """
+    rhs = _stacked_branch(spans, beta_e, rate, willingness)
+    # a copy: the solver keeps y0 as its first step's start, and with one
+    # row ravel() would return a view of the caller's rows
+    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense, events=events)
+
+
+def _stacked_branch(spans, beta_e, rate, willingness):
+    """The right-hand side of ``_solve_tails``' rows in u: row j's ``_rhs_values`` times ``spans[j]``.
 
     A solve in which no row vaccinates clips s and i to [0, 1], as
     ``_branch`` does.  A vaccinating solve does not: a row past its own cut
@@ -782,17 +801,16 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
     no_vaccination = np.zeros(n)
 
     def rhs(u, y):
-        s, i = y.reshape(-1, n)[:2]
-        if vaccinating:
-            v = rate + willingness * s
-        else:
-            s, i, v = np.clip(s, 0.0, 1.0), np.clip(i, 0.0, 1.0), no_vaccination
-        dt = np.array(_rhs_values(s, i, v, beta_e))
-        return (dt * spans).ravel()
+        # all s, then all i: one block to clip
+        si = y[: 2 * n] if vaccinating else y[: 2 * n].clip(0.0, 1.0)
+        s, i = si[:n], si[n:]
+        v = rate + willingness * s if vaccinating else no_vaccination
+        dt = np.empty((4, n))
+        dt[0], dt[1], dt[2], dt[3] = _rhs_values(s, i, v, beta_e)
+        dt *= spans
+        return dt.ravel()
 
-    # a copy: the solver keeps y0 as its first step's start, and with one
-    # row ravel() would return a view of the caller's rows
-    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense, events=events)
+    return rhs
 
 
 def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None):
@@ -822,16 +840,101 @@ def _branch(epidemic, rate: float, willingness: float):
 
     That is k on the capacity branch, l*s on the willingness branch and 0
     when the program is off.  The transmission rate beta_e is read once,
-    when the branch is built, not on every call.
+    when the branch is built, not on every call.  Each call clips s and i
+    to [0, 1] and works on Python floats, which give the same numbers as
+    NumPy's scalars at a fraction of the cost, and returns an ndarray.
     """
     beta_e = epidemic.transmission_rate
 
     def rhs(t, y):
-        s = min(max(y[0], 0.0), 1.0)
-        i = min(max(y[1], 0.0), 1.0)
-        return _rhs_values(s, i, rate + willingness * s, beta_e)
+        s, i, _, _ = y.tolist()
+        s = min(max(s, 0.0), 1.0)
+        i = min(max(i, 0.0), 1.0)
+        return np.array(_rhs_values(s, i, rate + willingness * s, beta_e))
 
     return rhs
+
+
+class _Steps(NamedTuple):
+    """A solve's DOP853 steps as arrays, read once off solve_ivp's dense output.
+
+    Step j starts at ``t_old[j]`` in state ``y_old[j]``, has length
+    ``h[j]`` and the dense-output coefficients ``F[j]``, shape (7, n).
+    """
+
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+
+
+def _read_steps(sol) -> _Steps:
+    """The steps of solve_ivp's dense output ``sol`` (an ``OdeSolution``)."""
+    steps = sol.interpolants
+    if not hasattr(steps[0], "F"):
+        # an empty solve has one ConstantDenseOutput, its value at every time:
+        # y_old with F = 0 (and h = 1 keeps x finite)
+        (step,) = steps
+        n = len(step.value)
+        return _Steps(np.array([step.t_old]), np.ones(1), np.array([step.value]), np.zeros((1, 7, n)))
+    return _Steps(
+        np.array([step.t_old for step in steps]),
+        np.array([step.h for step in steps]),
+        np.array([step.y_old for step in steps]),
+        np.array([step.F for step in steps]),
+    )
+
+
+def _dense(steps: _Steps, k: np.ndarray, t: np.ndarray, cols=None) -> np.ndarray:
+    """Step ``k``'s dense output at time ``t``, as SciPy's ``Dop853DenseOutput`` evaluates it.
+
+    ``k`` and ``t`` broadcast to the points' shape, and the result adds a
+    last axis: every state component, or with ``cols`` the components
+    ``cols`` (which broadcast against ``k[..., None]``) of each point.  The
+    polynomial is summed in SciPy's Horner order, so each value equals
+    SciPy's bit for bit.
+    """
+    if cols is None:
+
+        def gather(a):
+            return a.take(k, axis=0)
+
+    else:
+        flat = k[..., None] * steps.y_old.shape[1] + cols
+
+        def gather(a):
+            return a.take(flat)
+
+    x = ((t - steps.t_old[k]) / steps.h[k])[..., None]
+    factors = (x, 1 - x)
+    y_old = gather(steps.y_old)
+    y = np.zeros(x.shape[:-1] + y_old.shape[-1:])
+    # SciPy's loop: the highest coefficient first, times x and 1 - x in turn
+    for i, j in enumerate(range(steps.F.shape[1] - 1, -1, -1)):
+        y += gather(steps.F[:, j])
+        y *= factors[i % 2]
+    y += y_old
+    return y
+
+
+def _at(steps: _Steps, t: np.ndarray, cols=None) -> np.ndarray:
+    """The solve's dense output at ``t``, on the step SciPy's ``OdeSolution`` picks.
+
+    That is the last step that starts before t, or the first one.
+    """
+    k = np.clip(np.searchsorted(steps.t_old, t) - 1, 0, len(steps.t_old) - 1)
+    return _dense(steps, k, t, cols)
+
+
+def _join(segments, side: str) -> tuple[_Steps, np.ndarray]:
+    """The steps of a run's segments in time order, and how many each segment keeps.
+
+    A segment keeps its steps up to its end; ``side``, as ``np.searchsorted``
+    takes it, says whether it keeps one that starts right there.
+    """
+    counts = np.array([np.searchsorted(steps.t_old, t_hi, side) for _, t_hi, steps in segments])
+    kept = [[a[:c] for a in steps] for (_, _, steps), c in zip(segments, counts)]
+    return _Steps(*map(np.concatenate, zip(*kept))), counts
 
 
 def _steps(segments):
@@ -841,13 +944,14 @@ def _steps(segments):
     start, then the last segment's end), the state there, shape
     (4, width, edges) for a solve of ``width`` stacked runs, and the
     steps.  A step's start state is its ``y_old``, which DOP853's dense
-    output returns exactly there.
+    output returns exactly there; the end state is the last segment's
+    dense output at its end.
     """
-    steps = [step for _, t_hi, sol in segments for step in sol.interpolants if step.t_old < t_hi]
+    steps, _ = _join(segments, "left")
     t_end, last = segments[-1][1], segments[-1][2]
-    edges = np.array([step.t_old for step in steps] + [t_end])
-    states = np.column_stack([step.y_old for step in steps] + [last(t_end)])
-    return edges, states.reshape(4, -1, len(edges)), steps
+    edges = np.append(steps.t_old, t_end)
+    states = np.vstack((steps.y_old, _at(last, np.array([t_end]))))
+    return edges, states.T.reshape(4, -1, len(edges)), steps
 
 
 #: Chebyshev points of the second kind on [0, 1], as many as a DOP853 dense
@@ -889,23 +993,25 @@ def _stop_at(tau: float, g):
     return stop
 
 
-def _first_fall(edges, states, interpolants, g):
+def _first_fall(edges, states, steps: _Steps, g):
     """Where each of g's functions first falls through 0 on each stacked run.
 
     The steps of one solve run from ``edges[j]`` to ``edges[j + 1]``;
     ``states`` holds the state at the edges, shape (4, width, len(edges)),
-    and ``interpolants[j]`` is a dense output of the stacked state, component
-    first, on step j (or on an interval containing it).  ``g`` maps a state
-    array (4, r, ...) and the run each of its r entries belongs to, an index
-    array of shape (r,), to a list of its n functions' values, so that a
-    function can read each run's own parameters.  It is called on the edge
-    states, one entry per run, and on the node states of each crossing's
-    step, one entry per crossing.  As solve_ivp finds an event of direction
-    -1, a crossing lies in the first step with g >= 0 at its start and
-    g <= 0 at its end; ``_fall_position`` then narrows it on the step's
-    polynomial.  This is the one place that locates crossings:
-    the rate kink, the stock-out, the peak and the epidemic end, of one run
-    (width 1), of stacked tails or of stacked runs.
+    and row j of ``steps`` holds the dense output of the stacked state,
+    component first, on step j (or on an interval containing it).  ``g``
+    maps a state array (4, r, ...) and the run each of its r entries
+    belongs to, an index array of shape (r,), to a list of its n functions'
+    values, so that a function can read each run's own parameters.  It is
+    called on the edge states, one entry per run, and on the node states of
+    each crossing's step, one entry per crossing; one ``_dense`` call reads
+    the nodes of every crossing, each from its own step and only its own
+    run's components.  As solve_ivp finds an event of direction -1, a
+    crossing lies in the first step with g >= 0 at its start and g <= 0 at
+    its end; ``_fall_position`` then narrows it on the step's polynomial.
+    This is the one place that locates crossings: the rate kink, the
+    stock-out, the peak and the epidemic end, of one run (width 1), of
+    stacked tails or of stacked runs.
 
     Returns each crossing's time, shape (n, width), inf where g does not
     fall through 0, and the state there, shape (4, n, width), NaN where it
@@ -915,13 +1021,14 @@ def _first_fall(edges, states, interpolants, g):
     down = (values[..., :-1] >= 0.0) & (values[..., 1:] <= 0.0)
     func, run = np.nonzero(down.any(axis=-1))
     step = down[func, run].argmax(axis=-1)
-    # the state at the Chebyshev nodes of each crossing's step
-    nodes = np.empty((len(states), len(step), len(_NODES)))
-    for j in set(step.tolist()):
-        here = step == j
-        t0, t1 = edges[j], edges[j + 1]
-        at_nodes = interpolants[j](t0 + _NODES * (t1 - t0))
-        nodes[:, here] = at_nodes.reshape(len(states), -1, len(_NODES))[:, run[here]]
+    # the state at the Chebyshev nodes of each crossing's step: its run's
+    # four components, shape (4, crossings, nodes)
+    t0, t1 = edges[step, None], edges[step + 1, None]
+    cols = run[:, None, None] + states.shape[1] * np.arange(len(states))
+    at_nodes = _dense(steps, step[:, None], t0 + _NODES * (t1 - t0), cols)
+    # contiguous: NumPy sums a contiguous last axis pairwise and a strided
+    # one in order, and the crossing states below must be summed as before
+    nodes = np.ascontiguousarray(at_nodes.transpose(2, 0, 1))
     x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
     times = np.full(values.shape[:2], np.inf)
     times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])

@@ -1,0 +1,363 @@
+"""The step reader and both right-hand sides against SciPy and the per-call rules they replace.
+
+Every dense-output value the solver reads goes through ``_dense`` on
+arrays read once off SciPy's steps; these tests hold it to SciPy's own
+``OdeSolution`` and per-step interpolants bit for bit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import itertools
+import math
+import types
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import sirdvax.solver
+from sirdvax import IntegrationError, SirdState, Tolerances, VaccinationPolicy, integrate, load_config
+from sirdvax.model import _rhs_values
+from sirdvax.solver import (
+    _NODES,
+    _at,
+    _branch,
+    _clamp,
+    _fall_position,
+    _first_fall,
+    _lagrange,
+    _markers,
+    _read_steps,
+    _sample,
+    _solve,
+    _solve_tails,
+    _stacked_branch,
+    _steps,
+)
+from oracles import random_cases
+
+
+def same_bits(a, b) -> bool:
+    """Equal as stored doubles: the sign of zero and NaN count."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@contextlib.contextmanager
+def recorded_solves():
+    """Map id(steps) -> SciPy's ``OdeSolution`` for every solve ``_read_steps`` reads."""
+    solutions = {}
+    read = sirdvax.solver._read_steps
+
+    def recording(sol):
+        steps = read(sol)
+        solutions[id(steps)] = (steps, sol)
+        return steps
+
+    with mock.patch.object(sirdvax.solver, "_read_steps", recording):
+        yield solutions
+
+
+def scipy_sample(segments, solutions, times):
+    """The segments' dense output at sorted times, each segment read by SciPy's ``OdeSolution``.
+
+    A time equal to a segment start is read from the segment it starts, and
+    a time past a segment's end at that end.
+    """
+    edges = [0, *np.searchsorted(times, [seg[0] for seg in segments[1:]]), len(times)]
+    raw = np.empty((len(times), 4))
+    for (_, t_hi, steps), lo, hi in zip(segments, edges, edges[1:]):
+        if hi > lo:
+            raw[lo:hi] = solutions[id(steps)][1](np.minimum(times[lo:hi], t_hi)).T
+    return raw
+
+
+def scipy_first_fall(edges, states, interpolants, g):
+    """``_first_fall`` with each crossing step's nodes read by calling SciPy's interpolant of that step."""
+    values = np.asarray(g(states, np.arange(states.shape[1])))
+    down = (values[..., :-1] >= 0.0) & (values[..., 1:] <= 0.0)
+    func, run = np.nonzero(down.any(axis=-1))
+    step = down[func, run].argmax(axis=-1)
+    nodes = np.empty((len(states), len(step), len(_NODES)))
+    for j in set(step.tolist()):
+        here = step == j
+        t0, t1 = edges[j], edges[j + 1]
+        at_nodes = interpolants[j](t0 + _NODES * (t1 - t0))
+        nodes[:, here] = at_nodes.reshape(len(states), -1, len(_NODES))[:, run[here]]
+    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
+    times = np.full(values.shape[:2], np.inf)
+    times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
+    crossing = np.full((len(states), *values.shape[:2]), np.nan)
+    crossing[:, func, run] = (nodes * _lagrange(x)).sum(axis=-1)
+    return times, crossing, step
+
+
+def kept_interpolants(segments, solutions):
+    """SciPy's interpolants of the steps ``_steps`` keeps, in its order."""
+    return [
+        step
+        for _, t_hi, steps in segments
+        for step in solutions[id(steps)][1].interpolants
+        if step.t_old < t_hi
+    ]
+
+
+def stock_out_at_the_horizon():
+    """A disease-free run whose stock runs out at T and leaves an empty last segment.
+
+    With no infection V = k*t, so m = k*T runs out at T.
+    """
+    variant1 = load_config("variant1").scenario
+    T, k = 2.02, 0.3
+    scenario = dataclasses.replace(variant1, initial=SirdState(s=0.999, i=0.0, rho=0.001, d=0.0), T=T)
+    return scenario, VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
+
+
+def run_cases():
+    """(id, scenario, policy): the bundled variants at three stocks and four durations, random runs, a stock-out at T."""
+    cases = []
+    for name in ("variant1", "variant2"):
+        config = load_config(name)
+        for m, tau in itertools.product((0.2, 0.4, math.inf), (0.0, 3.29, 7.5, 15.0)):
+            policy = VaccinationPolicy(config.k, config.l, m, tau)
+            cases.append((f"{name}-m{m}-tau{tau}", config.scenario, policy))
+    cases += [(f"random-{n}", *case) for n, case in enumerate(random_cases(40, seed=7))]
+    # a program ending within 1e-12*T of T leaves no unvaccinated rest: the
+    # last segment ends before T, and the samples after its end read its end
+    variant1 = load_config("variant1")
+    T = variant1.scenario.T
+    short = VaccinationPolicy(variant1.k, variant1.l, math.inf, T - 1e-11)
+    cases.append(("ends-just-before-T", variant1.scenario, short))
+    cases.append(("stock-out-at-T", *stock_out_at_the_horizon()))
+    return [pytest.param(scenario, policy, id=name) for name, scenario, policy in cases]
+
+
+class TestSamplesEqualScipy:
+    @pytest.mark.parametrize("scenario, policy", run_cases())
+    def test_every_reader_time_equals_the_odesolution(self, scenario, policy):
+        with recorded_solves() as solutions:
+            traj = integrate(scenario, policy)
+        segments = traj.segments
+        starts = [seg[0] for seg in segments]
+        edges = np.concatenate([steps.t_old for _, _, steps in segments])
+        times = np.unique(np.concatenate((traj.times, edges[edges <= scenario.T], starts, [scenario.T])))
+        assert same_bits(_sample(segments, times), scipy_sample(segments, solutions, times))
+        for _, _, steps in segments:
+            sol = solutions[id(steps)][1]
+            # at a step edge SciPy reads the step that ends there
+            assert same_bits(_at(steps, steps.t_old), sol(steps.t_old).T)
+            for t in steps.t_old:
+                assert same_bits(_at(steps, np.array([t]))[0], sol(t))
+
+    def test_the_empty_segment_after_a_stock_out_at_t_is_its_constant(self):
+        scenario, policy = stock_out_at_the_horizon()
+        with recorded_solves() as solutions:
+            traj = integrate(scenario, policy)
+        t_lo, t_hi, steps = traj.segments[-1]
+        assert t_lo == t_hi == scenario.T
+        (constant,) = solutions[id(steps)][1].interpolants
+        assert not hasattr(constant, "F")
+        assert same_bits(_at(steps, np.array([t_lo]))[0], constant(t_lo))
+        assert traj.V[-1] == policy.m
+
+    def test_a_time_at_an_empty_segment_is_read_from_it(self):
+        # the empty segment's constant, not the previous segment's end, is read at its start
+        config = load_config("variant1")
+        scenario, T = config.scenario, config.scenario.T
+        with recorded_solves() as solutions:
+            traj = integrate(scenario, VaccinationPolicy(*config.resources, tau=T))
+        (t_lo, t_hi, steps), *_ = traj.segments
+        pinned = _at(steps, np.array([t_hi]))[0]
+        pinned[3] += 1e-3
+        empty = _solve(_branch(scenario.epidemic, 0.0, 0.0), (t_hi, t_hi), pinned, Tolerances()).sol
+        segments = [(t_lo, t_hi, steps), (t_hi, t_hi, _read_steps(empty))]
+        solutions[id(segments[1][2])] = (segments[1][2], empty)
+        times = np.array([0.0, 0.5 * t_hi, t_hi])
+        got = _sample(segments, times)
+        assert same_bits(got, scipy_sample(segments, solutions, times))
+        assert same_bits(got[-1], pinned)
+
+    @pytest.fixture(scope="class")
+    def tails(self):
+        """64 rows of variant 1's always-on run at 64 durations, with their spans."""
+        config = load_config("variant1")
+        always_on = integrate(config.scenario, VaccinationPolicy(*config.resources, tau=config.scenario.T))
+        taus = np.linspace(0.0, 14.0, 64)
+        spans = config.scenario.T - taus
+        return config.scenario.epidemic.transmission_rate, spans, _sample(always_on.segments, taus)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1], ids=["unvaccinated", "capacity"])
+    def test_a_stacked_solve_at_every_u_point(self, tails, rate):
+        beta_e, spans, start = tails
+        sol = _solve_tails(Tolerances(), spans, start, beta_e, np.full(len(spans), rate), 0.0).sol
+        steps = _read_steps(sol)
+        grid = np.linspace(0.0, 1.0, 1001)
+        assert same_bits(_at(steps, grid), sol(grid).T)
+
+    def test_a_stopped_stacked_solve_and_its_cut_states(self, tails):
+        # the terminal event ends the solve's times at its root, inside the last step
+        beta_e, spans, start = tails
+
+        def stop(u, y):
+            return 0.6 - u
+
+        stop.terminal = True
+        sol = _solve_tails(Tolerances(), spans, start, beta_e, 0.1, 0.0, events=stop).sol
+        assert sol.ts[-1] < sol.interpolants[-1].t
+        steps = _read_steps(sol)
+        grid = np.linspace(0.0, 1.0, 1001)
+        assert same_bits(_at(steps, grid), sol(grid).T)
+        n = len(spans)
+        cuts = np.random.default_rng(5).uniform(0.0, 0.7, n)
+        cuts[:3] = (0.0, steps.t_old[1], 0.6)
+        cols = np.arange(n)[:, None] + n * np.arange(4)
+        expected = sol(cuts).reshape(4, n, n)[:, np.arange(n), np.arange(n)].T
+        assert same_bits(_at(steps, cuts, cols), expected)
+
+
+class TestLocatorEqualsScipyNodes:
+    @pytest.mark.parametrize("scenario, policy", run_cases())
+    def test_markers_of_a_run(self, scenario, policy):
+        with recorded_solves() as solutions:
+            traj = integrate(scenario, policy)
+        edges, states, steps = _steps(traj.segments)
+        interpolants = kept_interpolants(traj.segments, solutions)
+        g = _markers(np.array([scenario.epidemic.transmission_rate]))
+        times, at = _first_fall(edges, states, steps, g)
+        expected_times, expected_at, _ = scipy_first_fall(edges, states, interpolants, g)
+        assert same_bits(times, expected_times) and same_bits(at, expected_at)
+
+    def test_several_functions_crossing_in_one_step(self):
+        config = load_config("variant1")
+        with recorded_solves() as solutions:
+            traj = integrate(config.scenario, VaccinationPolicy(*config.resources, tau=7.5))
+        edges, states, steps = _steps(traj.segments)
+        interpolants = kept_interpolants(traj.segments, solutions)
+        # s falls through three levels inside one step, and through one in another
+        j = len(edges) // 2
+        levels = [
+            _at(steps, np.array([edges[j] + f * (edges[j + 1] - edges[j])]))[0, 0]
+            for f in (0.2, 0.5, 0.8)
+        ]
+        levels.append(states[0, 0, j + 3] + 1e-9)
+
+        def g(y, rows):
+            return [y[0] - level for level in levels]
+
+        times, at = _first_fall(edges, states, steps, g)
+        expected_times, expected_at, step = scipy_first_fall(edges, states, interpolants, g)
+        assert step.tolist()[:3] == [j, j, j]
+        assert np.all(np.isfinite(times))
+        assert same_bits(times, expected_times) and same_bits(at, expected_at)
+
+    def test_markers_of_stacked_tails(self):
+        config = load_config("variant2")
+        scenario = config.scenario
+        always_on = integrate(scenario, VaccinationPolicy(*config.resources, tau=scenario.T))
+        taus = np.linspace(0.0, 5.0, 40)
+        spans = scenario.T - taus
+        beta_e = scenario.epidemic.transmission_rate
+        sol = _solve_tails(Tolerances(), spans, _sample(always_on.segments, taus), beta_e, 0.0, 0.0)
+        states = sol.y.reshape(4, len(spans), -1)
+        g = _markers(np.full(len(spans), beta_e))
+        times, at = _first_fall(sol.t, states, _read_steps(sol.sol), g)
+        expected_times, expected_at, step = scipy_first_fall(sol.t, states, sol.sol.interpolants, g)
+        # many tails cross in one step, so one step's nodes serve several rows
+        assert len(step) > len(set(step.tolist())) > 1
+        assert same_bits(times, expected_times) and same_bits(at, expected_at)
+
+
+#: s and i values: inside [0, 1], at its ends, just outside it, -0.0 and NaN
+EDGE_VALUES = (0.3, 0.0, 1.0, -0.0, -1e-12, 1.0 + 1e-12, math.nan)
+EDGE_STATES = [(s, i, 0.25, 0.125) for s, i in itertools.product(EDGE_VALUES, repeat=2)]
+#: (rate, willingness) of the capacity and willingness branches and of no vaccination
+BRANCHES = {"capacity": (0.1, 0.0), "willingness": (0.0, 0.3), "off": (0.0, 0.0)}
+
+
+def per_call_branch(beta_e, rate, willingness):
+    """The single-run right-hand side as it was written on NumPy scalars, returning a tuple."""
+
+    def rhs(t, y):
+        s = min(max(y[0], 0.0), 1.0)
+        i = min(max(y[1], 0.0), 1.0)
+        return _rhs_values(s, i, rate + willingness * s, beta_e)
+
+    return rhs
+
+
+def per_call_stacked(spans, beta_e, rate, willingness):
+    """The stacked right-hand side as it was written, with two clips and a stack of four rows."""
+    n = len(spans)
+    vaccinating = bool(np.any(rate) or np.any(willingness))
+
+    def rhs(u, y):
+        s, i = y.reshape(-1, n)[:2]
+        if vaccinating:
+            v = rate + willingness * s
+        else:
+            s, i, v = np.clip(s, 0.0, 1.0), np.clip(i, 0.0, 1.0), np.zeros(n)
+        return (np.array(_rhs_values(s, i, v, beta_e)) * spans).ravel()
+
+    return rhs
+
+
+class TestRightHandSides:
+    BETA_E = 3.5
+
+    @pytest.mark.parametrize("branch", BRANCHES, ids=list(BRANCHES))
+    def test_single_run_values_are_unchanged(self, branch):
+        epidemic = types.SimpleNamespace(transmission_rate=self.BETA_E)
+        rhs = _branch(epidemic, *BRANCHES[branch])
+        reference = per_call_branch(self.BETA_E, *BRANCHES[branch])
+        for state in EDGE_STATES:
+            y = np.array(state)
+            got = rhs(0.0, y)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert same_bits(got, reference(0.0, y)), state
+
+    @pytest.mark.parametrize("branch", BRANCHES, ids=list(BRANCHES))
+    @pytest.mark.parametrize("per_row_beta", [False, True], ids=["one-beta", "beta-per-row"])
+    def test_stacked_values_are_unchanged(self, branch, per_row_beta):
+        n = len(EDGE_STATES)
+        rng = np.random.default_rng(11)
+        spans = rng.uniform(0.5, 15.0, n)
+        beta_e = rng.uniform(1.0, 6.0, n) if per_row_beta else self.BETA_E
+        rate, willingness = (np.full(n, value) for value in BRANCHES[branch])
+        y = np.array(EDGE_STATES).T.flatten()
+        got = _stacked_branch(spans, beta_e, rate, willingness)(0.5, y)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert same_bits(got, per_call_stacked(spans, beta_e, rate, willingness)(0.5, y))
+
+    @pytest.mark.parametrize("branch", BRANCHES, ids=list(BRANCHES))
+    def test_each_stacked_row_is_the_single_run_times_its_span(self, branch):
+        rate, willingness = BRANCHES[branch]
+        # a vaccinating stack does not clip, so it agrees where the clip does nothing
+        states = [
+            state
+            for state in EDGE_STATES
+            if branch == "off" or all(v != -1e-12 and v != 1.0 + 1e-12 for v in state[:2])
+        ]
+        n = len(states)
+        spans = np.random.default_rng(12).uniform(0.5, 15.0, n)
+        stacked = _stacked_branch(spans, self.BETA_E, np.full(n, rate), np.full(n, willingness))
+        dt = stacked(0.0, np.array(states).T.flatten()).reshape(4, n)
+        single = _branch(types.SimpleNamespace(transmission_rate=self.BETA_E), rate, willingness)
+        for j, state in enumerate(states):
+            expected = single(0.0, np.array(state)) * spans[j]
+            if branch == "off":
+                # unvaccinated rows take a rate of 0, not 0*s: NaN in s leaves dV/du at 0
+                expected[3] = 0.0
+            assert same_bits(dt[:, j], expected), state
+
+    def test_nan_reaches_the_clamp(self):
+        # neither right-hand side clips NaN to a number, so the clamp refuses it
+        epidemic = types.SimpleNamespace(transmission_rate=self.BETA_E)
+        for branch in BRANCHES.values():
+            y = np.array([math.nan, 0.01, 0.0, 0.0])
+            assert np.isnan(_branch(epidemic, *branch)(0.0, y)).any()
+            stacked = _stacked_branch(np.ones(1), self.BETA_E, *(np.full(1, v) for v in branch))
+            assert np.isnan(stacked(0.0, y)).any()
+            with pytest.raises(IntegrationError, match="not finite"):
+                _clamp(y[None], 1e-11)
