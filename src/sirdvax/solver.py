@@ -25,10 +25,17 @@ solve_ivp only stops a vaccinating segment, with one terminal event; the
 segment then ends at the earliest of tau and the located kink and
 stock-out.
 
+One rule refuses a run: every solve whose dense output is kept is checked
+when it is made, by ``_refuse_excursions``, and refused if that output
+leaves [0, 1] by more than the drift band before a run's end.  The
+samples are then built only when read, and ``_clamp`` only repairs them.
+
 ``stacked_runs`` answers many runs that differ in their parameters, not
 only in tau, with one stacked solve per piece: each row of
 ``_solve_tails``, the one stacked solve, has its own transmission rate and
-vaccination rate.
+vaccination rate.  Each piece is one stage, ``_advance``, and the tails of
+``stopped_programs`` are the unvaccinated stage of stacked runs that start
+at each tau.
 
 Until tau a run is the always-on run (tau = T) bit for bit, so
 ``stopped_program`` cuts that run's vaccinating segments at tau instead of
@@ -149,11 +156,15 @@ class Trajectory:
     read once into arrays of DOP853 dense-output coefficients of
     (s, i, q, V); ``_sample`` reads every segment in one array pass.
 
-    Immutable after construction; safe to share between threads.
+    ``times`` and ``values`` are built on first use, read-only; a run that
+    only hands its segments on, as the planner's always-on run does, builds
+    none.  Every solve was checked when it was made (``_refuse_excursions``),
+    so reading the samples refuses nothing new.
+
+    Immutable after construction; safe to share between threads, where a
+    race only computes the same samples twice.
     """
 
-    times: np.ndarray
-    values: np.ndarray
     events: tuple[Event, ...]
     scenario: Scenario
     policy: VaccinationPolicy
@@ -161,11 +172,19 @@ class Trajectory:
     exhaustion_time: float | None
     segments: tuple[tuple[float, float, _Steps], ...]
 
-    def __post_init__(self) -> None:
-        for name in ("times", "values"):
-            array = np.asarray(getattr(self, name), dtype=float)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        T = self.scenario.T
+        # times within 1e-12*T of each other are one sample, as in _finish's segment ends
+        times = _merge_times(np.linspace(0.0, T, SAMPLE_POINTS), [e.time for e in self.events], 1e-12 * T)
+        times.flags.writeable = False
+        return times
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = _rows(self.segments, self.times, self.scenario, self.tolerances.atol)
+        values.flags.writeable = False
+        return values
 
     @property
     def s(self) -> np.ndarray:
@@ -258,7 +277,11 @@ def _clamp(rows: np.ndarray, atol: float) -> np.ndarray:
     All four values are population fractions in [0, 1]; a non-finite value
     or one beyond the drift band is refused.  The stock needs no rule here:
     ``integrate`` pins V to m where the stock runs out.  Returns the repaired
-    rows.
+    rows.  It repairs samples and the states that runs read off their dense
+    output, which ``_refuse_excursions`` has already checked; it refuses on
+    its own only the end states of the solves that keep no dense output
+    (``stopped_programs`` without crossings), and inside
+    ``_refuse_excursions``.
     """
     finite = np.isfinite(rows)
     if not finite.all():
@@ -270,6 +293,58 @@ def _clamp(rows: np.ndarray, atol: float) -> np.ndarray:
         row, idx = np.argwhere(outside)[0]
         raise IntegrationError(f"state {idx} left [0, 1] beyond the repair band: {rows[row, idx]}")
     return np.where(rows < 0.0, 0.0, np.where(rows > 1.0, 1.0, rows))
+
+
+#: Maps a DOP853 step's dense-output coefficients F (SciPy's Horner form
+#: adds F[j]*x**((j+2)//2)*(1-x)**((j+1)//2) to y_old) to the degree-7
+#: Bernstein coefficients of y - y_old on the step, shape (8, 7).
+_TO_BERNSTEIN = np.array(
+    [[math.comb(6 - j, k - j // 2 - 1) if k > j // 2 else 0 for j in range(7)] for k in range(8)]
+) / np.array([[math.comb(7, k)] for k in range(8)])
+
+
+def _refuse_excursions(steps: _Steps, ends: np.ndarray, atol: float) -> None:
+    """Refuse a solve whose dense output leaves [0, 1] beyond the drift band before a run's end.
+
+    ``steps`` holds the solve of ``len(ends)`` stacked runs, component
+    first, and run r counts up to ``ends[r]``.  On each step the polynomial
+    lies within the hull of its Bernstein coefficients (``_TO_BERNSTEIN``),
+    so a solve whose hulls all lie within the band passes at once.
+    Otherwise each run's part of a step that starts before its end, cut at
+    that end, is a piece: a piece passes once its hull lies within the band,
+    its end values, values of the dense output, are refused by ``_clamp``
+    as samples are, and the rest are halved by de Casteljau, for at most
+    ``_BITS`` rounds.  Every sample of the run is a value of these
+    polynomials, so this refuses at least what checking the samples would.
+    """
+    band = _drift_band(atol)
+    shift = _TO_BERNSTEIN @ steps.F
+    # y_old + c rounds monotonically in c, so these bound the hulls; NaN fails both comparisons
+    lo, hi = (steps.y_old + shift.min(axis=1)).min(), (steps.y_old + shift.max(axis=1)).max()
+    if lo >= -band and hi <= 1.0 + band:
+        return
+    # (step, run, component, coefficient), each step's part before each run's end
+    coef = (steps.y_old[:, None] + shift).reshape(len(shift), 8, 4, len(ends)).transpose(0, 3, 2, 1)
+    part = (ends - steps.t_old[:, None]) / steps.h[:, None]
+    step, run = np.nonzero(part > 0.0)
+    pieces, _ = _split(coef[step, run], np.minimum(part[step, run], 1.0)[:, None, None])
+    for _ in range(_BITS):
+        pieces = pieces[~((pieces.min(axis=(1, 2)) >= -band) & (pieces.max(axis=(1, 2)) <= 1.0 + band))]
+        if not len(pieces):
+            return
+        _clamp(np.concatenate((pieces[..., 0], pieces[..., -1])), atol)
+        pieces = np.concatenate(_split(pieces, 0.5))
+
+
+def _split(coef: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """De Casteljau: the Bernstein coefficients (last axis) of each polynomial on [0, x] and on [x, 1].
+
+    ``x`` broadcasts against ``coef``.
+    """
+    levels = [coef]
+    for _ in range(coef.shape[-1] - 1):
+        levels.append((1.0 - x) * levels[-1][..., :-1] + x * levels[-1][..., 1:])
+    return np.stack([c[..., 0] for c in levels], -1), np.stack([c[..., -1] for c in levels[::-1]], -1)
 
 
 def _read_out(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -370,8 +445,9 @@ def integrate(
         steps = _read_steps(sol)
         # the step solve_ivp's stop cut short is searched in full
         whole = [(t0, sol.interpolants[-1].t, steps)]
-        falls = _first_fall(*_steps(whole), g)[0][:, 0].tolist()
+        falls = _first_fall(*_steps(whole), g)[:, 0].tolist()
         t1 = min(tau, *falls)
+        _refuse_excursions(steps, np.array([t1]), tol.atol)
         segments.append((t0, t1, steps))
         t0, y0 = t1, _at(steps, np.array([t1]))[0]
         return falls
@@ -450,15 +526,15 @@ def _finish(
         # the stock is used up: V stays m, bit for bit, without vaccination
         y0[3] = policy.m
         events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
-    # times closer than this are one time: at the segment ends and in the samples
-    time_tol = 1e-12 * T
-    # past a stock-out the pinned V is read off this segment, however short
-    if not segments or exhaustion_time is not None or t0 < T - time_tol:
-        sol = _solve(_branch(scenario.epidemic, 0.0, 0.0), (t0, T), y0, tol)
-        segments.append((t0, T, _read_steps(sol.sol)))
+    # times within 1e-12*T are one time, here as in the samples; past a
+    # stock-out the pinned V is read off this segment, however short
+    if not segments or exhaustion_time is not None or t0 < T - 1e-12 * T:
+        steps = _read_steps(_solve(_branch(scenario.epidemic, 0.0, 0.0), (t0, T), y0, tol).sol)
+        _refuse_excursions(steps, np.array([T]), tol.atol)
+        segments.append((t0, T, steps))
 
     beta_e = scenario.epidemic.transmission_rate
-    peak, end = _first_fall(*_steps(segments), _markers(np.array([beta_e])))[0][:, 0].tolist()
+    peak, end = _first_fall(*_steps(segments), _markers(np.array([beta_e])))[:, 0].tolist()
     # i peaks where beta_e*s falls through 1, at T if it never does, and at 0
     # with no infections or with beta_e*s at or below 1 from the start
     rising = scenario.initial.i > 0.0 and beta_e * scenario.initial.s > 1.0
@@ -469,12 +545,7 @@ def _finish(
         events.append(Event(tau, EVENT_PROGRAM_END))
     events.sort(key=lambda e: (e.time, e.kind))
 
-    grid = np.linspace(0.0, T, SAMPLE_POINTS)
-    times = _merge_times(grid, [e.time for e in events], time_tol)
-
     return Trajectory(
-        times=times,
-        values=_rows(segments, times, scenario, tol.atol),
         events=tuple(events),
         scenario=scenario,
         policy=policy,
@@ -520,70 +591,52 @@ def stopped_programs(
     t = tau + u*(T - tau), and the stacked tails share one step sequence, so
     the step error is controlled on them jointly rather than tail by tail.
 
-    With ``crossings``, each program's peak and end are located too.  A
-    program shares the always-on run's crossing where that lies at or before
-    tau, and otherwise has it located on its own tail.  Rounding can put
-    tau just before an always-on crossing with the function already at or
-    below 0, where the tail has no fall to find: so a program shares the
-    peak too when beta_e*s is at or below 1 at tau, and, once past the
-    always-on peak, the end too when i is at or below
-    ``EPIDEMIC_END_THRESHOLD`` at tau.  One ``_first_fall`` call per chunk
-    searches every tail from its start, for the peak where beta_e*s falls
-    through 1, as ``integrate`` locates it, and for the end where i falls
-    through the threshold.  With no vaccination i rises while beta_e*s > 1
-    and falls after, so its first fall through the threshold comes after
-    its peak.  A tail where beta_e*s stays above 1 peaks at T.
+    Without ``crossings`` the solves keep no dense output, and each tail's
+    state at T is repaired or refused by ``_clamp``: the planner's scans need
+    nothing more.  With ``crossings`` the tails are the last stage of
+    stacked runs (``_advance``), so each tail's dense output is checked by
+    ``_refuse_excursions`` and its peak and end are located as a stacked
+    run's are.  A program shares the always-on run's crossing where that
+    lies at or before tau, and otherwise has it located on its own tail.
+    Rounding can put tau just before an always-on crossing with the function
+    already at or below 0, where the tail has no fall to find: so a program
+    shares the peak too when beta_e*s is at or below 1 at tau, and, once
+    past the always-on peak, the end too when i is at or below
+    ``EPIDEMIC_END_THRESHOLD`` at tau.
 
     Raises ValidationError unless ``always_on`` runs its program for the
     whole horizon and ``taus`` are sorted within [0, T].
     """
     _require_always_on(always_on)
-    taus = np.asarray(taus, dtype=float)
+    # a copy: the tails' stage moves each tail's start time on to T
+    taus = np.array(taus, dtype=float)
     scenario, tol = always_on.scenario, always_on.tolerances
     T = scenario.T
     # NaN fails every comparison, so the range test is written to fail on it
     if np.any(np.diff(taus) < 0.0) or not np.all((taus >= 0.0) & (taus <= T)):
         raise ValidationError(f"durations must be sorted within [0, {T}]")
-    final = _sample(always_on.segments, taus)
+    start = _sample(always_on.segments, taus)
     beta_e = scenario.epidemic.transmission_rate
-    if crossings:
-        peak_on, peak_i_on, end_on = always_on.peak_and_end()
-        # a tail's crossing is searched for where its function starts above 0,
-        # and otherwise is the always-on run's; i below the threshold before
-        # the peak may still rise through it, so that end is searched for
-        tail_peak = (taus < peak_on) & (beta_e * final[:, 0] > 1.0)
-        tail_end = (taus < end_on) & ((taus < peak_on) | (final[:, 1] > EPIDEMIC_END_THRESHOLD))
-        peak_time = np.where(tail_peak, T, peak_on)
-        peak_i = np.full(len(taus), peak_i_on)
-        end_time = np.where(tail_end, T, end_on)
-
-    for lo in range(0, len(taus), TAIL_CHUNK):
-        cols = slice(lo, lo + TAIL_CHUNK)
-        spans = T - taus[cols]
-        # a tail to search has tau < T, so it is solved
-        locate = crossings and bool(tail_peak[cols].any() or tail_end[cols].any())
-        if spans.max() > 0.0:
-            sol = _solve_tails(tol, spans, final[cols], beta_e, 0.0, 0.0, locate)
-            final[cols] = sol.y[:, -1].reshape(-1, len(spans)).T
-        final[cols] = _clamp(final[cols], tol.atol)
-        if locate:
-            falls, at = _first_fall(
-                sol.t,
-                sol.y.reshape(4, len(spans), -1),
-                _read_steps(sol.sol),
-                _markers(np.full(len(spans), beta_e)),
-            )
-            found = (falls < np.inf) & np.stack((tail_peak[cols], tail_end[cols]))
-            located = np.minimum(taus[cols] + np.where(found, falls, 0.0) * spans, T)
-            peak_time[cols] = np.where(found[0], located[0], peak_time[cols])
-            # a tail whose beta_e*s stays above 1 peaks at T, where i is highest
-            rose = np.where(tail_peak[cols], final[cols, 1], peak_i[cols])
-            peak_i[cols] = np.where(found[0], at[1, 0], rose)
-            end_time[cols] = np.where(found[1], located[1], end_time[cols])
-    final = _read_out(final, scenario)
     if not crossings:
-        return StoppedPrograms(final)
-    return StoppedPrograms(final, peak_time, peak_i, end_time)
+        for lo in range(0, len(taus), TAIL_CHUNK):
+            cols = slice(lo, lo + TAIL_CHUNK)
+            # the durations are sorted: a chunk whose first tail is empty is all empty
+            if taus[lo] < T:
+                sol = _solve_tails(tol, T - taus[cols], start[cols], beta_e, 0.0, 0.0, dense=False)
+                start[cols] = sol.y[:, -1].reshape(4, -1).T
+        return StoppedPrograms(_read_out(_clamp(start, tol.atol), scenario))
+    peak_on, peak_i_on, end_on = always_on.peak_and_end()
+    # a tail's crossing is searched for (NaN) where its function starts above
+    # 0, and otherwise is the always-on run's; i below the threshold before
+    # the peak may still rise through it, so that end is searched for
+    tail_peak = (taus < peak_on) & (beta_e * start[:, 0] > 1.0)
+    tail_end = (taus < end_on) & ((taus < peak_on) | (start[:, 1] > EPIDEMIC_END_THRESHOLD))
+    peaks = np.where(tail_peak, np.nan, peak_on), np.full(len(taus), peak_i_on)
+    runs = _Runs(np.full(len(taus), beta_e), taus, start, *peaks, np.where(tail_end, np.nan, end_on))
+    for lo in range(0, len(taus), TAIL_CHUNK):
+        _advance(runs, np.arange(lo, min(lo + TAIL_CHUNK, len(taus))), T, 0.0, 0.0, tol)
+    final, crossed = _close(runs, T, tol.atol)
+    return StoppedPrograms(_read_out(final, scenario), *crossed)
 
 
 def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
@@ -595,38 +648,29 @@ def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
     each row's state at T is read out with its own scenario, so unit costs
     and alpha need no solve of their own.
 
-    Per ``TAIL_CHUNK`` distinct runs, three stacked ``_solve_tails`` calls
+    Per ``TAIL_CHUNK`` distinct runs, three stacked stages (``_advance``)
     follow ``integrate``'s segments:
 
     1. the capacity branch on [0, tau], for the runs with l*s0 > k;
     2. the willingness branch from each run's rate kink (or from 0) to tau;
-    3. no vaccination, from each run's cut to T.
+    3. no vaccination, from each run's cut to T, as ``stopped_programs``
+       solves its tails.
 
     A run with k, l, m or tau 0 vaccinates nobody and has only the third.
     A vaccinating solve stops at one terminal event, once every row has
     passed its own cut: the first of tau, the rate kink (l*s falls through
     k) and the stock-out (V reaches m).  A row past its cut rides on with
-    the others, and its values there are never read.  ``_first_fall`` then
-    locates each row's kink, stock-out, peak and end on the solve's steps.
-    A peak or end counts where it lies at or before the row's cut.  A row
-    with beta_e*s already at or below 1 where its part of a solve starts,
-    its peak's fall put just past the previous cut by rounding, peaks there,
-    as in ``stopped_programs``.  A row whose stock runs out at or
-    before tau has V pinned to m, as ``_finish`` pins it.  The peak is at 0
-    when beta_e*s0 <= 1 or i0 = 0, and at T when beta_e*s stays above 1; the
-    end is the first at or after the peak, or T.  Runs whose stock never
-    runs out and that are alike in all else are one run, and take one row's
-    results.
+    the others, and its values there are never read.  A row whose stock
+    runs out at or before tau has V pinned to m, as ``_finish`` pins it.
+    Runs whose stock never runs out and that are alike in all else are one
+    run, and take one row's results.
 
     The rows share each solve's steps, so a row agrees with its own
     ``integrate`` run within tolerance, not bit for bit.  The vaccinating
     solves divide rtol and atol by the square root of their row count, so
     that the joint error norm bounds each row as its own solve would.  The
-    unvaccinated rest is solved at ``tol``, as ``stopped_programs`` solves
-    its tails.  Each row's part of each solve is sampled at
-    ``SAMPLE_POINTS`` uniform points and refused by ``_clamp``, as
-    ``integrate``'s samples are.  Raises ValidationError unless every tau
-    lies in [0, T].
+    unvaccinated rest is solved at ``tol``.  Raises ValidationError unless
+    every tau lies in [0, T].
     """
     keys = np.array(
         [
@@ -668,104 +712,128 @@ def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
 def _stacked_chunk(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
     """Each stacked run's state (s, i, q, V) at T, its peak time, peak i and end, and its stock-out.
 
-    The runs' parameters come one array each, as ``stacked_runs`` describes.
-    A run ran out of stock where it is recorded at or before tau, or has
-    none (m = 0).
+    The runs' parameters come one array each, as ``stacked_runs`` describes;
+    every run starts at t = 0 in (s0, i0, 0, 0).  A run ran out of stock
+    where it is recorded at or before tau, or has none (m = 0).
     """
     n = len(s0)
-    # where each row's part of the next solve starts, and its state there
-    t = np.zeros(n)
-    y = np.column_stack((s0, i0, np.zeros(n), np.zeros(n)))
     rising = (i0 > 0.0) & (beta_e * s0 > 1.0)
-    peak_time = np.where(rising, np.nan, 0.0)
-    peak_i = i0.copy()
-    end_time = np.full(n, np.nan)
+    start = np.column_stack((s0, i0, np.zeros(n), np.zeros(n)))
+    runs = _Runs(beta_e, np.zeros(n), start, np.where(rising, np.nan, 0.0), i0.copy(), np.full(n, np.nan))
     ran_out = m == 0.0
-
-    def advance(rows, ends, rate, willingness, cuts=None):
-        """Solve ``rows`` from (t, y) toward ``ends``, each as far as its first fall of ``cuts``.
-
-        ``cuts`` gives, as ``_first_fall``'s g does for the rows it is
-        handed, the functions whose first fall cuts a row's part; without it
-        each part runs to its end.  Records the peaks and ends within each
-        row's part, moves the row's (t, y) to its cut, and returns the falls
-        of ``cuts`` as positions in [0, 1], inf where there is none.
-        """
-        # a cut at the peak (a rate kink with k = l/beta_e): rounding can put
-        # the peak's fall just past the cut, with beta_e*s at or below 1 where
-        # the next part starts
-        at_peak = rows[np.isnan(peak_time[rows]) & (beta_e[rows] * y[rows, 0] <= 1.0)]
-        peak_time[at_peak], peak_i[at_peak] = t[at_peak], y[at_peak, 1]
-        spans = ends[rows] - t[rows]
-        markers = _markers(beta_e[rows])
-        if cuts is None:
-            if not spans.max() > 0.0:
-                return None
-            part_tol, events = tol, None
-        else:
-            # solve_ivp's error norm is the RMS over all rows' components, so
-            # it lets one row err sqrt(rows) times what its own solve would
-            root = math.sqrt(len(rows))
-            part_tol = Tolerances(max(tol.rtol / root, RTOL_FLOOR), tol.atol / root)
-
-            def events(u, state):
-                # the last row's first cut function falls through 0 here
-                return np.min(cuts(state.reshape(4, -1, 1), rows), axis=0).max()
-
-            events.terminal, events.direction = True, -1
-
-        def g(state, r):
-            return [*(cuts(state, rows[r]) if cuts else ()), *markers(state, r)]
-
-        sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, events=events).sol
-        steps = _read_steps(sol)
-        # the step the terminal event cut short is searched in full
-        falls, at = _first_fall(*_steps([(0.0, sol.interpolants[-1].t, steps)]), g)
-        cut = np.minimum(falls[:-2].min(axis=0, initial=np.inf), 1.0)
-        # each row's own part is sampled and checked as integrate's samples are
-        grid = np.linspace(0.0, 1.0, SAMPLE_POINTS)
-        samples = _at(steps, grid).reshape(-1, 4, len(rows)).transpose(2, 0, 1)
-        _clamp(samples[grid <= cut[:, None]], tol.atol)
-        new = np.isnan(peak_time[rows]) & (falls[-2] <= cut)
-        peak_time[rows[new]] = t[rows[new]] + falls[-2, new] * spans[new]
-        peak_i[rows[new]] = at[1, -2, new]
-        new = np.isnan(end_time[rows]) & (falls[-1] <= cut)
-        end_time[rows[new]] = t[rows[new]] + falls[-1, new] * spans[new]
-        # each row's state at its own cut
-        y[rows] = _at(steps, cut, np.arange(len(rows))[:, None] + len(rows) * np.arange(4))
-        t[rows] += cut * spans
-        return falls[:-2]
-
     vaccinating = (tau > 0.0) & (k > 0.0) & (l > 0.0) & (m > 0.0)
     capacity = np.flatnonzero(vaccinating & (l * s0 > k))
     willing = np.flatnonzero(vaccinating & (l * s0 <= k))
     if len(capacity):
-        kink, stock = advance(
-            capacity,
-            tau,
-            k[capacity],
-            0.0,
-            lambda state, r: [l[r, None] * state[0] - k[r, None], m[r, None] - state[3]],
-        )
+
+        def cuts(state, r):
+            return [l[r, None] * state[0] - k[r, None], m[r, None] - state[3]]
+
+        kink, stock = _advance(runs, capacity, tau, k[capacity], 0.0, tol, cuts)
         # the willingness branch follows a kink before the stock-out and tau
         on = kink < np.minimum(stock, 1.0)
         exhausted = capacity[~on & (stock < np.inf)]
-        y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
+        runs.y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
         willing = np.union1d(willing, capacity[on])
     if len(willing):
-        (stock,) = advance(willing, tau, 0.0, l[willing], lambda state, r: [m[r, None] - state[3]])
+        (stock,) = _advance(runs, willing, tau, 0.0, l[willing], tol, lambda y, r: [m[r, None] - y[3]])
         exhausted = willing[stock < np.inf]
-        y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
-    advance(np.arange(n), T, 0.0, 0.0)
+        runs.y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
+    _advance(runs, np.arange(n), T, 0.0, 0.0, tol)
+    return *_close(runs, T, tol.atol), ran_out
 
-    final = _clamp(y, tol.atol)
-    # a run whose beta_e*s stays above 1 peaks at T, where i is highest
-    rose = np.isnan(peak_time)
-    peak_i[rose] = final[rose, 1]
-    peak_time = np.where(rose, T, np.minimum(peak_time, T))
+
+class _Runs(NamedTuple):
+    """Stacked runs part way: where each row's next part starts, and its crossings so far.
+
+    Row j is at time ``t[j]`` in state ``y[j]`` (s, i, q, V), with the
+    transmission rate ``beta_e[j]``.  ``peak_time`` and ``end_time`` are NaN
+    until located, and ``peak_i`` holds i at a located peak.  ``_advance``
+    moves the rows on in place, and ``_close`` reads the results.
+    """
+
+    beta_e: np.ndarray
+    t: np.ndarray
+    y: np.ndarray
+    peak_time: np.ndarray
+    peak_i: np.ndarray
+    end_time: np.ndarray
+
+
+def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=None):
+    """Solve ``rows`` from their (t, y) toward ``ends``, each as far as its first fall of ``cuts``.
+
+    One stacked ``_solve_tails`` call, on the branch ``rate`` and
+    ``willingness`` give; ``ends`` holds each run's end, indexed by run, or
+    one end for all.  ``cuts`` gives, as ``_first_fall``'s g does for the
+    rows it is handed, the functions whose first fall cuts a row's part;
+    without it each part runs to its end.  ``_refuse_excursions`` checks
+    each row's part.  Records the peaks and ends within each part, reading
+    i at a located peak off the dense output as a run reads its peak row,
+    moves each row's (t, y) to its cut, and returns the falls of ``cuts`` as
+    positions in [0, 1], inf where there is none.
+
+    A row with beta_e*s already at or below 1 where its part starts, its
+    peak's fall put just past the previous cut by rounding (a rate kink at
+    the peak, with k = l/beta_e), peaks there.
+    """
+    beta_e, t, y, peak_time, peak_i, end_time = runs
+    at_peak = rows[np.isnan(peak_time[rows]) & (beta_e[rows] * y[rows, 0] <= 1.0)]
+    peak_time[at_peak], peak_i[at_peak] = t[at_peak], y[at_peak, 1]
+    spans = np.broadcast_to(ends, t.shape)[rows] - t[rows]
+    if cuts is None and not spans.max() > 0.0:
+        return None
+    part_tol, events, markers = tol, None, _markers(beta_e)
+    if cuts is not None:
+        # solve_ivp's error norm is the RMS over all rows' components, so
+        # it lets one row err sqrt(rows) times what its own solve would
+        root = math.sqrt(len(rows))
+        part_tol = Tolerances(max(tol.rtol / root, RTOL_FLOOR), tol.atol / root)
+
+        def events(u, state):
+            # the last row's first cut function falls through 0 here
+            return np.min(cuts(state.reshape(4, -1, 1), rows), axis=0).max()
+
+        events.terminal, events.direction = True, -1
+
+    def g(state, r):
+        return [*(cuts(state, rows[r]) if cuts else ()), *markers(state, rows[r])]
+
+    sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, events=events)
+    steps = _read_steps(sol.sol)
+    if cuts is None:
+        edges, states = sol.t, sol.y.reshape(4, len(rows), -1)
+    else:
+        # the step the terminal event cut short is searched in full
+        edges, states, _ = _steps([(0.0, sol.sol.interpolants[-1].t, steps)])
+    falls = _first_fall(edges, states, steps, g)
+    cut = np.minimum(falls[:-2].min(axis=0, initial=np.inf), 1.0)
+    _refuse_excursions(steps, cut, tol.atol)
+    cols = np.arange(len(rows))[:, None] + len(rows) * np.arange(4)
+    new = np.isnan(peak_time[rows]) & (falls[-2] <= cut)
+    peak_time[rows[new]] = t[rows[new]] + falls[-2, new] * spans[new]
+    peak_i[rows[new]] = _clamp(_at(steps, falls[-2, new], cols[new]), tol.atol)[:, 1]
+    new = np.isnan(end_time[rows]) & (falls[-1] <= cut)
+    end_time[rows[new]] = t[rows[new]] + falls[-1, new] * spans[new]
+    # each row's state at its own cut; a part that runs to its end ends where the solve does
+    y[rows] = sol.y[:, -1].reshape(4, -1).T if cuts is None else _at(steps, cut, cols)
+    t[rows] += cut * spans
+    return falls[:-2]
+
+
+def _close(runs: _Runs, T, atol: float):
+    """Each run's state at T, repaired by ``_clamp``, and its peak time, peak i and end.
+
+    A run whose peak was never found has beta_e*s above 1 throughout, so it
+    peaks at T, where i is highest.  The end is the first at or after the
+    peak, or T.
+    """
+    final = _clamp(runs.y, atol)
+    rose = np.isnan(runs.peak_time)
+    peak_time = np.where(rose, T, np.minimum(runs.peak_time, T))
     # NaN, no end located, fails the comparison
-    end_time = np.where(end_time >= peak_time, np.minimum(end_time, T), T)
-    return final, (peak_time, peak_i, end_time), ran_out
+    end_time = np.where(runs.end_time >= peak_time, np.minimum(runs.end_time, T), T)
+    return final, (peak_time, np.where(rose, final[:, 1], runs.peak_i), end_time)
 
 
 def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense=True, events=None):
@@ -1014,8 +1082,8 @@ def _first_fall(edges, states, steps: _Steps, g):
     stacked tails or of stacked runs.
 
     Returns each crossing's time, shape (n, width), inf where g does not
-    fall through 0, and the state there, shape (4, n, width), NaN where it
-    does not.
+    fall through 0.  The state at a crossing is read off the dense output
+    there, as any other value is.
     """
     values = np.asarray(g(states, np.arange(states.shape[1])))
     down = (values[..., :-1] >= 0.0) & (values[..., 1:] <= 0.0)
@@ -1025,16 +1093,11 @@ def _first_fall(edges, states, steps: _Steps, g):
     # four components, shape (4, crossings, nodes)
     t0, t1 = edges[step, None], edges[step + 1, None]
     cols = run[:, None, None] + states.shape[1] * np.arange(len(states))
-    at_nodes = _dense(steps, step[:, None], t0 + _NODES * (t1 - t0), cols)
-    # contiguous: NumPy sums a contiguous last axis pairwise and a strided
-    # one in order, and the crossing states below must be summed as before
-    nodes = np.ascontiguousarray(at_nodes.transpose(2, 0, 1))
+    nodes = _dense(steps, step[:, None], t0 + _NODES * (t1 - t0), cols).transpose(2, 0, 1)
     x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
     times = np.full(values.shape[:2], np.inf)
     times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
-    crossing = np.full((len(states), *values.shape[:2]), np.nan)
-    crossing[:, func, run] = (nodes * _lagrange(x)).sum(axis=-1)
-    return times, crossing
+    return times
 
 
 def _fall_position(node_values: np.ndarray) -> np.ndarray:

@@ -403,6 +403,22 @@ class TestNestedScan:
         assert abs(result.tau_star - reference.x) <= planner.DEFAULT_OPT_TOL
         assert result.cost_star == pytest.approx(reference.fun, rel=1e-12, abs=0.0)
 
+    def test_only_the_answer_builds_samples(self, scenario, monkeypatch):
+        # the always-on run hands on its segments and builds no sample table
+        merge = solver._merge_times
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return merge(*args)
+
+        monkeypatch.setattr(solver, "_merge_times", counted)
+        result = minimize_tau(scenario, RESOURCES_VARIANT1)
+        assert len(calls) == 1
+        # the answer's samples, built once, are read from then on
+        assert result.trajectory.times[-1] == scenario.T
+        assert len(calls) == 1
+
     def test_non_finite_scan_costs_are_loud(self, scenario, monkeypatch):
         # argmin would pick a NaN cost; the sample clamp refuses it first
         solve = solver._solve_tails

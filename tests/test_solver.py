@@ -787,6 +787,79 @@ class TestStoppedProgram:
             sirdvax.solver.stopped_program(short, 10.0)
 
 
+class TestSharedTailStage:
+    """``stopped_programs`` with crossings runs the stacked runs' unvaccinated stage on its tails."""
+
+    @staticmethod
+    def always_on_cases():
+        """(id, scenario, resources, durations): the variants over two tail chunks, random runs over one."""
+        cases = []
+        for name in ("variant1", "variant2"):
+            config = load_config(name)
+            for m in (0.2, 0.4, math.inf):
+                cases.append((f"{name}-m{m}", config.scenario, (config.k, config.l, m), 300))
+        for n, (scenario, policy) in enumerate(random_cases(40, seed=7)):
+            cases.append((f"random-{n}", scenario, (policy.k, policy.l, policy.m), 37))
+        return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+    @pytest.mark.parametrize("scenario, resources, durations", always_on_cases())
+    def test_final_states_are_the_scans_bit_for_bit(self, scenario, resources, durations):
+        # the planner's scan costs and the tau sweep's rows come from the same numbers
+        always_on = integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T))
+        taus = np.linspace(0.0, scenario.T, durations)
+        scan = sirdvax.solver.stopped_programs(always_on, taus)
+        swept = sirdvax.solver.stopped_programs(always_on, taus, crossings=True)
+        assert swept.final.tobytes() == scan.final.tobytes()
+
+    def test_a_tail_leaving_the_band_inside_a_step_is_refused(self, monkeypatch):
+        # F[1] adds x*(1 - x) to the step: a dip at its middle, its ends as they are
+        resources = load_config("variant1").resources
+        always_on = integrate(VARIANT1, VaccinationPolicy(*resources, tau=VARIANT1.T))
+        taus = np.linspace(0.0, VARIANT1.T, 16)
+        read = sirdvax.solver._read_steps
+
+        def poisoned(sol):
+            steps = read(sol)
+            steps.F[len(steps.F) // 2, 1, len(taus) + 5] -= 4.0
+            return steps
+
+        monkeypatch.setattr(sirdvax.solver, "_read_steps", poisoned)
+        sirdvax.solver.stopped_programs(always_on, taus)
+        with pytest.raises(IntegrationError, match=r"state 1 left \[0, 1\]"):
+            sirdvax.solver.stopped_programs(always_on, taus, crossings=True)
+
+
+class TestRunsLeavingTheBand:
+    """``integrate`` checks each solve's dense output when it is made, before any sample is read."""
+
+    @pytest.mark.parametrize(
+        "tau, solve", [(7.5, 0), (7.5, -1), (0.0, -1)], ids=["capacity-branch", "unvaccinated-rest", "uncontrolled"]
+    )
+    def test_a_dip_inside_a_step_is_refused(self, monkeypatch, tau, solve):
+        # F[1] adds x*(1 - x) to the step: a dip at its middle, its ends as they are
+        resources = load_config("variant1").resources
+        read, solves = sirdvax.solver._read_steps, []
+
+        def recording(sol):
+            solves.append(read(sol))
+            return solves[-1]
+
+        monkeypatch.setattr(sirdvax.solver, "_read_steps", recording)
+        integrate(VARIANT1, VaccinationPolicy(*resources, tau=tau))
+        poison = len(solves) + solve if solve < 0 else solve
+
+        def poisoned(sol):
+            steps = recording(sol)
+            if len(solves) - 1 == poison:
+                steps.F[len(steps.F) // 2, 1, 1] -= 4.0
+            return steps
+
+        solves.clear()
+        monkeypatch.setattr(sirdvax.solver, "_read_steps", poisoned)
+        with pytest.raises(IntegrationError, match=r"state 1 left \[0, 1\]"):
+            integrate(VARIANT1, VaccinationPolicy(*resources, tau=tau))
+
+
 class TestFinalSizeRelation:
     def test_unvaccinated_terminal_susceptibles(self, epidemic, cost):
         # classical final-size identity of the uncontrolled epidemic:

@@ -1,8 +1,9 @@
-"""The step reader and both right-hand sides against SciPy and the per-call rules they replace.
+"""The step reader, the band rule and both right-hand sides against SciPy and the rules they replace.
 
 Every dense-output value the solver reads goes through ``_dense`` on
 arrays read once off SciPy's steps; these tests hold it to SciPy's own
-``OdeSolution`` and per-step interpolants bit for bit.
+``OdeSolution`` and per-step interpolants bit for bit.  The band rule
+(``_refuse_excursions``) reads the same steps in Bernstein form.
 """
 
 from __future__ import annotations
@@ -20,21 +21,27 @@ import pytest
 import sirdvax.solver
 from sirdvax import IntegrationError, SirdState, Tolerances, VaccinationPolicy, integrate, load_config
 from sirdvax.model import _rhs_values
+from sirdvax.analysis import run_indicators
 from sirdvax.solver import (
     _NODES,
+    _TO_BERNSTEIN,
+    _Steps,
     _at,
     _branch,
     _clamp,
+    _dense,
+    _drift_band,
     _fall_position,
     _first_fall,
-    _lagrange,
     _markers,
     _read_steps,
+    _refuse_excursions,
     _sample,
     _solve,
     _solve_tails,
     _stacked_branch,
     _steps,
+    stopped_programs,
 )
 from oracles import random_cases
 
@@ -58,6 +65,20 @@ def recorded_solves():
 
     with mock.patch.object(sirdvax.solver, "_read_steps", recording):
         yield solutions
+
+
+@contextlib.contextmanager
+def recorded_tail_solves():
+    """Every stacked solve's solve_ivp result, in call order."""
+    solves = []
+    solve = sirdvax.solver._solve_tails
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    with mock.patch.object(sirdvax.solver, "_solve_tails", recording):
+        yield solves
 
 
 def scipy_sample(segments, solutions, times):
@@ -89,9 +110,7 @@ def scipy_first_fall(edges, states, interpolants, g):
     x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
     times = np.full(values.shape[:2], np.inf)
     times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
-    crossing = np.full((len(states), *values.shape[:2]), np.nan)
-    crossing[:, func, run] = (nodes * _lagrange(x)).sum(axis=-1)
-    return times, crossing, step
+    return times, step
 
 
 def kept_interpolants(segments, solutions):
@@ -225,9 +244,9 @@ class TestLocatorEqualsScipyNodes:
         edges, states, steps = _steps(traj.segments)
         interpolants = kept_interpolants(traj.segments, solutions)
         g = _markers(np.array([scenario.epidemic.transmission_rate]))
-        times, at = _first_fall(edges, states, steps, g)
-        expected_times, expected_at, _ = scipy_first_fall(edges, states, interpolants, g)
-        assert same_bits(times, expected_times) and same_bits(at, expected_at)
+        times = _first_fall(edges, states, steps, g)
+        expected_times, _ = scipy_first_fall(edges, states, interpolants, g)
+        assert same_bits(times, expected_times)
 
     def test_several_functions_crossing_in_one_step(self):
         config = load_config("variant1")
@@ -246,11 +265,11 @@ class TestLocatorEqualsScipyNodes:
         def g(y, rows):
             return [y[0] - level for level in levels]
 
-        times, at = _first_fall(edges, states, steps, g)
-        expected_times, expected_at, step = scipy_first_fall(edges, states, interpolants, g)
+        times = _first_fall(edges, states, steps, g)
+        expected_times, step = scipy_first_fall(edges, states, interpolants, g)
         assert step.tolist()[:3] == [j, j, j]
         assert np.all(np.isfinite(times))
-        assert same_bits(times, expected_times) and same_bits(at, expected_at)
+        assert same_bits(times, expected_times)
 
     def test_markers_of_stacked_tails(self):
         config = load_config("variant2")
@@ -262,11 +281,158 @@ class TestLocatorEqualsScipyNodes:
         sol = _solve_tails(Tolerances(), spans, _sample(always_on.segments, taus), beta_e, 0.0, 0.0)
         states = sol.y.reshape(4, len(spans), -1)
         g = _markers(np.full(len(spans), beta_e))
-        times, at = _first_fall(sol.t, states, _read_steps(sol.sol), g)
-        expected_times, expected_at, step = scipy_first_fall(sol.t, states, sol.sol.interpolants, g)
+        times = _first_fall(sol.t, states, _read_steps(sol.sol), g)
+        expected_times, step = scipy_first_fall(sol.t, states, sol.sol.interpolants, g)
         # many tails cross in one step, so one step's nodes serve several rows
         assert len(step) > len(set(step.tolist())) > 1
-        assert same_bits(times, expected_times) and same_bits(at, expected_at)
+        assert same_bits(times, expected_times)
+
+    @pytest.mark.parametrize("name", ["variant1", "variant2"])
+    def test_a_located_peak_i_is_the_dense_output_there(self, name):
+        # as a run reads its peak row: the tail's dense output at the located position
+        config = load_config(name)
+        scenario = config.scenario
+        always_on = integrate(scenario, VaccinationPolicy(*config.resources, tau=scenario.T))
+        taus = np.linspace(0.0, 5.0, 40)
+        with recorded_tail_solves() as solves:
+            programs = stopped_programs(always_on, taus, crossings=True)
+        (sol,) = solves
+        steps, n = _read_steps(sol.sol), len(taus)
+        beta_e = scenario.epidemic.transmission_rate
+        u = _first_fall(sol.t, sol.y.reshape(4, n, -1), steps, _markers(np.full(n, beta_e)))[0]
+        located = (taus < always_on.peak_and_end()[0]) & np.isfinite(u)
+        assert located.sum() >= 10
+        assert same_bits(programs.peak_time[located], (taus + u * (scenario.T - taus))[located])
+        cols = np.arange(n)[located, None] + n * np.arange(4)
+        assert same_bits(programs.peak_i[located], _at(steps, u[located], cols)[:, 1])
+
+    def test_a_stacked_run_reads_its_peak_i_the_same_way(self):
+        # unvaccinated runs have one stage, from t = 0 to T
+        cases = random_cases(12, seed=3)
+        points = [(scenario, dataclasses.replace(policy, tau=0.0)) for scenario, policy in cases]
+        # distinct s0 first in each run's key, so the stacked rows are in this order
+        points.sort(key=lambda point: point[0].initial.s)
+        with recorded_tail_solves() as solves:
+            rows = run_indicators(points)
+        (sol,) = solves
+        steps, n = _read_steps(sol.sol), len(points)
+        beta_e = np.array([scenario.epidemic.transmission_rate for scenario, _ in points])
+        u = _first_fall(sol.t, sol.y.reshape(4, n, -1), steps, _markers(beta_e))[0]
+        located = np.isfinite(u)
+        assert located.sum() >= 6
+        cols = np.arange(n)[located, None] + n * np.arange(4)
+        got = np.array([row.peak_i for row in rows])[located]
+        assert same_bits(got, _at(steps, u[located], cols)[:, 1])
+
+
+def bernstein(steps):
+    """Each step's Bernstein coefficients, shape (steps, 8, n)."""
+    return steps.y_old[:, None] + _TO_BERNSTEIN @ steps.F
+
+
+def one_step(coefficients):
+    """One step on [0, 1] whose components have the Bernstein coefficients ``coefficients``, shape (8, n)."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    y_old = coefficients[0]
+    # coefficient 0 is y_old, and the map's other rows are invertible
+    F = np.linalg.solve(_TO_BERNSTEIN[1:], coefficients[1:] - y_old)
+    return _Steps(np.zeros(1), np.ones(1), y_old[None], F[None])
+
+
+def run_coefficients(i_coefficients, runs=1, run=0):
+    """Coefficients (8, 4*runs) with s = 0.5, q = 0.25, V = 0 and run ``run``'s i as given, other runs' i 0.1."""
+    columns = np.tile([[0.5], [0.1], [0.25], [0.0]], runs).ravel()
+    coefficients = np.tile(columns, (8, 1))
+    coefficients[:, runs + run] = i_coefficients
+    return coefficients
+
+
+#: x**4 in degree-7 Bernstein form: values 0 to 1, rising late in the step
+X4 = np.array([math.comb(k, 4) / math.comb(7, 4) for k in range(8)])
+ATOL = 1e-11
+
+
+class TestBandRule:
+    def band_passes(self, steps, ends):
+        _refuse_excursions(steps, np.asarray(ends, dtype=float), ATOL)
+
+    @pytest.mark.parametrize(
+        "scenario, policy",
+        [case for case in run_cases() if case.id.startswith("variant")][::3],
+    )
+    def test_bernstein_form_is_the_dense_output_of_a_run(self, scenario, policy):
+        for _, _, steps in integrate(scenario, policy).segments:
+            self.assert_bernstein_is_dense(steps)
+
+    def test_bernstein_form_is_the_dense_output_of_stacked_tails(self):
+        config = load_config("variant1")
+        always_on = integrate(config.scenario, VaccinationPolicy(*config.resources, tau=config.scenario.T))
+        taus = np.linspace(0.0, 14.0, 64)
+        start = _sample(always_on.segments, taus)
+        beta_e = config.scenario.epidemic.transmission_rate
+        sol = _solve_tails(Tolerances(), config.scenario.T - taus, start, beta_e, 0.0, 0.0)
+        self.assert_bernstein_is_dense(_read_steps(sol.sol))
+
+    @staticmethod
+    def assert_bernstein_is_dense(steps):
+        coefficients = bernstein(steps)
+        x = np.linspace(0.0, 1.0, 9)
+        basis = np.array([[math.comb(7, k) * v**k * (1 - v) ** (7 - k) for k in range(8)] for v in x])
+        k = np.arange(len(steps.t_old))[:, None]
+        dense = _dense(steps, k, steps.t_old[:, None] + x * steps.h[:, None])
+        assert np.max(np.abs(basis @ coefficients - dense)) <= 1e-15
+        assert same_bits(coefficients[:, 0], steps.y_old)
+        # the end value, as SciPy's Horner form gives it at x = 1
+        assert same_bits(coefficients[:, -1], steps.y_old + steps.F[:, 0])
+
+    def test_a_hull_inside_the_band_passes(self):
+        self.band_passes(one_step(run_coefficients(np.linspace(0.1, 0.2, 8))), [1.0])
+
+    def test_a_hull_outside_with_values_inside_passes_by_halving(self):
+        # the 0.397 peak weight of coefficient 1 keeps every value above 0.006
+        i = np.full(8, 0.01)
+        i[1] = -1e-3
+        steps = one_step(run_coefficients(i))
+        assert bernstein(steps).min() < -_drift_band(ATOL)
+        self.band_passes(steps, [1.0])
+
+    def test_a_dip_inside_the_step_is_refused(self):
+        i = np.full(8, -0.01)
+        i[[0, -1]] = 1e-3
+        steps = one_step(run_coefficients(i))
+        ends = _dense(steps, np.zeros(2, dtype=int), np.array([0.0, 1.0]))[:, 1]
+        assert np.all(ends > 0.0)
+        with pytest.raises(IntegrationError, match=r"state 1 left \[0, 1\]"):
+            self.band_passes(steps, [1.0])
+
+    def test_a_nan_coefficient_is_refused(self):
+        steps = one_step(run_coefficients(np.full(8, 0.1)))
+        steps.F[0, 3, 1] = math.nan
+        with pytest.raises(IntegrationError, match="not finite"):
+            self.band_passes(steps, [1.0])
+
+    def test_steps_after_a_runs_end_are_not_its_own(self):
+        # the second step leaves the band at its end, and its polynomial run
+        # backwards from its start would leave it too
+        x = np.arange(8) / 7
+        first = one_step(run_coefficients(np.full(8, 0.01)))
+        second = one_step(run_coefficients(0.01 + 0.1 * x - 0.2 * X4))
+        steps = _Steps(np.array([0.0, 1.0]), np.ones(2), *map(np.concatenate, zip(first[2:], second[2:])))
+        self.band_passes(steps, [0.5])
+        self.band_passes(steps, [1.0])
+        with pytest.raises(IntegrationError, match=r"state 1 left \[0, 1\]"):
+            self.band_passes(steps, [1.9])
+
+    @pytest.mark.parametrize("runs, run", [(1, 0), (3, 0), (3, 2)])
+    def test_values_past_a_runs_end_are_not_its_own(self, runs, run):
+        # i = 0.01 - 0.05*x**4 leaves the band past x = 0.67
+        steps = one_step(run_coefficients(0.01 - 0.05 * X4, runs, run))
+        ends = np.ones(runs)
+        ends[run] = 0.5
+        self.band_passes(steps, ends)
+        ends[run] = 0.9
+        with pytest.raises(IntegrationError, match=r"state 1 left \[0, 1\]"):
+            self.band_passes(steps, ends)
 
 
 #: s and i values: inside [0, 1], at its ends, just outside it, -0.0 and NaN
