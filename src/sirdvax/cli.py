@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import EpidemicIndicators, indicators, run_indicators, stopped_program_indicators
-from .config import _SECTIONS, ScenarioConfig, config_from_dict, config_to_dict, load_config
+from .config import ScenarioConfig, config_to_dict, load_config, with_field
 from .errors import IntegrationError, ValidationError
 from .model import VaccinationPolicy
 from .planner import minimize_tau, procurement_plan
@@ -183,18 +183,15 @@ def parse_values(spec: str) -> list[float]:
 def _with_value(config: ScenarioConfig, param: str, value: float, tau: float):
     """Scenario and policy with one parameter set to ``value``, checked.
 
-    A duration is checked against the horizon; any other value is written
-    into the config as a file would hold it, and the config's rules check
-    it.  ``tau``, the duration when ``param`` is not tau, has been checked
-    already.
+    A duration is checked against the horizon; any other value is checked
+    by ``with_field`` as the config's file would be, with the same
+    messages.  ``tau``, the duration when ``param`` is not tau, has been
+    checked already.
     """
     if param == "tau":
         tau = config.scenario.in_horizon("tau", value)
     else:
-        data = config_to_dict(config)
-        section = next(name for name, keys in _SECTIONS.items() if param in keys)
-        data[section][param] = "inf" if value == math.inf else value
-        config = config_from_dict(data)
+        config = with_field(config, param, value)
     return config.scenario, VaccinationPolicy(*config.resources, tau=tau)
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -55,9 +56,9 @@ def _as_number(section: str, key: str, value) -> float:
     return float(value)
 
 
-def _limit(section: str, key: str, value) -> float:
-    """A number, or unlimited (inf) for null or "inf"."""
-    if value is None or value == "inf":
+def _field(section: str, key: str, value) -> float:
+    """One field's value as a number; the stock m may also be unlimited (inf) as null or "inf"."""
+    if (section, key) == ("resources", "m") and (value is None or value == "inf"):
         return math.inf
     return _as_number(section, key, value)
 
@@ -78,10 +79,22 @@ def _section(data: dict, name: str) -> dict:
     return section
 
 
-def _required(section: dict, name: str, key: str) -> float:
-    if key not in section:
-        raise ValidationError(f"{name}.{key}: missing required field")
-    return _as_number(name, key, section[key])
+def _build(section: str, factory, kwargs):
+    """``factory(**kwargs)``, whose own rules check the values; an error names ``section``."""
+    try:
+        return factory(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{section}: {exc}") from exc
+
+
+def _resources(k: float, l: float, m: float) -> tuple[float, float, float]:
+    """The resource limits, checked by ``VaccinationPolicy``'s rules."""
+    VaccinationPolicy(k, l, m, tau=0.0)
+    return (k, l, m)
+
+
+#: Each section's model; its rules check the section's fields.
+_CHECKS = {**_MODELS, "resources": _resources}
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -97,32 +110,22 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ValidationError("T: missing required field")
     horizon = _as_number("config", "T", data["T"])
 
-    def build(section: str, factory, kwargs):
-        try:
-            return factory(**kwargs)
-        except ValidationError as exc:
-            raise ValidationError(f"{section}: {exc}") from exc
+    def checked(name: str):
+        values = {}
+        for key in _SECTIONS[name]:
+            if key not in sections[name]:
+                raise ValidationError(f"{name}.{key}: missing required field")
+            values[key] = _field(name, key, sections[name][key])
+        return _build(name, _CHECKS[name], values)
 
-    parts = {
-        name: build(
-            name, model, {key: _required(sections[name], name, key) for key in _SECTIONS[name]}
-        )
-        for name, model in _MODELS.items()
-    }
-    scenario = build("scenario", Scenario, {**parts, "T": horizon})
-
-    re_ = sections["resources"]
-    k = _required(re_, "resources", "k")
-    l = _required(re_, "resources", "l")
-    if "m" not in re_:
-        raise ValidationError("resources.m: missing required field")
-    m = _limit("resources", "m", re_["m"])
-    build("resources", VaccinationPolicy, {"k": k, "l": l, "m": m, "tau": 0.0})
+    parts = {name: checked(name) for name in _MODELS}
+    scenario = _build("scenario", Scenario, {**parts, "T": horizon})
+    k, l, m = checked("resources")
 
     # only an absent or null section means the defaults
     tol_data = _section(data, "tolerances") if data.get("tolerances") is not None else {}
     tol_kwargs = {key: _as_number("tolerances", key, value) for key, value in tol_data.items()}
-    tolerances = build("tolerances", Tolerances, tol_kwargs)
+    tolerances = _build("tolerances", Tolerances, tol_kwargs)
 
     population = None
     if data.get("population") is not None:
@@ -138,6 +141,24 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         tolerances=tolerances,
         population=population,
     )
+
+
+def with_field(config: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
+    """``config`` with the field ``key`` set to ``value``, checked as ``config_from_dict`` checks it.
+
+    ``key`` is a field of the resources, the unit costs or the epidemic.
+    The value passes the same number check and its section's rules, and
+    fails with the same message, as it would written into the config's
+    file, where an unlimited value is "inf"; the other fields, already
+    checked, are not checked again.
+    """
+    section = next(name for name, keys in _SECTIONS.items() if key in keys)
+    number = _field(section, key, "inf" if value == math.inf else value)
+    if section == "resources":
+        k, l, m = _build(section, _resources, {**dict(zip("klm", config.resources)), key: number})
+        return replace(config, k=k, l=l, m=m)
+    part = _build(section, functools.partial(replace, getattr(config.scenario, section)), {key: number})
+    return replace(config, scenario=replace(config.scenario, **{section: part}))
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

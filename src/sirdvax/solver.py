@@ -35,7 +35,9 @@ only in tau, with one stacked solve per piece: each row of
 ``_solve_tails``, the one stacked solve, has its own transmission rate and
 vaccination rate.  Each piece is one stage, ``_advance``, and the tails of
 ``stopped_programs`` are the unvaccinated stage of stacked runs that start
-at each tau.
+at each tau.  The planner's scans, which need only each tail's state at T,
+carry each tail's sensitivity to tau in the same solve instead, for the
+cost's slope; the states alone choose the steps (``_StateControlled``).
 
 Until tau a run is the always-on run (tau = T) bit for bit, so
 ``stopped_program`` cuts that run's vaccinating segments at tau instead of
@@ -57,7 +59,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import IntegrationError, ValidationError
 from .model import Scenario, VaccinationPolicy, _rhs_values, treatment_cost_rate
@@ -562,7 +564,9 @@ class StoppedPrograms:
     ``stopped_programs`` gives the first and ``stacked_runs`` the second.
 
     ``final`` holds each program's state (s, i, rho, d, J, V) at T, one row
-    per program.
+    per program.  ``slope`` holds dJ(T)/dtau at each program's tau, the
+    planner's cost slope, when the programs are read off one always-on run
+    without crossings; otherwise it is None.
     When crossings are located, ``peak_time`` and ``peak_i`` give each
     program's ``peak`` event and the infected fraction there, and
     ``end_time`` its first ``epidemic_end`` at or after the peak, or T, as
@@ -574,6 +578,7 @@ class StoppedPrograms:
     peak_time: np.ndarray | None = None
     peak_i: np.ndarray | None = None
     end_time: np.ndarray | None = None
+    slope: np.ndarray | None = None
 
 
 def stopped_programs(
@@ -593,7 +598,16 @@ def stopped_programs(
 
     Without ``crossings`` the solves keep no dense output, and each tail's
     state at T is repaired or refused by ``_clamp``: the planner's scans need
-    nothing more.  With ``crossings`` the tails are the last stage of
+    nothing more than that and each program's cost slope
+    dJ(T)/dtau = a*v + (alpha*b + beta*c)*z_q(T).  v is the always-on rate
+    min(k, l*s) just before tau (just after it at tau = 0), up to and at the
+    stock-out and 0 past it, so at a binding cap this is the left
+    derivative.  z = d(s, i, q)/dtau starts at (-v, 0, 0) on each tail, the
+    vaccinating less the unvaccinated derivative of (s, i, q) at tau, and
+    is carried to T by the tail's own solve (``_solve_tails``), on the
+    steps the states choose.  A slope that is not finite is refused.
+
+    With ``crossings`` the tails are the last stage of
     stacked runs (``_advance``), so each tail's dense output is checked by
     ``_refuse_excursions`` and its peak and end are located as a stacked
     run's are.  A program shares the always-on run's crossing where that
@@ -618,13 +632,24 @@ def stopped_programs(
     start = _sample(always_on.segments, taus)
     beta_e = scenario.epidemic.transmission_rate
     if not crossings:
+        # the rate just before tau (just after it at tau = 0), 0 past the stock-out
+        policy, cap = always_on.policy, always_on.exhaustion_time
+        cap = T if cap is None else cap
+        v = np.where((taus <= cap) & (cap > 0.0), np.minimum(policy.k, policy.l * start[:, 0]), 0.0)
+        # each tail carries z = d(s, i, q)/dtau, which starts at (-v, 0, 0)
+        tails = np.column_stack((start, -v, np.zeros((len(taus), 2))))
         for lo in range(0, len(taus), TAIL_CHUNK):
             cols = slice(lo, lo + TAIL_CHUNK)
             # the durations are sorted: a chunk whose first tail is empty is all empty
             if taus[lo] < T:
-                sol = _solve_tails(tol, T - taus[cols], start[cols], beta_e, 0.0, 0.0, dense=False)
-                start[cols] = sol.y[:, -1].reshape(4, -1).T
-        return StoppedPrograms(_read_out(_clamp(start, tol.atol), scenario))
+                sol = _solve_tails(tol, T - taus[cols], tails[cols], beta_e, 0.0, 0.0, dense=False)
+                tails[cols] = sol.y[:, -1].reshape(7, -1).T
+        final = _read_out(_clamp(tails[:, :4], tol.atol), scenario)
+        slope = scenario.cost.a * v + treatment_cost_rate(scenario.epidemic, scenario.cost) * tails[:, 6]
+        if not np.isfinite(slope).all():
+            bad = np.flatnonzero(~np.isfinite(slope))[0]
+            raise IntegrationError(f"cost slope at tau = {taus[bad]} is not finite: {slope[bad]}")
+        return StoppedPrograms(final, slope=slope)
     peak_on, peak_i_on, end_on = always_on.peak_and_end()
     # a tail's crossing is searched for (NaN) where its function starts above
     # 0, and otherwise is the always-on run's; i below the threshold before
@@ -847,14 +872,22 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
     sequence and the step error is controlled on them jointly.  The state
     vector stacks the rows component by component: all s, then all i, and so
     on.  ``_stacked_branch`` gives its right-hand side.
+
+    ``start`` holds (s, i, q, V) per row, or, for an unvaccinated solve,
+    (s, i, q, V) and a sensitivity z = (z_s, z_i, z_q) of (s, i, q).  The
+    sensitivities ride on the steps the states choose: the error norm reads
+    the states alone (``_StateControlled``), so the states' steps and values
+    are those of the solve without them, bit for bit.
     """
-    rhs = _stacked_branch(spans, beta_e, rate, willingness)
+    rows, width = start.shape
+    rhs = _stacked_branch(spans, beta_e, rate, willingness, sensitivities=width > 4)
+    controlled = 4 * rows if width > 4 else None
     # a copy: the solver keeps y0 as its first step's start, and with one
     # row ravel() would return a view of the caller's rows
-    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense, events=events)
+    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense, events=events, controlled=controlled)
 
 
-def _stacked_branch(spans, beta_e, rate, willingness):
+def _stacked_branch(spans, beta_e, rate, willingness, sensitivities=False):
     """The right-hand side of ``_solve_tails``' rows in u: row j's ``_rhs_values`` times ``spans[j]``.
 
     A solve in which no row vaccinates clips s and i to [0, 1], as
@@ -863,39 +896,104 @@ def _stacked_branch(spans, beta_e, rate, willingness):
     kink would shrink every row's steps.  Before its cut a row's s is at
     least k/l > 0 or falls toward 0 on the willingness branch without
     reaching it, so there the clip would do nothing.
+
+    With ``sensitivities`` an unvaccinated solve's state holds three more
+    components per row, z = d(s, i, q)/dtau, which move by the Jacobian of
+    the unvaccinated dynamics at the row's (clipped) s and i:
+    z_s' = -beta_e*(i*z_s + s*z_i), z_i' = beta_e*(i*z_s + s*z_i) - z_i and
+    z_q' = z_i, each times the row's span.  The states' derivatives are
+    those of the solve without them, bit for bit.
     """
     n = len(spans)
     vaccinating = bool(np.any(rate) or np.any(willingness))
     no_vaccination = np.zeros(n)
+    width = 7 if sensitivities else 4
 
     def rhs(u, y):
         # all s, then all i: one block to clip
         si = y[: 2 * n] if vaccinating else y[: 2 * n].clip(0.0, 1.0)
         s, i = si[:n], si[n:]
         v = rate + willingness * s if vaccinating else no_vaccination
-        dt = np.empty((4, n))
+        dt = np.empty((width, n))
         dt[0], dt[1], dt[2], dt[3] = _rhs_values(s, i, v, beta_e)
+        if sensitivities:
+            z_s, z_i = y[4 * n : 5 * n], y[5 * n : 6 * n]
+            flow = beta_e * (i * z_s + s * z_i)
+            dt[4], dt[5], dt[6] = -flow, flow - z_i, z_i
         dt *= spans
         return dt.ravel()
 
     return rhs
 
 
-def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None):
-    """The one solve_ivp call: DOP853 over ``span`` from ``y0``; a failed solve raises IntegrationError."""
+def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None, controlled=None):
+    """The one solve_ivp call: DOP853 over ``span`` from ``y0``; a failed solve raises IntegrationError.
+
+    With ``controlled``, only the first ``controlled`` components control
+    the steps (``_StateControlled``).
+    """
+    options = {} if controlled is None else {"controlled": controlled}
     sol = solve_ivp(
         rhs,
         span,
         y0,
-        method=_METHOD,
+        method=_METHOD if controlled is None else _StateControlled,
         rtol=tol.rtol,
         atol=tol.atol,
         dense_output=dense,
         events=events,
+        **options,
     )
     if sol.status < 0:
         raise IntegrationError(f"solver failed on [{span[0]}, {span[1]}]: {sol.message}")
     return sol
+
+
+class _StateControlled(DOP853):
+    """SciPy's DOP853 with the first ``controlled`` components alone in its step control.
+
+    The other components ride along on the steps those choose.  The first
+    step and every error norm are SciPy's rules (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4) on the controlled components, so when those do
+    not depend on the rest, their steps and values are those of a solve of
+    the controlled components alone, bit for bit.  The riders are the
+    forward sensitivities of the planner's scans: an explicit Runge-Kutta
+    step of the variational equation is the derivative of the state's own
+    step, so on the same steps they are the derivatives of the solve.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, controlled, **options):
+        self.controlled = controlled
+        # a first step SciPy takes as given, so it chooses none on all components
+        super().__init__(fun, t0, y0, t_bound, first_step=abs(t_bound - t0), **options)
+        self.h_abs = self._first_step(t_bound)
+
+    def _first_step(self, t_bound):
+        """SciPy's ``select_initial_step`` on the controlled components, in its order of operations."""
+
+        def norm(x):
+            return np.linalg.norm(x) / x.size**0.5
+
+        c, direction = self.controlled, self.direction
+        y0, f0 = self.y, self.f
+        span = abs(t_bound - self.t)
+        scale = self.atol + np.abs(y0[:c]) * self.rtol
+        d0, d1 = norm(y0[:c] / scale), norm(f0[:c] / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        f1 = self.fun(self.t + h0 * direction, y0 + h0 * direction * f0)
+        d2 = norm((f1[:c] - f0[:c]) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
+        return min(100 * h0, h1, span, self.max_step)
+
+    def _estimate_error_norm(self, K, h, scale):
+        # contiguous, as the stages of a solve of the controlled components are:
+        # NumPy sums a strided matrix product in another order
+        c = self.controlled
+        return super()._estimate_error_norm(np.ascontiguousarray(K[:, :c]), h, scale[:c])
 
 
 def _initial_state(scenario: Scenario) -> np.ndarray:

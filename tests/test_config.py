@@ -14,6 +14,7 @@ from sirdvax import (
     dump_config,
     load_config,
 )
+from sirdvax.config import with_field
 
 
 def variant1_dict():
@@ -211,3 +212,27 @@ class TestRoundTrip:
         assert config.tolerances.atol == 1e-10
         assert config_to_dict(config)["tolerances"] == {"rtol": 1e-7, "atol": 1e-10}
         assert config_from_dict(config_to_dict(config)) == config
+
+
+class TestOneField:
+    """``with_field`` checks one field as ``config_from_dict`` checks it in a file."""
+
+    SECTIONS = {"k": "resources", "l": "resources", "m": "resources", "a": "cost",
+                "b": "cost", "c": "cost", "eps": "epidemic", "r": "epidemic"}
+
+    @pytest.mark.parametrize("key", sorted(SECTIONS))
+    @pytest.mark.parametrize(
+        "value", [0.0, 0.2, 0.999, 1.0, 1.5, 40.0, -0.1, math.inf, -math.inf, math.nan]
+    )
+    def test_same_config_or_same_message_as_the_file(self, key, value):
+        data = variant1_dict()
+        # a file holds an unlimited value as "inf", and only the stock takes it
+        data[self.SECTIONS[key]][key] = "inf" if value == math.inf else value
+        try:
+            expected = config_from_dict(data)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                with_field(config_from_dict(variant1_dict()), key, value)
+            assert str(raised.value) == str(exc)
+        else:
+            assert with_field(config_from_dict(variant1_dict()), key, value) == expected

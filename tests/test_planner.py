@@ -253,6 +253,84 @@ class TestBatchedScan:
         assert last.exhaustion_time == grid[-1]
         assert any(e.kind == EVENT_SUPPLY_EXHAUSTED for e in last.events)
 
+    @pytest.mark.parametrize(
+        "r, resources",
+        [
+            (10.0, RESOURCES_VARIANT1),
+            (10.0, RESOURCES_TIGHT),
+            (10.0, (0.1, 0.3, 0.4)),
+            (10.0, RESOURCES_UNLIMITED),
+            (4.0, RESOURCES_VARIANT1),
+        ],
+        ids=["variant1", "stock-0.2", "stock-0.4", "unlimited", "variant1-r4"],
+    )
+    def test_slopes_match_central_differences_of_exact_runs(self, scenario, r, resources):
+        # stock 0.2 runs out on the capacity branch and 0.4 on the willingness
+        # branch; the differences are of exact runs at tight tolerances, on a
+        # five-point stencil that stays below the cap
+        scenario = dataclasses.replace(
+            scenario, epidemic=dataclasses.replace(scenario.epidemic, r=r)
+        )
+        tol = Tolerances()
+        grid = scan_grid(scenario, resources, tol)
+        slope = stopped_programs(always_on_run(scenario, resources, tol), grid).slope
+        tight, h = Tolerances(rtol=1e-12, atol=1e-15), 1e-2
+
+        def cost(tau):
+            return objective(float(tau), scenario, resources, tight)
+
+        for j in range(4, PRESCAN_POINTS - 4, 8):
+            tau = grid[j]
+            central = (
+                -cost(tau + 2 * h) + 8 * cost(tau + h) - 8 * cost(tau - h) + cost(tau - 2 * h)
+            ) / (12 * h)
+            assert slope[j] == pytest.approx(central, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("m", [0.2, 0.4])
+    def test_slope_at_a_binding_cap_is_the_left_derivative(self, scenario, tolerances, m):
+        # past the cap nothing changes, so only the one-sided difference from
+        # below is J'(cap); the exact runs share the always-on run's stock-out
+        resources = (0.1, 0.3, m)
+        grid = scan_grid(scenario, resources, tolerances)
+        slope = stopped_programs(always_on_run(scenario, resources, tolerances), grid).slope
+        cap, h = grid[-1], 1e-4
+
+        def cost(tau):
+            return objective(float(tau), scenario, resources, tolerances)
+
+        backward = (3 * cost(cap) - 4 * cost(cap - h) + cost(cap - 2 * h)) / (2 * h)
+        assert slope[-1] < 0.0
+        assert slope[-1] == pytest.approx(backward, rel=1e-6, abs=0.0)
+
+    def test_disease_free_slope_is_the_dose_cost_of_the_rate(self, disease_free, tolerances):
+        # with no infection the tails' sensitivities stay 0, so J' = a*v(tau)
+        # exactly, v = min(k, l*s) with s the program's s at tau, kept to T
+        k, l, _ = RESOURCES_VARIANT1
+        grid = scan_grid(disease_free, RESOURCES_VARIANT1, tolerances)
+        scan = stopped_programs(always_on_run(disease_free, RESOURCES_VARIANT1, tolerances), grid)
+        rate = np.minimum(k, l * scan.final[:, 0])
+        assert np.array_equal(scan.slope, disease_free.cost.a * rate)
+        assert (scan.slope > 0.0).all()
+
+    @pytest.mark.parametrize(
+        "resources, counts",
+        [(RESOURCES_VARIANT1, {1, 2}), (RESOURCES_TIGHT, {1}), ((0.1, 0.3, 0.4), {1})],
+        ids=["variant1", "stock-0.2", "stock-0.4"],
+    )
+    def test_scans_per_answer(self, scenario, monkeypatch, resources, counts):
+        # a binding stock's slope is negative at the cap, which ends the first scan
+        scans = []
+        scan = planner.stopped_programs
+
+        def counting(always_on, taus, *args, **kwargs):
+            scans.append(len(taus))
+            return scan(always_on, taus, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "stopped_programs", counting)
+        result = minimize_tau(scenario, resources)
+        assert len(scans) in counts
+        assert result.evaluations == len(scans) * PRESCAN_POINTS + 1
+
     def test_rejects_unsorted_or_out_of_range_durations(self, full_program_traj):
         for taus in ([2.0, 1.0], [-1.0, 1.0], [1.0, 16.0]):
             with pytest.raises(ValidationError):
@@ -338,7 +416,7 @@ class TestExactPolish:
 
 
 class TestNestedScan:
-    """The nested batched scans against the bounded-Brent polish they replaced.
+    """The batched scans' search, by cost slopes or nested scans, against the bounded-Brent polish.
 
     The frozen values are that polish's answers (tau*, J*) at the default
     tolerances, re-run on exact runs of the current solver.
@@ -403,6 +481,24 @@ class TestNestedScan:
         assert abs(result.tau_star - reference.x) <= planner.DEFAULT_OPT_TOL
         assert result.cost_star == pytest.approx(reference.fun, rel=1e-12, abs=0.0)
 
+    def test_slopes_that_bracket_nothing_fall_back_to_nested_scans(self, scenario, monkeypatch):
+        # a cost flat to rounding can leave no sign change of J' next to the
+        # best point; the best point's neighbours are then scanned again until
+        # the spacing is at most DEFAULT_OPT_TOL, four scans when the cap is 15
+        scan = planner.stopped_programs
+        scans = []
+
+        def rising(always_on, taus, *args, **kwargs):
+            scans.append(len(taus))
+            return dataclasses.replace(scan(always_on, taus, *args, **kwargs), slope=np.ones(len(taus)))
+
+        monkeypatch.setattr(planner, "stopped_programs", rising)
+        result = minimize_tau(scenario, RESOURCES_VARIANT1)
+        assert scans == [PRESCAN_POINTS] * 4
+        tau, cost = self.BRENT_VARIANT1
+        assert abs(result.tau_star - tau) <= planner.DEFAULT_OPT_TOL
+        assert result.cost_star == pytest.approx(cost, rel=1e-12, abs=0.0)
+
     def test_only_the_answer_builds_samples(self, scenario, monkeypatch):
         # the always-on run hands on its segments and builds no sample table
         merge = solver._merge_times
@@ -420,17 +516,23 @@ class TestNestedScan:
         assert len(calls) == 1
 
     def test_non_finite_scan_costs_are_loud(self, scenario, monkeypatch):
-        # argmin would pick a NaN cost; the sample clamp refuses it first
+        # argmin would pick a NaN cost, and a NaN slope would bracket nothing:
+        # the sample clamp refuses the first, and the slope check the second
         solve = solver._solve_tails
 
-        def poisoned(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            sol.y[4, -1] = math.nan
-            return sol
+        def poisoned(component):
+            def solve_poisoned(*args, **kwargs):
+                sol = solve(*args, **kwargs)
+                # tail 4's component: 0 is s, and 6 the sensitivity z_q the slope reads
+                sol.y[component * (len(sol.y) // 7) + 4, -1] = math.nan
+                return sol
 
-        monkeypatch.setattr(solver, "_solve_tails", poisoned)
-        with pytest.raises(IntegrationError, match="not finite"):
-            minimize_tau(scenario, RESOURCES_VARIANT1)
+            return solve_poisoned
+
+        for component, message in ((0, "state 0 is not finite"), (6, "cost slope at tau = .* is not finite")):
+            monkeypatch.setattr(solver, "_solve_tails", poisoned(component))
+            with pytest.raises(IntegrationError, match=message):
+                minimize_tau(scenario, RESOURCES_VARIANT1)
 
 
 class TestProcurementPlan:

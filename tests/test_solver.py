@@ -811,6 +811,23 @@ class TestSharedTailStage:
         swept = sirdvax.solver.stopped_programs(always_on, taus, crossings=True)
         assert swept.final.tobytes() == scan.final.tobytes()
 
+    @pytest.mark.parametrize("durations", [64, 37, 1])
+    def test_sensitivities_ride_on_the_states_steps(self, durations):
+        # the states' steps, values and right-hand side calls are those of the
+        # solve without the sensitivity rows, bit for bit
+        resources = load_config("variant1").resources
+        always_on = integrate(VARIANT1, VaccinationPolicy(*resources, tau=VARIANT1.T))
+        taus = np.linspace(0.0, VARIANT1.T - 1.0, durations)
+        start = _sample(always_on.segments, taus)
+        beta_e, spans = VARIANT1.epidemic.transmission_rate, VARIANT1.T - taus
+        riders = np.column_stack((start, np.full(durations, -0.1), np.zeros((durations, 2))))
+        alone = sirdvax.solver._solve_tails(Tolerances(), spans, start, beta_e, 0.0, 0.0, dense=False)
+        carried = sirdvax.solver._solve_tails(Tolerances(), spans, riders, beta_e, 0.0, 0.0, dense=False)
+        assert alone.t.tobytes() == carried.t.tobytes()
+        assert alone.y.tobytes() == carried.y[: 4 * durations].tobytes()
+        assert alone.nfev == carried.nfev
+        assert np.isfinite(carried.y).all()
+
     def test_a_tail_leaving_the_band_inside_a_step_is_refused(self, monkeypatch):
         # F[1] adds x*(1 - x) to the step: a dip at its middle, its ends as they are
         resources = load_config("variant1").resources
