@@ -149,11 +149,12 @@ def with_field(config: ScenarioConfig, key: str, value: float) -> ScenarioConfig
     ``key`` is a field of the resources, the unit costs or the epidemic.
     The value passes the same number check and its section's rules, and
     fails with the same message, as it would written into the config's
-    file, where an unlimited value is "inf"; the other fields, already
-    checked, are not checked again.
+    file, where an unlimited stock is "inf" and any other infinite value a
+    number (JSON's Infinity); the other fields, already checked, are not
+    checked again.
     """
     section = next(name for name, keys in _SECTIONS.items() if key in keys)
-    number = _field(section, key, "inf" if value == math.inf else value)
+    number = _field(section, key, "inf" if key == "m" and value == math.inf else value)
     if section == "resources":
         k, l, m = _build(section, _resources, {**dict(zip("klm", config.resources)), key: number})
         return replace(config, k=k, l=l, m=m)

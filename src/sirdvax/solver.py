@@ -9,41 +9,45 @@ so every run has at most three smooth pieces, always in this order:
 3. no vaccination, from the program end or supply exhaustion (where the
    accumulated usage V reaches m) to the horizon T.
 
-``integrate`` solves each piece it needs as one segment with the rate fixed
-to its branch, so no step straddles a switch and every smooth piece is
+Every run is stacked runs, one row or many, solved piece by piece: each
+piece is one stage, ``_advance``, one solve with the rate fixed to its
+branch, so no step straddles a switch and every smooth piece is
 integrated at the full order of the Dormand-Prince 8(5,3) pair (SciPy's
-DOP853).  Its 7th-order dense output backs interpolation between samples
-and every located crossing.  Each solve's steps are read once into arrays
-(``_read_steps``), and one kernel, ``_dense``, evaluates any number of
-points on them in one array pass, with SciPy's choice of step and its
-Horner order, so every value equals SciPy's dense output bit for bit.
-One locator, ``_first_fall``, finds them all
-on a solve's steps: the rate kink and the stock-out that end a segment, the
-peak and the epidemic end of a run, and those of the batched tails in
-``stopped_programs`` and of the stacked runs in ``stacked_runs``.
-solve_ivp only stops a vaccinating segment, with one terminal event; the
-segment then ends at the earliest of tau and the located kink and
-stock-out.
+DOP853).  A stage maps each row's interval onto u in [0, 1] by
+t = start + u*span, and its steps stay in u: every time a run is read at
+is mapped onto u once (``_to_u``).  The 7th-order dense output backs
+interpolation between samples and every located crossing.  Each solve's
+steps are read once into arrays (``_read_steps``), and one kernel,
+``_dense``, evaluates any number of points on them in one array pass,
+with SciPy's choice of step and its Horner order, so every value equals
+SciPy's dense output bit for bit.  One locator, ``_first_fall``, finds
+them all on a stage's steps: the rate kink and the stock-out that end a
+vaccinating stage, and the peak and the epidemic end.  solve_ivp only
+stops a vaccinating stage, with one terminal event; each row then ends at
+the earliest of its tau and its located kink and stock-out.
 
 One rule refuses a run: every solve whose dense output is kept is checked
 when it is made, by ``_refuse_excursions``, and refused if that output
 leaves [0, 1] by more than the drift band before a run's end.  The
 samples are then built only when read, and ``_clamp`` only repairs them.
 
-``stacked_runs`` answers many runs that differ in their parameters, not
-only in tau, with one stacked solve per piece: each row of
-``_solve_tails``, the one stacked solve, has its own transmission rate and
-vaccination rate.  Each piece is one stage, ``_advance``, and the tails of
-``stopped_programs`` are the unvaccinated stage of stacked runs that start
-at each tau.  The planner's scans, which need only each tail's state at T,
-carry each tail's sensitivity to tau in the same solve instead, for the
-cost's slope; the states alone choose the steps (``_StateControlled``).
+One schedule runs them all: ``_vaccinate`` (the capacity branch, the
+willingness branch, the stock-out pin), then ``_tail`` (no vaccination).
+``integrate`` runs it for one row, whose stage solves become its
+``Trajectory.segments``, and ``stacked_runs`` for many runs that differ in
+their parameters, not only in tau: each row of ``_solve_tails``, the one
+stacked solve, has its own transmission rate and vaccination rate.  The
+choice by row count is one fork: a solve of one row works on Python
+floats (``_stacked_branch``).
 
 Until tau a run is the always-on run (tau = T) bit for bit, so
-``stopped_program`` cuts that run's vaccinating segments at tau instead of
-solving them again.  ``integrate`` and ``stopped_program`` share one
-finishing step, ``_finish``: the cut, the stock-out, the unvaccinated rest,
-the peak and the end, and the samples.
+``stopped_program`` and ``stopped_programs`` cut that run's vaccinating
+segments at tau instead of solving them again (``_cut``), and run the tail
+``integrate`` runs: a program of one duration is ``integrate`` at that
+duration bit for bit.  The planner's scans, which need only each tail's
+state at T, carry each tail's sensitivity to tau in the same solve
+instead, for the cost's slope; the states alone choose the steps
+(``_StateControlled``).
 
 The integrated state is (s, i, q, V): the susceptible and infected
 fractions, q the integral of i over time, and V the vaccine used.  The
@@ -148,15 +152,17 @@ class Trajectory:
       starts at or below 1 or there are no infections, and at T when
       beta_e*s stays above 1 throughout.
 
-    Both markers are located at their first crossing on the run's steps,
-    each step cut at its segment's end, so a crossing at a switch is found on
-    one side of it.
+    Both markers are located at their first crossing on the steps of the
+    stage that reaches it; one within its stage's last step, just past the
+    stage's end, is kept where the function is already at or below 0
+    there (``_advance``), so a crossing at a switch is found once.
 
-    ``segments`` holds (start, end, steps) for each solver segment in time
-    order: the capacity branch, the willingness branch and the unvaccinated
-    rest, as far as the run has them.  The steps are the segment's solve,
-    read once into arrays of DOP853 dense-output coefficients of
-    (s, i, q, V); ``_sample`` reads every segment in one array pass.
+    ``segments`` holds (start, end, steps, span) for each solver segment in
+    time order: the capacity branch, the willingness branch and the
+    unvaccinated rest, as far as the run has them.  The steps are the
+    segment's solve, in its own variable u with t = start + u*span, read
+    once into arrays of DOP853 dense-output coefficients of (s, i, q, V);
+    ``_sample`` maps each time onto its segment's u once and reads it there.
 
     ``times`` and ``values`` are built on first use, read-only; a run that
     only hands its segments on, as the planner's always-on run does, builds
@@ -172,12 +178,12 @@ class Trajectory:
     policy: VaccinationPolicy
     tolerances: Tolerances
     exhaustion_time: float | None
-    segments: tuple[tuple[float, float, _Steps], ...]
+    segments: tuple[tuple[float, float, _Steps, float], ...]
 
     @functools.cached_property
     def times(self) -> np.ndarray:
         T = self.scenario.T
-        # times within 1e-12*T of each other are one sample, as in _finish's segment ends
+        # times within 1e-12*T of each other are one sample
         times = _merge_times(np.linspace(0.0, T, SAMPLE_POINTS), [e.time for e in self.events], 1e-12 * T)
         times.flags.writeable = False
         return times
@@ -262,7 +268,7 @@ def _rates(
     """The vaccination rule at each of ``times`` with susceptibles ``s``.
 
     min(k, l*s) before tau, or before ``exhaustion_time`` when the stock ran
-    out earlier, and 0 from there on: the cut ``_finish`` applies.
+    out earlier, and 0 from there on: the cut ``_vaccinate`` and ``_cut`` apply.
     """
     end = policy.tau if exhaustion_time is None else min(policy.tau, exhaustion_time)
     return np.where(times < end, np.minimum(policy.k, policy.l * s), 0.0)
@@ -371,20 +377,36 @@ def _rows(segments, times: np.ndarray, scenario: Scenario, atol: float) -> np.nd
 
 
 def _sample(segments, times: np.ndarray) -> np.ndarray:
-    """Dense output of the segments at ``times``, one ``_dense`` call for all of them.
+    """Dense output of the segments at ``times``.
 
     A time equal to a segment start is read from the segment it starts,
-    and a time past a segment's end at that end.  Within a segment the
-    step is the one SciPy's ``OdeSolution`` picks, so each row is that
-    segment's dense output bit for bit.
+    and a time past a segment's end at that end.  Each time is mapped onto
+    its segment's u once (``_to_u``) and read on the step SciPy's
+    ``OdeSolution`` picks there, so each row is that segment's dense output
+    bit for bit.
     """
-    steps, counts = _join(segments, "right")
-    ends = np.cumsum(counts)
-    seg = np.searchsorted([t_lo for t_lo, _, _ in segments[1:]], times, side="right")
-    times = np.minimum(times, np.array([t_hi for _, t_hi, _ in segments])[seg])
-    # the joined steps are in time order: SciPy's step for each time, kept within its segment
-    k = np.clip(np.searchsorted(steps.t_old, times) - 1, (ends - counts)[seg], ends[seg] - 1)
-    return _dense(steps, k, times)
+    seg = np.searchsorted([start for start, *_ in segments[1:]], times, side="right")
+    rows = np.empty((len(times), 4))
+    for j, (start, end, steps, span) in enumerate(segments):
+        here = seg == j
+        rows[here] = _at(steps, _to_u(np.minimum(times[here], end), start, span))
+    return rows
+
+
+def _to_u(t, start, span) -> np.ndarray:
+    """Times ``t`` on a solve of t = start + u*span, as its u; 0 on an empty span."""
+    dt = np.subtract(t, start)
+    span = np.broadcast_to(span, dt.shape)
+    return np.divide(dt, span, out=np.zeros(dt.shape), where=span > 0.0)
+
+
+def _to_t(u, start, end) -> np.ndarray:
+    """Positions ``u`` in [0, 1] on a solve of t = start + u*(end - start), as times.
+
+    u = 1 is the end itself, and inf stays inf.
+    """
+    t = start + np.minimum(u, 1.0) * (end - start)
+    return np.where(u < 1.0, t, np.where(u == 1.0, end, np.inf))
 
 
 def _merge_times(grid: np.ndarray, extra: list[float], tol: float) -> np.ndarray:
@@ -414,59 +436,25 @@ def integrate(
 ) -> Trajectory:
     """Integrate the system over [0, T] and return its trajectory.
 
-    The run is at most three segments in a fixed order: the capacity branch
-    (rate k, while l*s > k), the willingness branch (rate l*s), then no
-    vaccination up to T.  Each vaccinating segment solves toward T until
-    solve_ivp stops it near the first of tau, the rate kink and the
-    stock-out, and ends at the earliest of tau and the kink and stock-out
-    that ``_first_fall`` locates on its steps, so until tau the run is the
-    always-on run (tau = T) bit for bit.  ``_finish`` then records the
-    stock-out, solves the unvaccinated rest and locates the peak and the
-    end, as ``stopped_program`` does on the always-on run's segments.  A
-    program with tau = 0 (or k = 0, l = 0 or m = 0) runs the uncontrolled
-    epidemic.
+    The run is a stacked run of one row, on the stages ``stacked_runs``
+    runs for each of its rows (``_vaccinate``): the capacity branch (rate
+    k, while l*s > k), the willingness branch (rate l*s), then no
+    vaccination up to T (``_program``).  Each vaccinating stage solves
+    toward T until solve_ivp stops it near the first of tau, the rate kink
+    and the stock-out, and ends at the earliest of tau and the kink and
+    stock-out that ``_first_fall`` locates on its steps, so until tau the
+    run is the always-on run (tau = T) bit for bit.  ``_program`` then
+    solves the unvaccinated rest as ``stopped_program`` does on the
+    always-on run's segments.  A program with tau = 0 (or k = 0, l = 0 or
+    m = 0) runs the uncontrolled epidemic.
 
     Raises ValidationError unless 0 <= tau <= T.
     """
-    T = scenario.T
-    epidemic = scenario.epidemic
-    k, l, m, tau = policy.k, policy.l, policy.m, policy.tau
-    segments: list[tuple[float, float, _Steps]] = []
-    stock_out = math.inf
-    t0, y0 = 0.0, _initial_state(scenario)
-
-    def advance(rate, willingness, g):
-        """Solve one vaccinating segment from t0 and return where g's functions first fall on it.
-
-        solve_ivp stops near the first of tau and those falls.  The segment
-        then ends at the earliest of tau and the located falls.
-        """
-        nonlocal t0, y0
-        rhs = _branch(epidemic, rate, willingness)
-        sol = _solve(rhs, (t0, T), y0, tol, events=_stop_at(tau, g)).sol
-        steps = _read_steps(sol)
-        # the step solve_ivp's stop cut short is searched in full
-        whole = [(t0, sol.interpolants[-1].t, steps)]
-        falls = _first_fall(*_steps(whole), g)[:, 0].tolist()
-        t1 = min(tau, *falls)
-        _refuse_excursions(steps, np.array([t1]), tol.atol)
-        segments.append((t0, t1, steps))
-        t0, y0 = t1, _at(steps, np.array([t1]))[0]
-        return falls
-
-    # a tau beyond T solves nothing: _finish refuses it
-    if 0.0 < tau <= T and k > 0.0 and l > 0.0:
-        if m == 0.0:
-            stock_out = 0.0
-        else:
-            willing = l * y0[0] <= k
-            if not willing:
-                kink, stock_out = advance(k, 0.0, lambda y, _: [l * y[0] - k, m - y[3]])
-                # the willingness branch follows a kink before the stock-out and tau
-                willing = kink < min(stock_out, tau)
-            if willing:
-                (stock_out,) = advance(0.0, l, lambda y, _: [m - y[3]])
-    return _finish(scenario, policy, tol, segments, stock_out)
+    tau = scenario.in_horizon("tau", policy.tau)
+    initial = scenario.initial
+    row = (initial.s, initial.i, scenario.epidemic.transmission_rate, policy.k, policy.l, policy.m, tau, scenario.T)
+    runs, stock_out = _vaccinate(*np.array(row, dtype=float)[:, None], tol)
+    return _program(scenario, policy, tol, _segments(runs.parts), runs, stock_out)
 
 
 def _require_always_on(run: Trajectory) -> None:
@@ -486,75 +474,50 @@ def stopped_program(always_on: Trajectory, tau: float) -> Trajectory:
 
     Until tau the program is the always-on run bit for bit, so this is
     ``integrate`` at tau with the vaccinating segments taken from that run
-    rather than solved again: only the unvaccinated rest is solved.
+    rather than solved again: only the unvaccinated rest is solved, by the
+    tail ``integrate`` runs.
 
     Raises ValidationError unless ``always_on`` runs its program for the
     whole horizon and 0 <= tau <= T.
     """
-    _require_always_on(always_on)
     policy = replace(always_on.policy, tau=tau)
-    # a program that vaccinates nobody has no vaccinating segments
-    vaccinating = always_on.segments if policy.k > 0.0 and policy.l > 0.0 else ()
-    exhausted = always_on.exhaustion_time
-    stock_out = math.inf if exhausted is None else exhausted
-    return _finish(always_on.scenario, policy, always_on.tolerances, vaccinating, stock_out)
+    runs, stock_out, vaccinating = _cut(always_on, np.array([always_on.scenario.in_horizon("tau", tau)]))
+    (cut,) = runs.t.tolist()
+    vaccinating = [(start, min(end, cut), steps, span) for start, end, steps, span in vaccinating if start < cut]
+    return _program(always_on.scenario, policy, always_on.tolerances, vaccinating, runs, stock_out)
 
 
-def _finish(
-    scenario: Scenario,
-    policy: VaccinationPolicy,
-    tol: Tolerances,
-    vaccinating,
-    stock_out: float,
-) -> Trajectory:
-    """The run of ``policy`` from its vaccinating segments, solved toward T.
+def _program(scenario: Scenario, policy: VaccinationPolicy, tol: Tolerances, vaccinating, runs, stock_out):
+    """The trajectory of one program, a stacked run of one row at the end of its vaccinating segments.
 
-    The segments are cut at tau, or at the located stock-out ``stock_out``
-    when that lies at or before tau (tau > 0): the stock-out is then
-    recorded, stops vaccination for the rest of the horizon and pins V to m.
-    A second segment starts at the rate kink.  The unvaccinated rest is
-    solved up to T, and the peak and the epidemic end are located by one
-    ``_first_fall`` call on the run's steps, each cut at its segment's end:
-    a crossing at a segment's end is found on one side of it.
+    ``runs`` holds the row after the segments ``vaccinating`` and
+    ``stock_out`` where its stock ran out (NaN if it did not).  The row's
+    tail (``_tail``) is solved up to T; a kink is recorded at each
+    vaccinating segment's start after the first, and the stock-out stops
+    vaccination for the rest of the horizon.
     """
-    T, tau = scenario.T, scenario.in_horizon("tau", policy.tau)
-    exhaustion_time = stock_out if 0.0 < tau and stock_out <= tau else None
-    cut = tau if exhaustion_time is None else exhaustion_time
-    segments = [(t_lo, min(t_hi, cut), steps) for t_lo, t_hi, steps in vaccinating if t_lo < cut]
-    events = [Event(t_lo, EVENT_RATE_KINK) for t_lo, _, _ in segments[1:]]
-    t0 = segments[-1][1] if segments else 0.0
-    y0 = _at(segments[-1][2], np.array([t0]))[0] if segments else _initial_state(scenario)
-    if exhaustion_time is not None:
-        # the stock is used up: V stays m, bit for bit, without vaccination
-        y0[3] = policy.m
-        events.append(Event(exhaustion_time, EVENT_SUPPLY_EXHAUSTED))
-    # times within 1e-12*T are one time, here as in the samples; past a
-    # stock-out the pinned V is read off this segment, however short
-    if not segments or exhaustion_time is not None or t0 < T - 1e-12 * T:
-        steps = _read_steps(_solve(_branch(scenario.epidemic, 0.0, 0.0), (t0, T), y0, tol).sol)
-        _refuse_excursions(steps, np.array([T]), tol.atol)
-        segments.append((t0, T, steps))
-
-    beta_e = scenario.epidemic.transmission_rate
-    peak, end = _first_fall(*_steps(segments), _markers(np.array([beta_e])))[:, 0].tolist()
-    # i peaks where beta_e*s falls through 1, at T if it never does, and at 0
-    # with no infections or with beta_e*s at or below 1 from the start
-    rising = scenario.initial.i > 0.0 and beta_e * scenario.initial.s > 1.0
-    events.append(Event(min(peak, T) if rising else 0.0, EVENT_PEAK))
-    if end < math.inf:
-        events.append(Event(end, EVENT_EPIDEMIC_END))
-    if tau > 0.0:
-        events.append(Event(tau, EVENT_PROGRAM_END))
+    T = scenario.T
+    done = len(runs.parts)
+    _tail(runs, np.zeros(1, dtype=int), T, tol, ~np.isnan(stock_out))
+    (exhausted,), (peak,), (end,) = stock_out.tolist(), runs.peak_time.tolist(), runs.end_time.tolist()
+    events = [Event(start, EVENT_RATE_KINK) for start, *_ in vaccinating[1:]]
+    if not math.isnan(exhausted):
+        events.append(Event(exhausted, EVENT_SUPPLY_EXHAUSTED))
+    # i peaks at T if beta_e*s never falls through 1
+    events.append(Event(T if math.isnan(peak) else min(peak, T), EVENT_PEAK))
+    if not math.isnan(end):
+        events.append(Event(min(end, T), EVENT_EPIDEMIC_END))
+    if policy.tau > 0.0:
+        events.append(Event(policy.tau, EVENT_PROGRAM_END))
     events.sort(key=lambda e: (e.time, e.kind))
+    exhaustion_time = None if math.isnan(exhausted) else exhausted
+    segments = (*vaccinating, *_segments(runs.parts[done:]))
+    return Trajectory(tuple(events), scenario, policy, tol, exhaustion_time, segments)
 
-    return Trajectory(
-        events=tuple(events),
-        scenario=scenario,
-        policy=policy,
-        tolerances=tol,
-        exhaustion_time=exhaustion_time,
-        segments=tuple(segments),
-    )
+
+def _segments(parts) -> tuple:
+    """The segments (start, end, steps, span) of a one-row run's parts."""
+    return tuple((float(start[0]), float(end[0]), steps, float(span[0])) for start, end, steps, span in parts)
 
 
 @dataclass(frozen=True)
@@ -588,13 +551,14 @@ def stopped_programs(
 
     ``always_on`` is a run with the program on for the whole horizon
     (tau = T), and ``taus`` are sorted times in [0, T].  Until tau a program
-    of duration tau is the always-on run bit for bit (past supply exhaustion
-    both have stopped vaccinating, with V exactly m), so its state at tau is
-    that run's dense output there.  Every state is then advanced to T without
-    vaccination, which keeps V as it is, in one solve per ``TAIL_CHUNK``
-    durations: each tail's interval [tau, T] is mapped onto u in [0, 1] by
-    t = tau + u*(T - tau), and the stacked tails share one step sequence, so
-    the step error is controlled on them jointly rather than tail by tail.
+    of duration tau is the always-on run bit for bit, so its state where it
+    stops vaccinating, at tau or at the always-on stock-out before it
+    (``_cut``), is that run's dense output there.  Every state is then
+    advanced to T without vaccination, which keeps V as it is, in one solve
+    per ``TAIL_CHUNK`` durations: each tail's interval [cut, T] is mapped
+    onto u in [0, 1] by t = cut + u*(T - cut), and the stacked tails share
+    one step sequence, so the step error is controlled on them jointly
+    rather than tail by tail.
 
     Without ``crossings`` the solves keep no dense output, and each tail's
     state at T is repaired or refused by ``_clamp``: the planner's scans need
@@ -607,31 +571,26 @@ def stopped_programs(
     is carried to T by the tail's own solve (``_solve_tails``), on the
     steps the states choose.  A slope that is not finite is refused.
 
-    With ``crossings`` the tails are the last stage of
-    stacked runs (``_advance``), so each tail's dense output is checked by
-    ``_refuse_excursions`` and its peak and end are located as a stacked
-    run's are.  A program shares the always-on run's crossing where that
-    lies at or before tau, and otherwise has it located on its own tail.
-    Rounding can put tau just before an always-on crossing with the function
-    already at or below 0, where the tail has no fall to find: so a program
-    shares the peak too when beta_e*s is at or below 1 at tau, and, once
-    past the always-on peak, the end too when i is at or below
-    ``EPIDEMIC_END_THRESHOLD`` at tau.
+    With ``crossings`` the tails are the last stage of stacked runs
+    (``_tail``), the one ``integrate`` runs, so a program of one duration is
+    ``integrate`` at that duration bit for bit; each tail's dense output is
+    checked by ``_refuse_excursions`` and its peak and end are located as a
+    stacked run's are.  A program takes the always-on run's crossings where
+    its own vaccinating stage would have kept them (``_cut``).
 
     Raises ValidationError unless ``always_on`` runs its program for the
     whole horizon and ``taus`` are sorted within [0, T].
     """
-    _require_always_on(always_on)
-    # a copy: the tails' stage moves each tail's start time on to T
     taus = np.array(taus, dtype=float)
     scenario, tol = always_on.scenario, always_on.tolerances
     T = scenario.T
     # NaN fails every comparison, so the range test is written to fail on it
     if np.any(np.diff(taus) < 0.0) or not np.all((taus >= 0.0) & (taus <= T)):
         raise ValidationError(f"durations must be sorted within [0, {T}]")
-    start = _sample(always_on.segments, taus)
-    beta_e = scenario.epidemic.transmission_rate
+    runs, stock_out, _ = _cut(always_on, taus)
     if not crossings:
+        cut, start = runs.t, runs.y
+        beta_e = scenario.epidemic.transmission_rate
         # the rate just before tau (just after it at tau = 0), 0 past the stock-out
         policy, cap = always_on.policy, always_on.exhaustion_time
         cap = T if cap is None else cap
@@ -640,9 +599,9 @@ def stopped_programs(
         tails = np.column_stack((start, -v, np.zeros((len(taus), 2))))
         for lo in range(0, len(taus), TAIL_CHUNK):
             cols = slice(lo, lo + TAIL_CHUNK)
-            # the durations are sorted: a chunk whose first tail is empty is all empty
-            if taus[lo] < T:
-                sol = _solve_tails(tol, T - taus[cols], tails[cols], beta_e, 0.0, 0.0, dense=False)
+            # the cuts are sorted: a chunk whose first tail is empty is all empty
+            if cut[lo] < T:
+                sol = _solve_tails(tol, T - cut[cols], tails[cols], beta_e, 0.0, 0.0, dense=False)
                 tails[cols] = sol.y[:, -1].reshape(7, -1).T
         final = _read_out(_clamp(tails[:, :4], tol.atol), scenario)
         slope = scenario.cost.a * v + treatment_cost_rate(scenario.epidemic, scenario.cost) * tails[:, 6]
@@ -650,18 +609,51 @@ def stopped_programs(
             bad = np.flatnonzero(~np.isfinite(slope))[0]
             raise IntegrationError(f"cost slope at tau = {taus[bad]} is not finite: {slope[bad]}")
         return StoppedPrograms(final, slope=slope)
-    peak_on, peak_i_on, end_on = always_on.peak_and_end()
-    # a tail's crossing is searched for (NaN) where its function starts above
-    # 0, and otherwise is the always-on run's; i below the threshold before
-    # the peak may still rise through it, so that end is searched for
-    tail_peak = (taus < peak_on) & (beta_e * start[:, 0] > 1.0)
-    tail_end = (taus < end_on) & ((taus < peak_on) | (start[:, 1] > EPIDEMIC_END_THRESHOLD))
-    peaks = np.where(tail_peak, np.nan, peak_on), np.full(len(taus), peak_i_on)
-    runs = _Runs(np.full(len(taus), beta_e), taus, start, *peaks, np.where(tail_end, np.nan, end_on))
     for lo in range(0, len(taus), TAIL_CHUNK):
-        _advance(runs, np.arange(lo, min(lo + TAIL_CHUNK, len(taus))), T, 0.0, 0.0, tol)
+        _tail(runs, np.arange(lo, min(lo + TAIL_CHUNK, len(taus))), T, tol, ~np.isnan(stock_out))
     final, crossed = _close(runs, T, tol.atol)
     return StoppedPrograms(_read_out(final, scenario), *crossed)
+
+
+def _cut(always_on: Trajectory, taus: np.ndarray):
+    """The programs of ``taus`` as stacked runs where they stop vaccinating, with the crossings they keep.
+
+    A program stops at its tau, or at the always-on run's stock-out where
+    that lies at or before tau (tau > 0), and one that vaccinates nobody at
+    0; its state there is the always-on run's dense output.  Its
+    vaccinating stage is the always-on run's, solved as far as the step of
+    its cut (``_advance``), so it keeps the always-on peak and end that lie
+    at or before its cut, and one past it within the cut's step where the
+    function is already at or below 0 at the cut.  Its other crossings are
+    located on its tail.  i at a kept peak past the cut is read on the
+    tail, where the program's samples read it.  Returns the runs, their
+    stock-outs (NaN where the stock lasts) and the always-on run's
+    vaccinating segments.  Raises ValidationError unless ``always_on`` runs
+    its program for the whole horizon.
+    """
+    _require_always_on(always_on)
+    policy = always_on.policy
+    exhausted = math.inf if always_on.exhaustion_time is None else always_on.exhaustion_time
+    vaccinates = policy.k > 0.0 and policy.l > 0.0
+    vaccinating = [seg for seg in always_on.segments if seg[0] < exhausted] if vaccinates else []
+    stock_out = np.where((taus > 0.0) & (exhausted <= taus), exhausted, np.nan)
+    cut = np.where(np.isnan(stock_out), taus, stock_out) if vaccinating else np.zeros(len(taus))
+    # at its stock-out the always-on run's rest starts, with V pinned to m
+    start = _sample(always_on.segments, cut)
+    beta_e = np.full(len(taus), always_on.scenario.epidemic.transmission_rate)
+    peak_on = next(e.time for e in always_on.events if e.kind == EVENT_PEAK)
+    end_on = next((e.time for e in always_on.events if e.kind == EVENT_EPIDEMIC_END), math.inf)
+    crossing = np.array([[peak_on], [end_on]])
+    same_step = np.zeros((2, len(taus)), dtype=bool)
+    for seg_start, seg_end, steps, span in vaccinating:
+        here = (seg_start < cut) & (cut <= seg_end)
+        last = _step_of(steps, _to_u(cut[here], seg_start, span))
+        same_step[:, here] = _step_of(steps, _to_u(crossing, seg_start, span)) == last
+    below = np.asarray(_markers(beta_e)(start.T[:, :, None], np.arange(len(taus))))[:, :, 0] <= 0.0
+    kept = (crossing <= cut) | (same_step & below & np.isfinite(crossing))
+    peak_time, end_time = np.where(kept, crossing, np.nan)
+    peak_i = np.where(kept[0] & (peak_on <= cut), always_on.peak_and_end()[1], np.nan)
+    return _Runs(beta_e, cut, start, peak_time, peak_i, end_time, []), stock_out, vaccinating
 
 
 def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
@@ -673,22 +665,12 @@ def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
     each row's state at T is read out with its own scenario, so unit costs
     and alpha need no solve of their own.
 
-    Per ``TAIL_CHUNK`` distinct runs, three stacked stages (``_advance``)
-    follow ``integrate``'s segments:
-
-    1. the capacity branch on [0, tau], for the runs with l*s0 > k;
-    2. the willingness branch from each run's rate kink (or from 0) to tau;
-    3. no vaccination, from each run's cut to T, as ``stopped_programs``
-       solves its tails.
-
-    A run with k, l, m or tau 0 vaccinates nobody and has only the third.
-    A vaccinating solve stops at one terminal event, once every row has
-    passed its own cut: the first of tau, the rate kink (l*s falls through
-    k) and the stock-out (V reaches m).  A row past its cut rides on with
-    the others, and its values there are never read.  A row whose stock
-    runs out at or before tau has V pinned to m, as ``_finish`` pins it.
-    Runs whose stock never runs out and that are alike in all else are one
-    run, and take one row's results.
+    Per ``TAIL_CHUNK`` distinct runs, the stages ``integrate`` runs for its
+    one row are run for all of them: ``_vaccinate``'s capacity and
+    willingness branches, then ``_tail``.  A run with k, l, m or tau 0
+    vaccinates nobody and has only the tail.  Runs whose stock never runs
+    out and that are alike in all else are one run, and take one row's
+    results.
 
     The rows share each solve's steps, so a row agrees with its own
     ``integrate`` run within tolerance, not bit for bit.  The vaccinating
@@ -720,7 +702,10 @@ def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
     ran_out = np.empty(len(unique), dtype=bool)
     for lo in range(0, len(unique), TAIL_CHUNK):
         rows = slice(lo, lo + TAIL_CHUNK)
-        at_end[rows], crossings[:, rows], ran_out[rows] = _stacked_chunk(*unique[rows].T, tol)
+        runs, stock_out = _vaccinate(*unique[rows].T, tol)
+        ran_out[rows] = ~np.isnan(stock_out)
+        _tail(runs, np.arange(len(stock_out)), unique[rows, 7], tol, ran_out[rows])
+        at_end[rows], crossings[:, rows] = _close(runs, unique[rows, 7], tol.atol)
     # a stock that never runs out leaves a run as it is without one, so such
     # runs alike in all else are one run: they take one row's results, where
     # the stacked solves would set them apart in their last bits
@@ -734,38 +719,60 @@ def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
     return StoppedPrograms(np.reshape(final, (-1, 6)), *crossings[:, position])
 
 
-def _stacked_chunk(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
-    """Each stacked run's state (s, i, q, V) at T, its peak time, peak i and end, and its stock-out.
+def _vaccinate(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
+    """Stacked runs through their vaccinating stages: the runs at their cuts, and where their stock ran out.
 
-    The runs' parameters come one array each, as ``stacked_runs`` describes;
-    every run starts at t = 0 in (s0, i0, 0, 0).  A run ran out of stock
-    where it is recorded at or before tau, or has none (m = 0).
+    The runs' parameters come one array each, as ``stacked_runs``
+    describes; every run starts at t = 0 in (s0, i0, 0, 0).  The stages:
+
+    1. the capacity branch, for the runs with l*s0 > k;
+    2. the willingness branch, from each run's rate kink (or from 0);
+    3. the stock-out pin: a run whose stock runs out at or before tau has V
+       set to m, and one with no stock (m = 0) runs out at 0.
+
+    Each stage solves toward T and stops each run at the first of its tau,
+    the rate kink (l*s falls through k) and the stock-out (V reaches m).
+    The stock-outs are NaN where the stock lasts.
     """
     n = len(s0)
     rising = (i0 > 0.0) & (beta_e * s0 > 1.0)
     start = np.column_stack((s0, i0, np.zeros(n), np.zeros(n)))
-    runs = _Runs(beta_e, np.zeros(n), start, np.where(rising, np.nan, 0.0), i0.copy(), np.full(n, np.nan))
-    ran_out = m == 0.0
-    vaccinating = (tau > 0.0) & (k > 0.0) & (l > 0.0) & (m > 0.0)
-    capacity = np.flatnonzero(vaccinating & (l * s0 > k))
-    willing = np.flatnonzero(vaccinating & (l * s0 <= k))
+    # i peaks at 0 unless it rises, and then where it is located
+    peak = np.where(rising, np.nan, 0.0), np.where(rising, np.nan, i0)
+    runs = _Runs(beta_e, np.zeros(n), start, *peak, np.full(n, np.nan), [])
+    program = (tau > 0.0) & (k > 0.0) & (l > 0.0)
+    stock_out = np.where(program & (m == 0.0), 0.0, np.nan)
+    capacity = np.flatnonzero(program & (m > 0.0) & (l * s0 > k))
+    willing = np.flatnonzero(program & (m > 0.0) & (l * s0 <= k))
+    # V reaches m where -V - (-m) = m - V falls through 0
+    stock_out_form = (3, np.full(n, -1.0), -m)
     if len(capacity):
-
-        def cuts(state, r):
-            return [l[r, None] * state[0] - k[r, None], m[r, None] - state[3]]
-
-        kink, stock = _advance(runs, capacity, tau, k[capacity], 0.0, tol, cuts)
+        # the rate kink: l*s falls through k
+        kink, stock = _advance(runs, capacity, T, k[capacity], 0.0, tol, [(0, l, k), stock_out_form], tau)
         # the willingness branch follows a kink before the stock-out and tau
-        on = kink < np.minimum(stock, 1.0)
-        exhausted = capacity[~on & (stock < np.inf)]
-        runs.y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
+        on = kink < np.minimum(stock, tau[capacity])
+        out = ~on & (stock <= tau[capacity])
+        stock_out[capacity[out]] = stock[out]
         willing = np.union1d(willing, capacity[on])
     if len(willing):
-        (stock,) = _advance(runs, willing, tau, 0.0, l[willing], tol, lambda y, r: [m[r, None] - y[3]])
-        exhausted = willing[stock < np.inf]
-        runs.y[exhausted, 3], ran_out[exhausted] = m[exhausted], True
-    _advance(runs, np.arange(n), T, 0.0, 0.0, tol)
-    return *_close(runs, T, tol.atol), ran_out
+        (stock,) = _advance(runs, willing, T, 0.0, l[willing], tol, [stock_out_form], tau)
+        out = stock <= tau[willing]
+        stock_out[willing[out]] = stock[out]
+    # the stock is used up: V stays m, bit for bit, without vaccination
+    ran_out = ~np.isnan(stock_out)
+    runs.y[ran_out, 3] = m[ran_out]
+    return runs, stock_out
+
+
+def _tail(runs: _Runs, rows, T, tol: Tolerances, pinned) -> None:
+    """The unvaccinated stage of ``rows``, from each row's cut up to its T.
+
+    It is solved unless every row already ends at T; a row whose stock
+    ran out at T (``pinned``) still takes an empty solve, whose steps hold
+    its pinned V for the samples.
+    """
+    if np.any(runs.t[rows] < np.broadcast_to(T, runs.t.shape)[rows]) or np.any(pinned[rows]):
+        _advance(runs, rows, T, 0.0, 0.0, tol)
 
 
 class _Runs(NamedTuple):
@@ -773,8 +780,10 @@ class _Runs(NamedTuple):
 
     Row j is at time ``t[j]`` in state ``y[j]`` (s, i, q, V), with the
     transmission rate ``beta_e[j]``.  ``peak_time`` and ``end_time`` are NaN
-    until located, and ``peak_i`` holds i at a located peak.  ``_advance``
-    moves the rows on in place, and ``_close`` reads the results.
+    until located, and ``peak_i`` holds i at a located peak, NaN until
+    read.  ``parts`` lists each stage's rows' starts and ends, its steps and
+    its rows' spans.  ``_advance`` moves the rows on in place, and
+    ``_close`` reads the results.
     """
 
     beta_e: np.ndarray
@@ -783,66 +792,81 @@ class _Runs(NamedTuple):
     peak_time: np.ndarray
     peak_i: np.ndarray
     end_time: np.ndarray
+    parts: list
 
 
-def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=None):
-    """Solve ``rows`` from their (t, y) toward ``ends``, each as far as its first fall of ``cuts``.
+def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(), stops=None):
+    """Solve ``rows`` from their (t, y) toward ``ends``, each as far as its first stop.
 
     One stacked ``_solve_tails`` call, on the branch ``rate`` and
-    ``willingness`` give; ``ends`` holds each run's end, indexed by run, or
-    one end for all.  ``cuts`` gives, as ``_first_fall``'s g does for the
-    rows it is handed, the functions whose first fall cuts a row's part;
-    without it each part runs to its end.  ``_refuse_excursions`` checks
-    each row's part.  Records the peaks and ends within each part, reading
-    i at a located peak off the dense output as a run reads its peak row,
-    moves each row's (t, y) to its cut, and returns the falls of ``cuts`` as
-    positions in [0, 1], inf where there is none.
+    ``willingness`` give; ``ends`` and ``stops`` hold each run's end and
+    program end, indexed by run, or one value for all.  ``cuts`` lists the
+    functions whose first fall stops a row, each a linear form
+    (component, weight, level) with one weight and level per run:
+    weight*y[component] - level.  A vaccinating stage has them, and stops
+    each row at the first of its program end and those falls, once every
+    row has passed its own.  Without them each part runs to its end.
 
-    A row with beta_e*s already at or below 1 where its part starts, its
-    peak's fall put just past the previous cut by rounding (a rate kink at
-    the peak, with k = l/beta_e), peaks there.
+    Each row's cut is a time: it is mapped onto u once (``_to_u``), the row
+    moves on to it with its dense output there, and ``_refuse_excursions``
+    checks its part up to it.  The peaks and ends are recorded where they
+    fall at or before the cut, and also past it within the cut's step
+    where the function is already at or below 0 at the cut: rounding can
+    put a cut just before a crossing.  i at a peak is read at the peak
+    time, on the part whose samples read it: past the cut, on the next.
+    Returns the times of the falls of ``cuts``, inf where there is none.
     """
-    beta_e, t, y, peak_time, peak_i, end_time = runs
-    at_peak = rows[np.isnan(peak_time[rows]) & (beta_e[rows] * y[rows, 0] <= 1.0)]
-    peak_time[at_peak], peak_i[at_peak] = t[at_peak], y[at_peak, 1]
-    spans = np.broadcast_to(ends, t.shape)[rows] - t[rows]
-    if cuts is None and not spans.max() > 0.0:
-        return None
+    beta_e, t, y, peak_time, peak_i, end_time, parts = runs
+    start = t[rows]
+    t_end = np.broadcast_to(ends, t.shape)[rows]
+    spans = t_end - start
     part_tol, events, markers = tol, None, _markers(beta_e)
-    if cuts is not None:
+    forms = [(c, weight[rows], level[rows]) for c, weight, level in cuts]
+    if cuts:
+        stops = np.broadcast_to(stops, t.shape)[rows]
         # solve_ivp's error norm is the RMS over all rows' components, so
         # it lets one row err sqrt(rows) times what its own solve would
         root = math.sqrt(len(rows))
         part_tol = Tolerances(max(tol.rtol / root, RTOL_FLOOR), tol.atol / root)
+        u_stop = _to_u(stops, start, spans)
 
         def events(u, state):
-            # the last row's first cut function falls through 0 here
-            return np.min(cuts(state.reshape(4, -1, 1), rows), axis=0).max()
+            # the last row's first stop falls through 0 here
+            y, first = state.reshape(4, -1), u_stop - u
+            for c, weight, level in forms:
+                first = np.minimum(first, weight * y[c] - level)
+            return first.max()
 
         events.terminal, events.direction = True, -1
 
     def g(state, r):
-        return [*(cuts(state, rows[r]) if cuts else ()), *markers(state, rows[r])]
+        cut = [weight[r, None] * state[c] - level[r, None] for c, weight, level in forms]
+        return [*cut, *markers(state, rows[r])]
 
     sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, events=events)
     steps = _read_steps(sol.sol)
-    if cuts is None:
+    if not cuts:
         edges, states = sol.t, sol.y.reshape(4, len(rows), -1)
     else:
         # the step the terminal event cut short is searched in full
-        edges, states, _ = _steps([(0.0, sol.sol.interpolants[-1].t, steps)])
-    falls = _first_fall(edges, states, steps, g)
-    cut = np.minimum(falls[:-2].min(axis=0, initial=np.inf), 1.0)
-    _refuse_excursions(steps, cut, tol.atol)
+        edges, states = _edges(steps, sol.sol.interpolants[-1].t)
+    falls = _to_t(_first_fall(edges, states, steps, g), start, t_end)
+    t_cut = np.minimum(stops, falls[:-2].min(axis=0)) if cuts else t_end
+    u_cut = _to_u(t_cut, start, spans)
+    _refuse_excursions(steps, u_cut, tol.atol)
     cols = np.arange(len(rows))[:, None] + len(rows) * np.arange(4)
-    new = np.isnan(peak_time[rows]) & (falls[-2] <= cut)
-    peak_time[rows[new]] = t[rows[new]] + falls[-2, new] * spans[new]
-    peak_i[rows[new]] = _clamp(_at(steps, falls[-2, new], cols[new]), tol.atol)[:, 1]
-    new = np.isnan(end_time[rows]) & (falls[-1] <= cut)
-    end_time[rows[new]] = t[rows[new]] + falls[-1, new] * spans[new]
-    # each row's state at its own cut; a part that runs to its end ends where the solve does
-    y[rows] = sol.y[:, -1].reshape(4, -1).T if cuts is None else _at(steps, cut, cols)
-    t[rows] += cut * spans
+    at_cut = _at(steps, u_cut, cols)
+    last = _step_of(steps, u_cut)
+    below = np.asarray(markers(at_cut.T[:, :, None], rows))[:, :, 0] <= 0.0
+    for fall, low, found in zip(falls[-2:], below, (peak_time, end_time)):
+        near = np.isfinite(fall) & low & (_step_of(steps, _to_u(fall, start, spans)) == last)
+        new = np.isnan(found[rows]) & ((fall <= t_cut) | near)
+        found[rows[new]] = fall[new]
+    read = np.isnan(peak_i[rows]) & ~np.isnan(peak_time[rows]) & ((peak_time[rows] <= t_cut) | (not cuts))
+    u = _to_u(np.minimum(peak_time[rows[read]], t_cut[read]), start[read], spans[read])
+    peak_i[rows[read]] = _clamp(_at(steps, u, cols[read]), tol.atol)[:, 1]
+    y[rows], t[rows] = at_cut, t_cut
+    parts.append((start, t_cut, steps, spans))
     return falls[:-2]
 
 
@@ -850,15 +874,15 @@ def _close(runs: _Runs, T, atol: float):
     """Each run's state at T, repaired by ``_clamp``, and its peak time, peak i and end.
 
     A run whose peak was never found has beta_e*s above 1 throughout, so it
-    peaks at T, where i is highest.  The end is the first at or after the
-    peak, or T.
+    peaks at T, where i is highest; so does one whose peak, past its last
+    cut, no part read.  The end is the first at or after the peak, or T.
     """
     final = _clamp(runs.y, atol)
-    rose = np.isnan(runs.peak_time)
-    peak_time = np.where(rose, T, np.minimum(runs.peak_time, T))
+    peak_time = np.where(np.isnan(runs.peak_time), T, np.minimum(runs.peak_time, T))
+    peak_i = np.where(np.isnan(runs.peak_i), final[:, 1], runs.peak_i)
     # NaN, no end located, fails the comparison
     end_time = np.where(runs.end_time >= peak_time, np.minimum(runs.end_time, T), T)
-    return final, (peak_time, np.where(rose, final[:, 1], runs.peak_i), end_time)
+    return final, (peak_time, peak_i, end_time)
 
 
 def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense=True, events=None):
@@ -871,7 +895,8 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
     onto u in [0, 1] by t = start + u*span, so the rows share one step
     sequence and the step error is controlled on them jointly.  The state
     vector stacks the rows component by component: all s, then all i, and so
-    on.  ``_stacked_branch`` gives its right-hand side.
+    on.  ``_stacked_branch`` gives its right-hand side.  Where every span
+    is 0 the solve is empty, and its one step holds the start.
 
     ``start`` holds (s, i, q, V) per row, or, for an unvaccinated solve,
     (s, i, q, V) and a sensitivity z = (z_s, z_i, z_q) of (s, i, q).  The
@@ -882,20 +907,25 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
     rows, width = start.shape
     rhs = _stacked_branch(spans, beta_e, rate, willingness, sensitivities=width > 4)
     controlled = 4 * rows if width > 4 else None
+    u_end = 1.0 if np.max(spans) > 0.0 else 0.0
     # a copy: the solver keeps y0 as its first step's start, and with one
     # row ravel() would return a view of the caller's rows
-    return _solve(rhs, (0.0, 1.0), start.T.flatten(), tol, dense=dense, events=events, controlled=controlled)
+    return _solve(rhs, (0.0, u_end), start.T.flatten(), tol, dense=dense, events=events, controlled=controlled)
 
 
 def _stacked_branch(spans, beta_e, rate, willingness, sensitivities=False):
     """The right-hand side of ``_solve_tails``' rows in u: row j's ``_rhs_values`` times ``spans[j]``.
 
-    A solve in which no row vaccinates clips s and i to [0, 1], as
-    ``_branch`` does.  A vaccinating solve does not: a row past its own cut
-    rides on with the others, its s may fall through 0 there, and the clip's
-    kink would shrink every row's steps.  Before its cut a row's s is at
-    least k/l > 0 or falls toward 0 on the willingness branch without
-    reaching it, so there the clip would do nothing.
+    A solve in which no row vaccinates clips s and i to [0, 1] and
+    vaccinates at a rate of 0.  A vaccinating solve does not clip: a row
+    past its own cut rides on with the others, its s may fall through 0
+    there, and the clip's kink would shrink every row's steps.  Before its
+    cut a row's s is at least k/l > 0 or falls toward 0 on the willingness
+    branch without reaching it, so there the clip would do nothing.
+
+    One row without sensitivities, as ``integrate`` solves, is worked on
+    Python floats, which give the same numbers as NumPy's arrays at a
+    fraction of the cost per call: the row of an n-row stack, bit for bit.
 
     With ``sensitivities`` an unvaccinated solve's state holds three more
     components per row, z = d(s, i, q)/dtau, which move by the Jacobian of
@@ -906,6 +936,17 @@ def _stacked_branch(spans, beta_e, rate, willingness, sensitivities=False):
     """
     n = len(spans)
     vaccinating = bool(np.any(rate) or np.any(willingness))
+    if n == 1 and not sensitivities:
+        span, b, r, w = (float(np.ravel(x)[0]) for x in (spans, beta_e, rate, willingness))
+
+        def one_row(u, y):
+            s, i, _, _ = y.tolist()
+            if not vaccinating:
+                s, i = min(max(s, 0.0), 1.0), min(max(i, 0.0), 1.0)
+            ds, di, dq, dv = _rhs_values(s, i, r + w * s if vaccinating else 0.0, b)
+            return np.array((ds * span, di * span, dq * span, dv * span))
+
+        return one_row
     no_vaccination = np.zeros(n)
     width = 7 if sensitivities else 4
 
@@ -996,31 +1037,6 @@ class _StateControlled(DOP853):
         return super()._estimate_error_norm(np.ascontiguousarray(K[:, :c]), h, scale[:c])
 
 
-def _initial_state(scenario: Scenario) -> np.ndarray:
-    """The integrated state (s, i, q, V) at t = 0, where q = V = 0."""
-    return np.array([scenario.initial.s, scenario.initial.i, 0.0, 0.0])
-
-
-def _branch(epidemic, rate: float, willingness: float):
-    """The right-hand side on one rate branch: v = rate + willingness*s.
-
-    That is k on the capacity branch, l*s on the willingness branch and 0
-    when the program is off.  The transmission rate beta_e is read once,
-    when the branch is built, not on every call.  Each call clips s and i
-    to [0, 1] and works on Python floats, which give the same numbers as
-    NumPy's scalars at a fraction of the cost, and returns an ndarray.
-    """
-    beta_e = epidemic.transmission_rate
-
-    def rhs(t, y):
-        s, i, _, _ = y.tolist()
-        s = min(max(s, 0.0), 1.0)
-        i = min(max(i, 0.0), 1.0)
-        return np.array(_rhs_values(s, i, rate + willingness * s, beta_e))
-
-    return rhs
-
-
 class _Steps(NamedTuple):
     """A solve's DOP853 steps as arrays, read once off solve_ivp's dense output.
 
@@ -1083,41 +1099,28 @@ def _dense(steps: _Steps, k: np.ndarray, t: np.ndarray, cols=None) -> np.ndarray
     return y
 
 
-def _at(steps: _Steps, t: np.ndarray, cols=None) -> np.ndarray:
-    """The solve's dense output at ``t``, on the step SciPy's ``OdeSolution`` picks.
+def _at(steps: _Steps, u: np.ndarray, cols=None) -> np.ndarray:
+    """The solve's dense output at ``u``, on the step SciPy's ``OdeSolution`` picks (``_step_of``)."""
+    return _dense(steps, _step_of(steps, u), u, cols)
 
-    That is the last step that starts before t, or the first one.
+
+def _step_of(steps: _Steps, u: np.ndarray) -> np.ndarray:
+    """The step SciPy's ``OdeSolution`` reads at ``u``: the last that starts before u, or the first."""
+    return np.clip(np.searchsorted(steps.t_old, u) - 1, 0, len(steps.t_old) - 1)
+
+
+def _edges(steps: _Steps, end: float):
+    """A solve's steps up to ``end`` as ``_first_fall`` takes them: their edges and the state there.
+
+    The edges are the start of each step that starts before ``end``, then
+    ``end``; the states, shape (4, width, edges) for a solve of ``width``
+    stacked runs, are each step's ``y_old``, which DOP853's dense output
+    returns exactly there, and the dense output at ``end``.
     """
-    k = np.clip(np.searchsorted(steps.t_old, t) - 1, 0, len(steps.t_old) - 1)
-    return _dense(steps, k, t, cols)
-
-
-def _join(segments, side: str) -> tuple[_Steps, np.ndarray]:
-    """The steps of a run's segments in time order, and how many each segment keeps.
-
-    A segment keeps its steps up to its end; ``side``, as ``np.searchsorted``
-    takes it, says whether it keeps one that starts right there.
-    """
-    counts = np.array([np.searchsorted(steps.t_old, t_hi, side) for _, t_hi, steps in segments])
-    kept = [[a[:c] for a in steps] for (_, _, steps), c in zip(segments, counts)]
-    return _Steps(*map(np.concatenate, zip(*kept))), counts
-
-
-def _steps(segments):
-    """The steps of a run's segments, each kept while it starts before its segment's end.
-
-    Returns them as ``_first_fall`` takes them: the edges (each step's
-    start, then the last segment's end), the state there, shape
-    (4, width, edges) for a solve of ``width`` stacked runs, and the
-    steps.  A step's start state is its ``y_old``, which DOP853's dense
-    output returns exactly there; the end state is the last segment's
-    dense output at its end.
-    """
-    steps, _ = _join(segments, "left")
-    t_end, last = segments[-1][1], segments[-1][2]
-    edges = np.append(steps.t_old, t_end)
-    states = np.vstack((steps.y_old, _at(last, np.array([t_end]))))
-    return edges, states.T.reshape(4, -1, len(edges)), steps
+    kept = np.searchsorted(steps.t_old, end)
+    edges = np.append(steps.t_old[:kept], end)
+    states = np.vstack((steps.y_old[:kept], _at(steps, np.array([end]))))
+    return edges, states.T.reshape(4, -1, len(edges))
 
 
 #: Chebyshev points of the second kind on [0, 1], as many as a DOP853 dense
@@ -1130,9 +1133,10 @@ _WEIGHTS = np.array([0.5, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -0.5])
 #: the spacing of doubles there.
 _BITS = 60
 
-#: Pieces per round of the search, shared by the crossings searched
-#: together: a lone run's few crossings take hundreds each, so few rounds,
-#: and a chunk of tails takes two, a bisection.
+#: Pieces per round of the search, shared by the stacked runs searched
+#: together: a lone run's crossings take 512 each, so few rounds, and those
+#: of a chunk of 256 tails two, a bisection.  The run count alone sets
+#: them, so a crossing is located alike whichever others are searched with it.
 _PIECES = 512
 
 
@@ -1142,21 +1146,6 @@ def _markers(beta_e: np.ndarray):
     ``beta_e`` holds each stacked run's transmission rate.
     """
     return lambda y, rows: [beta_e[rows, None] * y[0] - 1.0, y[1] - EPIDEMIC_END_THRESHOLD]
-
-
-def _stop_at(tau: float, g):
-    """A terminal solve_ivp event at the first of tau and the falls of g's functions.
-
-    Each of them falls through 0 at most once on a segment, so their
-    minimum does too, where the first of them does.  g is that of one run,
-    row 0.
-    """
-
-    def stop(t, y):
-        return min(tau - t, *g(y, 0))
-
-    stop.terminal, stop.direction = True, -1
-    return stop
 
 
 def _first_fall(edges, states, steps: _Steps, g):
@@ -1192,17 +1181,19 @@ def _first_fall(edges, states, steps: _Steps, g):
     t0, t1 = edges[step, None], edges[step + 1, None]
     cols = run[:, None, None] + states.shape[1] * np.arange(len(states))
     nodes = _dense(steps, step[:, None], t0 + _NODES * (t1 - t0), cols).transpose(2, 0, 1)
-    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
+    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))], states.shape[1])
     times = np.full(values.shape[:2], np.inf)
-    times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
+    # a fall at a step's end is located there exactly
+    t0, t1 = edges[step], edges[step + 1]
+    times[func, run] = np.where(x < 1.0, t0 + x * (t1 - t0), t1)
     return times
 
 
-def _fall_position(node_values: np.ndarray) -> np.ndarray:
+def _fall_position(node_values: np.ndarray, runs: int) -> np.ndarray:
     """Where row j's polynomial through ``node_values[j]`` on ``_NODES`` falls through 0.
 
     Each polynomial is >= 0 at 0 and <= 0 at 1.  Every round splits each
-    bracket into equal pieces, keeps the first piece that ends at or below
+    bracket into ``_PIECES``/``runs`` equal pieces (a power of 2), keeps the first piece that ends at or below
     0 and re-expresses the polynomial by its values at that piece's nodes,
     so a round is one matrix product and the fall found is the first at the
     pieces' resolution.  Returns the bracket's right end.
@@ -1210,7 +1201,7 @@ def _fall_position(node_values: np.ndarray) -> np.ndarray:
     rows = len(node_values)
     if rows == 0:
         return np.zeros(0)
-    bits = max(1, int(math.log2(_PIECES / rows)))
+    bits = max(1, int(math.log2(_PIECES / runs)))
     splits, to_pieces = 2**bits, _piece_basis(bits)
     every = np.arange(rows)
     lo, width = np.zeros(rows), 1.0

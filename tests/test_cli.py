@@ -236,10 +236,10 @@ class TestSimulate:
 
 
 class TestSamplesLeavingTheUnitInterval:
-    """Variant 1 at rtol 1e-2: a sample of i lands at -3.9e-6, outside the repair band of 1e-9."""
+    """Variant 1 at rtol 5e-2: i's dense output dips to -3.2e-5, outside the repair band of 1e-9."""
 
     def test_integrate_refuses_the_run(self, tmp_path):
-        config = load_config(str(write_config(tmp_path, tolerances={"rtol": 1e-2})))
+        config = load_config(str(write_config(tmp_path, tolerances={"rtol": 5e-2})))
         policy = VaccinationPolicy(k=config.k, l=config.l, m=config.m, tau=15.0)
         with pytest.raises(IntegrationError, match=r"left \[0, 1\]"):
             integrate(config.scenario, policy, config.tolerances)
@@ -255,7 +255,7 @@ class TestSamplesLeavingTheUnitInterval:
         ids=["simulate", "optimize", "sweep-m", "sweep-tau"],
     )
     def test_commands_exit_2(self, tmp_path, capsys, argv):
-        config = write_config(tmp_path, tolerances={"rtol": 1e-2})
+        config = write_config(tmp_path, tolerances={"rtol": 5e-2})
         rc = main([argv[0], "--config", str(config), *argv[1:], "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "left [0, 1]" in capsys.readouterr().err
@@ -535,6 +535,14 @@ class TestSweep:
                    "--out", str(out)])
         assert rc == 1
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param, section", [("r", "epidemic"), ("k", "resources"), ("c", "cost")])
+    def test_an_infinite_value_is_refused_as_the_number_typed(self, tmp_path, capsys, param, section):
+        # only the stock takes inf, as unlimited; another field names the number, not the file's "inf"
+        rc = main(["sweep", "--config", "variant1", "--param", param, "--values", "1,inf",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {section}.{param}: expected a finite number, got inf\n"
 
     def test_range_spec_beyond_the_limit_is_refused_before_it_is_built(self):
         assert len(parse_values(f"0:1:{MAX_SWEEP_VALUES - 1}")) == MAX_SWEEP_VALUES

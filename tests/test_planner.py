@@ -422,14 +422,14 @@ class TestNestedScan:
     tolerances, re-run on exact runs of the current solver.
     """
 
-    BRENT_VARIANT1 = (6.929469700298203, 41.28118832341842)
+    BRENT_VARIANT1 = (6.929469741817975, 41.28118832240608)
 
     @pytest.mark.parametrize(
         "r, brent",
         [
             (10.0, BRENT_VARIANT1),
-            (4.0, (3.6979353456826174, 3.088068289756702)),
-            (25.0, (5.645656262933394, 64.52062438152615)),
+            (4.0, (3.6979353456605493, 3.0880682897575285)),
+            (25.0, (5.645655718463461, 64.52062438137062)),
         ],
         ids=["variant1", "variant1-r4", "variant1-r25"],
     )
@@ -523,8 +523,10 @@ class TestNestedScan:
         def poisoned(component):
             def solve_poisoned(*args, **kwargs):
                 sol = solve(*args, **kwargs)
-                # tail 4's component: 0 is s, and 6 the sensitivity z_q the slope reads
-                sol.y[component * (len(sol.y) // 7) + 4, -1] = math.nan
+                # the scans' solves keep no dense output; tail 4's component:
+                # 0 is s, and 6 the sensitivity z_q the slope reads
+                if kwargs.get("dense") is False:
+                    sol.y[component * (len(sol.y) // 7) + 4, -1] = math.nan
                 return sol
 
             return solve_poisoned

@@ -221,7 +221,7 @@ class TestSupplyExhaustion:
         # with no infection V = k*t, so m = k*T runs out at T, where the
         # stock-out is located for this T; the empty unvaccinated segment
         # after it holds V at m
-        T, k = 2.02, 0.3
+        T, k = 2.0, 0.3
         traj = integrate(
             dataclasses.replace(disease_free, T=T), VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
         )
@@ -752,18 +752,27 @@ def stopped_program_cases():
     return [pytest.param(scenario, resources, id=name) for name, scenario, resources in cases]
 
 
+def stopped_program_taus(always_on, cap):
+    """0, the cap and its lower neighbour, five interior durations, and each always-on mark up to the cap.
+
+    The marks are the always-on run's kink, stock-out, peak and end, each
+    with both its float neighbours: a program may end on a crossing or
+    just either side of it, where one rounding rule decides which side it
+    is recorded on.
+    """
+    marks = [e.time for e in always_on.events if e.kind != EVENT_PROGRAM_END]
+    near = [t for mark in marks for t in (math.nextafter(mark, 0.0), mark, math.nextafter(mark, math.inf))]
+    interior = np.linspace(0.0, cap, 7)[1:-1].tolist()
+    return sorted({0.0, math.nextafter(cap, 0.0), cap, *interior, *(t for t in near if t <= cap)})
+
+
 class TestStoppedProgram:
     """``stopped_program`` cuts the always-on run at tau; it is ``integrate`` at tau bit for bit."""
 
     @pytest.mark.parametrize("scenario, resources", stopped_program_cases())
     def test_the_cut_is_the_integrated_program(self, scenario, resources):
         always_on = integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T))
-        cap = feasible_tau_max(scenario, resources)
-        # the always-on run's kink, peak and end, where the program may end on them
-        marks = [e.time for e in always_on.events if e.kind != EVENT_PROGRAM_END]
-        interior = np.linspace(0.0, cap, 7)[1:-1].tolist()
-        taus = {0.0, math.nextafter(cap, 0.0), cap, *interior, *(t for t in marks if t <= cap)}
-        for tau in sorted(taus):
+        for tau in stopped_program_taus(always_on, feasible_tau_max(scenario, resources)):
             cut = sirdvax.solver.stopped_program(always_on, tau)
             run = integrate(scenario, VaccinationPolicy(*resources, tau=tau))
             assert np.array_equal(cut.times, run.times), tau
@@ -772,6 +781,17 @@ class TestStoppedProgram:
             assert cut.exhaustion_time == run.exhaustion_time, tau
             assert [seg[:2] for seg in cut.segments] == [seg[:2] for seg in run.segments], tau
             assert cut.policy == run.policy
+
+    @pytest.mark.parametrize("scenario, resources", stopped_program_cases())
+    def test_a_one_duration_sweep_is_the_integrated_program(self, scenario, resources):
+        # integrate runs the tail the tau sweep runs for each of its rows
+        always_on = integrate(scenario, VaccinationPolicy(*resources, tau=scenario.T))
+        for tau in stopped_program_taus(always_on, feasible_tau_max(scenario, resources)):
+            run = integrate(scenario, VaccinationPolicy(*resources, tau=tau))
+            row = sirdvax.solver.stopped_programs(always_on, [tau], crossings=True)
+            assert run.values[-1].tobytes() == row.final[0].tobytes(), tau
+            crossings = np.array([row.peak_time[0], row.peak_i[0], row.end_time[0]])
+            assert np.array(run.peak_and_end()).tobytes() == crossings.tobytes(), tau
 
     def test_refuses_a_duration_outside_the_horizon(self, full_program_traj):
         for tau in (-1.0, 16.0, math.nan):

@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import itertools
 import math
-import types
 from unittest import mock
 
 import numpy as np
@@ -27,20 +26,18 @@ from sirdvax.solver import (
     _TO_BERNSTEIN,
     _Steps,
     _at,
-    _branch,
     _clamp,
     _dense,
     _drift_band,
+    _edges,
     _fall_position,
     _first_fall,
     _markers,
     _read_steps,
     _refuse_excursions,
     _sample,
-    _solve,
     _solve_tails,
     _stacked_branch,
-    _steps,
     stopped_programs,
 )
 from oracles import random_cases
@@ -81,6 +78,11 @@ def recorded_tail_solves():
         yield solves
 
 
+def on_segment(t, start, span):
+    """Times t on a segment solved in u, t = start + u*span, as u; 0 on an empty segment."""
+    return (t - start) / span if span > 0.0 else np.zeros_like(t)
+
+
 def scipy_sample(segments, solutions, times):
     """The segments' dense output at sorted times, each segment read by SciPy's ``OdeSolution``.
 
@@ -89,9 +91,9 @@ def scipy_sample(segments, solutions, times):
     """
     edges = [0, *np.searchsorted(times, [seg[0] for seg in segments[1:]]), len(times)]
     raw = np.empty((len(times), 4))
-    for (_, t_hi, steps), lo, hi in zip(segments, edges, edges[1:]):
+    for (start, end, steps, span), lo, hi in zip(segments, edges, edges[1:]):
         if hi > lo:
-            raw[lo:hi] = solutions[id(steps)][1](np.minimum(times[lo:hi], t_hi)).T
+            raw[lo:hi] = solutions[id(steps)][1](on_segment(np.minimum(times[lo:hi], end), start, span)).T
     return raw
 
 
@@ -107,20 +109,19 @@ def scipy_first_fall(edges, states, interpolants, g):
         t0, t1 = edges[j], edges[j + 1]
         at_nodes = interpolants[j](t0 + _NODES * (t1 - t0))
         nodes[:, here] = at_nodes.reshape(len(states), -1, len(_NODES))[:, run[here]]
-    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
+    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))], states.shape[1])
     times = np.full(values.shape[:2], np.inf)
-    times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
+    t0, t1 = edges[step], edges[step + 1]
+    times[func, run] = np.where(x < 1.0, t0 + x * (t1 - t0), t1)
     return times, step
 
 
-def kept_interpolants(segments, solutions):
-    """SciPy's interpolants of the steps ``_steps`` keeps, in its order."""
-    return [
-        step
-        for _, t_hi, steps in segments
-        for step in solutions[id(steps)][1].interpolants
-        if step.t_old < t_hi
-    ]
+def segment_edges(segment, solutions):
+    """A segment's steps up to its end as ``_edges`` gives them, with SciPy's interpolants of those steps."""
+    start, end, steps, span = segment
+    u_end = float(on_segment(np.array(end), start, span))
+    interpolants = [step for step in solutions[id(steps)][1].interpolants if step.t_old < u_end]
+    return (*_edges(steps, u_end), steps, interpolants)
 
 
 def stock_out_at_the_horizon():
@@ -129,7 +130,7 @@ def stock_out_at_the_horizon():
     With no infection V = k*t, so m = k*T runs out at T.
     """
     variant1 = load_config("variant1").scenario
-    T, k = 2.02, 0.3
+    T, k = 2.0, 0.3
     scenario = dataclasses.replace(variant1, initial=SirdState(s=0.999, i=0.0, rho=0.001, d=0.0), T=T)
     return scenario, VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
 
@@ -160,10 +161,10 @@ class TestSamplesEqualScipy:
             traj = integrate(scenario, policy)
         segments = traj.segments
         starts = [seg[0] for seg in segments]
-        edges = np.concatenate([steps.t_old for _, _, steps in segments])
+        edges = np.concatenate([start + steps.t_old * span for start, _, steps, span in segments])
         times = np.unique(np.concatenate((traj.times, edges[edges <= scenario.T], starts, [scenario.T])))
         assert same_bits(_sample(segments, times), scipy_sample(segments, solutions, times))
-        for _, _, steps in segments:
+        for _, _, steps, _ in segments:
             sol = solutions[id(steps)][1]
             # at a step edge SciPy reads the step that ends there
             assert same_bits(_at(steps, steps.t_old), sol(steps.t_old).T)
@@ -174,11 +175,11 @@ class TestSamplesEqualScipy:
         scenario, policy = stock_out_at_the_horizon()
         with recorded_solves() as solutions:
             traj = integrate(scenario, policy)
-        t_lo, t_hi, steps = traj.segments[-1]
-        assert t_lo == t_hi == scenario.T
+        t_lo, t_hi, steps, span = traj.segments[-1]
+        assert t_lo == t_hi == scenario.T and span == 0.0
         (constant,) = solutions[id(steps)][1].interpolants
         assert not hasattr(constant, "F")
-        assert same_bits(_at(steps, np.array([t_lo]))[0], constant(t_lo))
+        assert same_bits(_at(steps, np.array([0.0]))[0], constant(0.0))
         assert traj.V[-1] == policy.m
 
     def test_a_time_at_an_empty_segment_is_read_from_it(self):
@@ -187,11 +188,12 @@ class TestSamplesEqualScipy:
         scenario, T = config.scenario, config.scenario.T
         with recorded_solves() as solutions:
             traj = integrate(scenario, VaccinationPolicy(*config.resources, tau=T))
-        (t_lo, t_hi, steps), *_ = traj.segments
-        pinned = _at(steps, np.array([t_hi]))[0]
+        (t_lo, t_hi, steps, span), *_ = traj.segments
+        pinned = _at(steps, np.array([(t_hi - t_lo) / span]))[0]
         pinned[3] += 1e-3
-        empty = _solve(_branch(scenario.epidemic, 0.0, 0.0), (t_hi, t_hi), pinned, Tolerances()).sol
-        segments = [(t_lo, t_hi, steps), (t_hi, t_hi, _read_steps(empty))]
+        beta_e = scenario.epidemic.transmission_rate
+        empty = _solve_tails(Tolerances(), np.zeros(1), pinned[None], beta_e, 0.0, 0.0).sol
+        segments = [(t_lo, t_hi, steps, span), (t_hi, t_hi, _read_steps(empty), 0.0)]
         solutions[id(segments[1][2])] = (segments[1][2], empty)
         times = np.array([0.0, 0.5 * t_hi, t_hi])
         got = _sample(segments, times)
@@ -241,19 +243,21 @@ class TestLocatorEqualsScipyNodes:
     def test_markers_of_a_run(self, scenario, policy):
         with recorded_solves() as solutions:
             traj = integrate(scenario, policy)
-        edges, states, steps = _steps(traj.segments)
-        interpolants = kept_interpolants(traj.segments, solutions)
         g = _markers(np.array([scenario.epidemic.transmission_rate]))
-        times = _first_fall(edges, states, steps, g)
-        expected_times, _ = scipy_first_fall(edges, states, interpolants, g)
-        assert same_bits(times, expected_times)
+        # an empty segment, after a stock-out at T, has no step to search
+        for segment in (seg for seg in traj.segments if seg[0] < seg[1]):
+            edges, states, steps, interpolants = segment_edges(segment, solutions)
+            times = _first_fall(edges, states, steps, g)
+            expected_times, _ = scipy_first_fall(edges, states, interpolants, g)
+            assert same_bits(times, expected_times)
 
     def test_several_functions_crossing_in_one_step(self):
         config = load_config("variant1")
         with recorded_solves() as solutions:
             traj = integrate(config.scenario, VaccinationPolicy(*config.resources, tau=7.5))
-        edges, states, steps = _steps(traj.segments)
-        interpolants = kept_interpolants(traj.segments, solutions)
+        # the segment with the most steps
+        segment = max(traj.segments, key=lambda seg: len(seg[2].t_old))
+        edges, states, steps, interpolants = segment_edges(segment, solutions)
         # s falls through three levels inside one step, and through one in another
         j = len(edges) // 2
         levels = [
@@ -300,11 +304,14 @@ class TestLocatorEqualsScipyNodes:
         steps, n = _read_steps(sol.sol), len(taus)
         beta_e = scenario.epidemic.transmission_rate
         u = _first_fall(sol.t, sol.y.reshape(4, n, -1), steps, _markers(np.full(n, beta_e)))[0]
-        located = (taus < always_on.peak_and_end()[0]) & np.isfinite(u)
+        located = (taus < always_on.peak_and_end()[0]) & np.isfinite(u) & (u < 1.0)
         assert located.sum() >= 10
-        assert same_bits(programs.peak_time[located], (taus + u * (scenario.T - taus))[located])
+        spans = scenario.T - taus
+        assert same_bits(programs.peak_time[located], (taus + u * spans)[located])
+        # i is read at the peak time, mapped onto u once as a sample time is
+        at_peak = (programs.peak_time - taus) / spans
         cols = np.arange(n)[located, None] + n * np.arange(4)
-        assert same_bits(programs.peak_i[located], _at(steps, u[located], cols)[:, 1])
+        assert same_bits(programs.peak_i[located], _at(steps, at_peak[located], cols)[:, 1])
 
     def test_a_stacked_run_reads_its_peak_i_the_same_way(self):
         # unvaccinated runs have one stage, from t = 0 to T
@@ -320,9 +327,11 @@ class TestLocatorEqualsScipyNodes:
         u = _first_fall(sol.t, sol.y.reshape(4, n, -1), steps, _markers(beta_e))[0]
         located = np.isfinite(u)
         assert located.sum() >= 6
+        # i is read at the peak time, mapped onto u once as a sample time is
+        at_peak = np.array([row.peak_time / scenario.T for row, (scenario, _) in zip(rows, points)])
         cols = np.arange(n)[located, None] + n * np.arange(4)
         got = np.array([row.peak_i for row in rows])[located]
-        assert same_bits(got, _at(steps, u[located], cols)[:, 1])
+        assert same_bits(got, _at(steps, at_peak[located], cols)[:, 1])
 
 
 def bernstein(steps):
@@ -361,7 +370,7 @@ class TestBandRule:
         [case for case in run_cases() if case.id.startswith("variant")][::3],
     )
     def test_bernstein_form_is_the_dense_output_of_a_run(self, scenario, policy):
-        for _, _, steps in integrate(scenario, policy).segments:
+        for _, _, steps, _ in integrate(scenario, policy).segments:
             self.assert_bernstein_is_dense(steps)
 
     def test_bernstein_form_is_the_dense_output_of_stacked_tails(self):
@@ -442,17 +451,6 @@ EDGE_STATES = [(s, i, 0.25, 0.125) for s, i in itertools.product(EDGE_VALUES, re
 BRANCHES = {"capacity": (0.1, 0.0), "willingness": (0.0, 0.3), "off": (0.0, 0.0)}
 
 
-def per_call_branch(beta_e, rate, willingness):
-    """The single-run right-hand side as it was written on NumPy scalars, returning a tuple."""
-
-    def rhs(t, y):
-        s = min(max(y[0], 0.0), 1.0)
-        i = min(max(y[1], 0.0), 1.0)
-        return _rhs_values(s, i, rate + willingness * s, beta_e)
-
-    return rhs
-
-
 def per_call_stacked(spans, beta_e, rate, willingness):
     """The stacked right-hand side as it was written, with two clips and a stack of four rows."""
     n = len(spans)
@@ -473,10 +471,11 @@ class TestRightHandSides:
     BETA_E = 3.5
 
     @pytest.mark.parametrize("branch", BRANCHES, ids=list(BRANCHES))
-    def test_single_run_values_are_unchanged(self, branch):
-        epidemic = types.SimpleNamespace(transmission_rate=self.BETA_E)
-        rhs = _branch(epidemic, *BRANCHES[branch])
-        reference = per_call_branch(self.BETA_E, *BRANCHES[branch])
+    def test_one_row_values_on_every_edge_state(self, branch):
+        # the one-row path works on Python floats and keeps the stacked rules
+        spans, rate, willingness = np.full(1, 2.5), *(np.full(1, v) for v in BRANCHES[branch])
+        rhs = _stacked_branch(spans, self.BETA_E, rate, willingness)
+        reference = per_call_stacked(spans, self.BETA_E, rate, willingness)
         for state in EDGE_STATES:
             y = np.array(state)
             got = rhs(0.0, y)
@@ -497,33 +496,25 @@ class TestRightHandSides:
         assert same_bits(got, per_call_stacked(spans, beta_e, rate, willingness)(0.5, y))
 
     @pytest.mark.parametrize("branch", BRANCHES, ids=list(BRANCHES))
-    def test_each_stacked_row_is_the_single_run_times_its_span(self, branch):
+    def test_one_row_is_its_row_of_a_stack(self, branch):
+        # both keep the stacked rules (no clip while vaccinating, a rate of 0
+        # when off), so they agree on every edge state
         rate, willingness = BRANCHES[branch]
-        # a vaccinating stack does not clip, so it agrees where the clip does nothing
-        states = [
-            state
-            for state in EDGE_STATES
-            if branch == "off" or all(v != -1e-12 and v != 1.0 + 1e-12 for v in state[:2])
-        ]
-        n = len(states)
+        n = len(EDGE_STATES)
         spans = np.random.default_rng(12).uniform(0.5, 15.0, n)
         stacked = _stacked_branch(spans, self.BETA_E, np.full(n, rate), np.full(n, willingness))
-        dt = stacked(0.0, np.array(states).T.flatten()).reshape(4, n)
-        single = _branch(types.SimpleNamespace(transmission_rate=self.BETA_E), rate, willingness)
-        for j, state in enumerate(states):
-            expected = single(0.0, np.array(state)) * spans[j]
-            if branch == "off":
-                # unvaccinated rows take a rate of 0, not 0*s: NaN in s leaves dV/du at 0
-                expected[3] = 0.0
-            assert same_bits(dt[:, j], expected), state
+        dt = stacked(0.0, np.array(EDGE_STATES).T.flatten()).reshape(4, n)
+        for j, state in enumerate(EDGE_STATES):
+            one = _stacked_branch(spans[j : j + 1], self.BETA_E, np.full(1, rate), np.full(1, willingness))
+            assert same_bits(one(0.0, np.array(state)), dt[:, j]), state
 
     def test_nan_reaches_the_clamp(self):
-        # neither right-hand side clips NaN to a number, so the clamp refuses it
-        epidemic = types.SimpleNamespace(transmission_rate=self.BETA_E)
+        # neither path clips NaN to a number, so the clamp refuses it
         for branch in BRANCHES.values():
             y = np.array([math.nan, 0.01, 0.0, 0.0])
-            assert np.isnan(_branch(epidemic, *branch)(0.0, y)).any()
-            stacked = _stacked_branch(np.ones(1), self.BETA_E, *(np.full(1, v) for v in branch))
-            assert np.isnan(stacked(0.0, y)).any()
+            one = _stacked_branch(np.ones(1), self.BETA_E, *(np.full(1, v) for v in branch))
+            assert np.isnan(one(0.0, y)).any()
+            stacked = _stacked_branch(np.ones(2), self.BETA_E, *(np.full(2, v) for v in branch))
+            assert np.isnan(stacked(0.0, np.repeat(y, 2))).any()
             with pytest.raises(IntegrationError, match="not finite"):
                 _clamp(y[None], 1e-11)
