@@ -855,16 +855,18 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
     u_cut = _to_u(t_cut, start, spans)
     _refuse_excursions(steps, u_cut, tol.atol)
     cols = np.arange(len(rows))[:, None] + len(rows) * np.arange(4)
-    at_cut = _at(steps, u_cut, cols)
     last = _step_of(steps, u_cut)
+    at_cut = _dense(steps, last, u_cut, cols)
+    marks = falls[-2:]
     below = np.asarray(markers(at_cut.T[:, :, None], rows))[:, :, 0] <= 0.0
-    for fall, low, found in zip(falls[-2:], below, (peak_time, end_time)):
-        near = np.isfinite(fall) & low & (_step_of(steps, _to_u(fall, start, spans)) == last)
-        new = np.isnan(found[rows]) & ((fall <= t_cut) | near)
+    near = np.isfinite(marks) & below & (_step_of(steps, _to_u(marks, start, spans)) == last)
+    for fall, kept, found in zip(marks, (marks <= t_cut) | near, (peak_time, end_time)):
+        new = np.isnan(found[rows]) & kept
         found[rows[new]] = fall[new]
     read = np.isnan(peak_i[rows]) & ~np.isnan(peak_time[rows]) & ((peak_time[rows] <= t_cut) | (not cuts))
-    u = _to_u(np.minimum(peak_time[rows[read]], t_cut[read]), start[read], spans[read])
-    peak_i[rows[read]] = _clamp(_at(steps, u, cols[read]), tol.atol)[:, 1]
+    if read.any():
+        u = _to_u(np.minimum(peak_time[rows[read]], t_cut[read]), start[read], spans[read])
+        peak_i[rows[read]] = _clamp(_at(steps, u, cols[read]), tol.atol)[:, 1]
     y[rows], t[rows] = at_cut, t_cut
     parts.append((start, t_cut, steps, spans))
     return falls[:-2]
