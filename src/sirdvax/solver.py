@@ -400,13 +400,9 @@ def _to_u(t, start, span) -> np.ndarray:
     return np.divide(dt, span, out=np.zeros(dt.shape), where=span > 0.0)
 
 
-def _to_t(u, start, end) -> np.ndarray:
-    """Positions ``u`` in [0, 1] on a solve of t = start + u*(end - start), as times.
-
-    u = 1 is the end itself, and inf stays inf.
-    """
-    t = start + np.minimum(u, 1.0) * (end - start)
-    return np.where(u < 1.0, t, np.where(u == 1.0, end, np.inf))
+def _to_t(u, start, span) -> np.ndarray:
+    """Positions ``u`` in [0, 1] on a solve of t = start + u*span, as times; inf stays inf."""
+    return np.where(np.isfinite(u), start + np.minimum(u, 1.0) * span, np.inf)
 
 
 def _merge_times(grid: np.ndarray, extra: list[float], tol: float) -> np.ndarray:
@@ -850,7 +846,7 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
     else:
         # the step the terminal event cut short is searched in full
         edges, states = _edges(steps, sol.sol.interpolants[-1].t)
-    falls = _to_t(_first_fall(edges, states, steps, g), start, t_end)
+    falls = _to_t(_first_fall(edges, states, steps, g), start, spans)
     t_cut = np.minimum(stops, falls[:-2].min(axis=0)) if cuts else t_end
     u_cut = _to_u(t_cut, start, spans)
     _refuse_excursions(steps, u_cut, tol.atol)
@@ -1185,9 +1181,7 @@ def _first_fall(edges, states, steps: _Steps, g):
     nodes = _dense(steps, step[:, None], t0 + _NODES * (t1 - t0), cols).transpose(2, 0, 1)
     x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))], states.shape[1])
     times = np.full(values.shape[:2], np.inf)
-    # a fall at a step's end is located there exactly
-    t0, t1 = edges[step], edges[step + 1]
-    times[func, run] = np.where(x < 1.0, t0 + x * (t1 - t0), t1)
+    times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
     return times
 
 

@@ -327,6 +327,23 @@ class TestRunIndicators:
                 rel = 1e-5 if name == "duration" else 1e-7
                 assert getattr(row, name) == pytest.approx(getattr(exact, name), rel=rel), name
 
+    def test_a_row_cut_before_its_infections_rise_keeps_only_its_own_crossings(self, scenario):
+        # i starts below the end threshold and the first row's stock runs out
+        # at t = 0.01; that row rides on in the capacity stage with the other
+        # until the other's kink near t = 39, through an end of the epidemic
+        # that is the ride's, not its own; with i(0) 2000 times below the
+        # bundled runs', the shared steps move the peak by about 1e-7 relative
+        small = dataclasses.replace(
+            scenario, initial=SirdState(s=1.0 - 5e-7, i=5e-7, rho=0.0, d=0.0), T=60.0
+        )
+        runs = [VaccinationPolicy(1e-3, 1.0, m, small.T) for m in (1e-5, math.inf)]
+        rows = run_indicators([(small, policy) for policy in runs])
+        for policy, row in zip(runs, rows):
+            exact = indicators(integrate(small, policy))
+            for name in INDICATOR_FIELDS:
+                rel = 1e-5 if name == "duration" else 1e-6
+                assert getattr(row, name) == pytest.approx(getattr(exact, name), rel=rel), name
+
     @pytest.mark.parametrize("m", [math.inf, 0.4])
     @pytest.mark.parametrize("r", [4.0, 10.0, 25.0])
     def test_programs_ending_around_the_crossings(self, scenario, r, m):

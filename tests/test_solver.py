@@ -743,7 +743,10 @@ def stopped_program_cases():
         VARIANT1, initial=SirdState(s=0.999, i=0.0, rho=0.001, d=0.0)
     )
     cases = [(f"m-{m}", VARIANT1, (0.1, 0.3, m)) for m in STOPPED_PROGRAM_STOCKS]
+    # infections start below the end threshold and end within the horizon
+    small_i0 = dataclasses.replace(VARIANT1, initial=SirdState(s=1.0 - 5e-7, i=5e-7, rho=0.0, d=0.0), T=40.0)
     cases += [("k-0", VARIANT1, (0.0, 0.3, 2.949)), ("disease-free", disease_free, (0.1, 0.3, 2.949))]
+    cases.append(("small-i0", small_i0, (0.1, 0.3, 0.4)))
     cases += [
         (f"random-{n}", scenario, (policy.k, policy.l, policy.m))
         for n, (scenario, policy) in enumerate(random_cases(40, seed=7))
