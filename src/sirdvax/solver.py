@@ -477,7 +477,7 @@ def stopped_program(always_on: Trajectory, tau: float) -> Trajectory:
     whole horizon and 0 <= tau <= T.
     """
     policy = replace(always_on.policy, tau=tau)
-    runs, stock_out, vaccinating = _cut(always_on, np.array([always_on.scenario.in_horizon("tau", tau)]))
+    runs, stock_out, vaccinating = _cut_runs(always_on, np.array([always_on.scenario.in_horizon("tau", tau)]))
     (cut,) = runs.t.tolist()
     vaccinating = [(start, min(end, cut), steps, span) for start, end, steps, span in vaccinating if start < cut]
     return _program(always_on.scenario, policy, always_on.tolerances, vaccinating, runs, stock_out)
@@ -572,7 +572,7 @@ def stopped_programs(
     ``integrate`` at that duration bit for bit; each tail's dense output is
     checked by ``_refuse_excursions`` and its peak and end are located as a
     stacked run's are.  A program takes the always-on run's crossings where
-    its own vaccinating stage would have kept them (``_cut``).
+    its own vaccinating stage would have kept them (``_cut_runs``).
 
     Raises ValidationError unless ``always_on`` runs its program for the
     whole horizon and ``taus`` are sorted within [0, T].
@@ -583,9 +583,8 @@ def stopped_programs(
     # NaN fails every comparison, so the range test is written to fail on it
     if np.any(np.diff(taus) < 0.0) or not np.all((taus >= 0.0) & (taus <= T)):
         raise ValidationError(f"durations must be sorted within [0, {T}]")
-    runs, stock_out, _ = _cut(always_on, taus)
     if not crossings:
-        cut, start = runs.t, runs.y
+        cut, start, _, _ = _cut(always_on, taus)
         beta_e = scenario.epidemic.transmission_rate
         # the rate just before tau (just after it at tau = 0), 0 past the stock-out
         policy, cap = always_on.policy, always_on.exhaustion_time
@@ -605,6 +604,7 @@ def stopped_programs(
             bad = np.flatnonzero(~np.isfinite(slope))[0]
             raise IntegrationError(f"cost slope at tau = {taus[bad]} is not finite: {slope[bad]}")
         return StoppedPrograms(final, slope=slope)
+    runs, stock_out, _ = _cut_runs(always_on, taus)
     for lo in range(0, len(taus), TAIL_CHUNK):
         _tail(runs, np.arange(lo, min(lo + TAIL_CHUNK, len(taus))), T, tol, ~np.isnan(stock_out))
     final, crossed = _close(runs, T, tol.atol)
@@ -612,20 +612,14 @@ def stopped_programs(
 
 
 def _cut(always_on: Trajectory, taus: np.ndarray):
-    """The programs of ``taus`` as stacked runs where they stop vaccinating, with the crossings they keep.
+    """Where each program of a duration in ``taus`` stops vaccinating, and its state there.
 
     A program stops at its tau, or at the always-on run's stock-out where
     that lies at or before tau (tau > 0), and one that vaccinates nobody at
-    0; its state there is the always-on run's dense output.  Its
-    vaccinating stage is the always-on run's, solved as far as the step of
-    its cut (``_advance``), so it keeps the always-on peak and end that lie
-    at or before its cut, and one past it within the cut's step where the
-    function is already at or below 0 at the cut.  Its other crossings are
-    located on its tail.  i at a kept peak past the cut is read on the
-    tail, where the program's samples read it.  Returns the runs, their
-    stock-outs (NaN where the stock lasts) and the always-on run's
-    vaccinating segments.  Raises ValidationError unless ``always_on`` runs
-    its program for the whole horizon.
+    0.  Returns the cuts, the always-on run's dense output there (s, i, q,
+    V), each program's stock-out (NaN where its stock lasts), and the
+    always-on run's vaccinating segments.  Raises ValidationError unless
+    ``always_on`` runs its program for the whole horizon.
     """
     _require_always_on(always_on)
     policy = always_on.policy
@@ -635,7 +629,21 @@ def _cut(always_on: Trajectory, taus: np.ndarray):
     stock_out = np.where((taus > 0.0) & (exhausted <= taus), exhausted, np.nan)
     cut = np.where(np.isnan(stock_out), taus, stock_out) if vaccinating else np.zeros(len(taus))
     # at its stock-out the always-on run's rest starts, with V pinned to m
-    start = _sample(always_on.segments, cut)
+    return cut, _sample(always_on.segments, cut), stock_out, vaccinating
+
+
+def _cut_runs(always_on: Trajectory, taus: np.ndarray):
+    """The programs of ``taus`` as stacked runs at their cuts (``_cut``), with the crossings they keep.
+
+    A program's vaccinating stage is the always-on run's, solved as far as
+    the step of its cut (``_advance``), so it keeps the always-on peak and
+    end that lie at or before its cut, and one past it within the cut's
+    step where the function is already at or below 0 at the cut.  Its other
+    crossings are located on its tail.  i at a kept peak past the cut is
+    read on the tail, where the program's samples read it.  Returns the
+    runs, and the stock-outs and vaccinating segments as ``_cut`` does.
+    """
+    cut, start, stock_out, vaccinating = _cut(always_on, taus)
     beta_e = np.full(len(taus), always_on.scenario.epidemic.transmission_rate)
     peak_on = next(e.time for e in always_on.events if e.kind == EVENT_PEAK)
     end_on = next((e.time for e in always_on.events if e.kind == EVENT_EPIDEMIC_END), math.inf)
@@ -727,7 +735,9 @@ def _vaccinate(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
        set to m, and one with no stock (m = 0) runs out at 0.
 
     Each stage solves toward T and stops each run at the first of its tau,
-    the rate kink (l*s falls through k) and the stock-out (V reaches m).
+    the rate kink (l*s falls through k) and the stock-out (V reaches m),
+    once every run has passed its own; a run past its stop rides on with
+    the others, and only its crossings within its stop's step are its own.
     The stock-outs are NaN where the stock lasts.
     """
     n = len(s0)
