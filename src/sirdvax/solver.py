@@ -9,8 +9,8 @@ so every run has at most three smooth pieces, always in this order:
 3. no vaccination, from the program end or supply exhaustion (where the
    accumulated usage V reaches m) to the horizon T.
 
-Every run is stacked runs, one row or many, solved piece by piece: each
-piece is one stage, ``_advance``, one solve with the rate fixed to its
+Every run is solved as stacked runs, of one row or many, piece by piece:
+each piece is one stage, ``_advance``, one solve with the rate fixed to its
 branch, so no step straddles a switch and every smooth piece is
 integrated at the full order of the Dormand-Prince 8(5,3) pair (SciPy's
 DOP853).  A stage maps each row's interval onto u in [0, 1] by

@@ -738,7 +738,7 @@ STOPPED_PROGRAM_STOCKS = (0.0, 0.005497495826377295, 0.2, 0.4, math.inf)
 
 
 def stopped_program_cases():
-    """(id, scenario, resources): variant 1 at five stocks, k = 0, disease-free, random k, l > 0."""
+    """(id, scenario, resources): variant 1 at five stocks, k = 0, disease-free, a small i(0), random k, l > 0."""
     disease_free = dataclasses.replace(
         VARIANT1, initial=SirdState(s=0.999, i=0.0, rho=0.001, d=0.0)
     )

@@ -143,8 +143,8 @@ def run_cases():
             policy = VaccinationPolicy(config.k, config.l, m, tau)
             cases.append((f"{name}-m{m}-tau{tau}", config.scenario, policy))
     cases += [(f"random-{n}", *case) for n, case in enumerate(random_cases(40, seed=7))]
-    # a program ending within 1e-12*T of T leaves no unvaccinated rest: the
-    # last segment ends before T, and the samples after its end read its end
+    # a program ending within 1e-12*T of T: its unvaccinated rest spans
+    # 1e-11, and the samples take its end for T
     variant1 = load_config("variant1")
     T = variant1.scenario.T
     short = VaccinationPolicy(variant1.k, variant1.l, math.inf, T - 1e-11)
