@@ -400,11 +400,6 @@ def _to_u(t, start, span) -> np.ndarray:
     return np.divide(dt, span, out=np.zeros(dt.shape), where=span > 0.0)
 
 
-def _to_t(u, start, span) -> np.ndarray:
-    """Positions ``u`` in [0, 1] on a solve of t = start + u*span, as times; inf stays inf."""
-    return np.where(np.isfinite(u), start + np.minimum(u, 1.0) * span, np.inf)
-
-
 def _merge_times(grid: np.ndarray, extra: list[float], tol: float) -> np.ndarray:
     """Union of grid and event times; times within ``tol`` of each other are one.
 
@@ -856,7 +851,9 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
     else:
         # the step the terminal event cut short is searched in full
         edges, states = _edges(steps, sol.sol.interpolants[-1].t)
-    falls = _to_t(_first_fall(edges, states, steps, g), start, spans)
+    # each fall's position in u as a time, inf where there is none
+    falls = _first_fall(edges, states, steps, g)
+    falls = np.where(np.isfinite(falls), start + np.minimum(falls, 1.0) * spans, np.inf)
     t_cut = np.minimum(stops, falls[:-2].min(axis=0)) if cuts else t_end
     u_cut = _to_u(t_cut, start, spans)
     _refuse_excursions(steps, u_cut, tol.atol)
