@@ -24,7 +24,9 @@ SciPy's dense output bit for bit.  One locator, ``_first_fall``, finds
 them all on a stage's steps: the rate kink and the stock-out that end a
 vaccinating stage, and the peak and the epidemic end.  solve_ivp only
 stops a vaccinating stage, with one terminal event; each row then ends at
-the earliest of its tau and its located kink and stock-out.
+the earliest of its tau and its located kink and stock-out.  One rule,
+``_kept``, decides which peak and end a row cut within a few ulps of them
+keeps, in a stage and in the cut of the always-on run alike.
 
 One rule refuses a run: every solve whose dense output is kept is checked
 when it is made, by ``_refuse_excursions``, and refused if that output
@@ -444,8 +446,8 @@ def integrate(
     tau = scenario.in_horizon("tau", policy.tau)
     initial = scenario.initial
     row = (initial.s, initial.i, scenario.epidemic.transmission_rate, policy.k, policy.l, policy.m, tau, scenario.T)
-    runs, stock_out = _vaccinate(*np.array(row, dtype=float)[:, None], tol)
-    return _program(scenario, policy, tol, _segments(runs.parts), runs, stock_out)
+    runs, stock_out, parts = _vaccinate(*np.array(row, dtype=float)[:, None], tol)
+    return _program(scenario, policy, tol, _segments(parts), runs, stock_out)
 
 
 def _require_always_on(run: Trajectory) -> None:
@@ -488,8 +490,7 @@ def _program(scenario: Scenario, policy: VaccinationPolicy, tol: Tolerances, vac
     vaccination for the rest of the horizon.
     """
     T = scenario.T
-    done = len(runs.parts)
-    _tail(runs, np.zeros(1, dtype=int), T, tol, ~np.isnan(stock_out))
+    tail = _tail(runs, np.zeros(1, dtype=int), T, tol, ~np.isnan(stock_out))
     (exhausted,), (peak,), (end,) = stock_out.tolist(), runs.peak_time.tolist(), runs.end_time.tolist()
     events = [Event(start, EVENT_RATE_KINK) for start, *_ in vaccinating[1:]]
     if not math.isnan(exhausted):
@@ -502,7 +503,7 @@ def _program(scenario: Scenario, policy: VaccinationPolicy, tol: Tolerances, vac
         events.append(Event(policy.tau, EVENT_PROGRAM_END))
     events.sort(key=lambda e: (e.time, e.kind))
     exhaustion_time = None if math.isnan(exhausted) else exhausted
-    segments = (*vaccinating, *_segments(runs.parts[done:]))
+    segments = (*vaccinating, *_segments(tail))
     return Trajectory(tuple(events), scenario, policy, tol, exhaustion_time, segments)
 
 
@@ -631,9 +632,8 @@ def _cut_runs(always_on: Trajectory, taus: np.ndarray):
     """The programs of ``taus`` as stacked runs at their cuts (``_cut``), with the crossings they keep.
 
     A program's vaccinating stage is the always-on run's, solved as far as
-    the step of its cut (``_advance``), so it keeps the always-on peak and
-    end that lie at or before its cut, and one past it within the cut's
-    step where the function is already at or below 0 at the cut.  Its other
+    the step of its cut, so it keeps the always-on peak and end that the
+    one rounding rule at a cut (``_kept``) keeps on that run's steps.  Its other
     crossings are located on its tail.  i at a kept peak past the cut is
     read on the tail, where the program's samples read it.  Returns the
     runs, and the stock-outs and vaccinating segments as ``_cut`` does.
@@ -643,16 +643,13 @@ def _cut_runs(always_on: Trajectory, taus: np.ndarray):
     peak_on = next(e.time for e in always_on.events if e.kind == EVENT_PEAK)
     end_on = next((e.time for e in always_on.events if e.kind == EVENT_EPIDEMIC_END), math.inf)
     crossing = np.array([[peak_on], [end_on]])
-    same_step = np.zeros((2, len(taus)), dtype=bool)
+    kept, markers = crossing <= cut, _markers(beta_e)
     for seg_start, seg_end, steps, span in vaccinating:
-        here = (seg_start < cut) & (cut <= seg_end)
-        last = _step_of(steps, _to_u(cut[here], seg_start, span))
-        same_step[:, here] = _step_of(steps, _to_u(crossing, seg_start, span)) == last
-    below = np.asarray(_markers(beta_e)(start.T[:, :, None], np.arange(len(taus))))[:, :, 0] <= 0.0
-    kept = (crossing <= cut) | (same_step & below & np.isfinite(crossing))
+        here = np.flatnonzero((seg_start < cut) & (cut <= seg_end))
+        kept[:, here] = _kept(crossing, cut[here], start[here], here, markers, steps, seg_start, span)
     peak_time, end_time = np.where(kept, crossing, np.nan)
     peak_i = np.where(kept[0] & (peak_on <= cut), always_on.peak_and_end()[1], np.nan)
-    return _Runs(beta_e, cut, start, peak_time, peak_i, end_time, []), stock_out, vaccinating
+    return _Runs(beta_e, cut, start, peak_time, peak_i, end_time), stock_out, vaccinating
 
 
 def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
@@ -701,7 +698,7 @@ def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
     ran_out = np.empty(len(unique), dtype=bool)
     for lo in range(0, len(unique), TAIL_CHUNK):
         rows = slice(lo, lo + TAIL_CHUNK)
-        runs, stock_out = _vaccinate(*unique[rows].T, tol)
+        runs, stock_out, _ = _vaccinate(*unique[rows].T, tol)
         ran_out[rows] = ~np.isnan(stock_out)
         _tail(runs, np.arange(len(stock_out)), unique[rows, 7], tol, ran_out[rows])
         at_end[rows], crossings[:, rows] = _close(runs, unique[rows, 7], tol.atol)
@@ -733,14 +730,16 @@ def _vaccinate(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
     the rate kink (l*s falls through k) and the stock-out (V reaches m),
     once every run has passed its own; a run past its stop rides on with
     the others, and only its crossings within its stop's step are its own.
-    The stock-outs are NaN where the stock lasts.
+    Returns the runs, their stock-outs (NaN where the stock lasts) and the
+    stages' parts as ``_advance`` gives them.
     """
     n = len(s0)
     rising = (i0 > 0.0) & (beta_e * s0 > 1.0)
     start = np.column_stack((s0, i0, np.zeros(n), np.zeros(n)))
     # i peaks at 0 unless it rises, and then where it is located
     peak = np.where(rising, np.nan, 0.0), np.where(rising, np.nan, i0)
-    runs = _Runs(beta_e, np.zeros(n), start, *peak, np.full(n, np.nan), [])
+    runs = _Runs(beta_e, np.zeros(n), start, *peak, np.full(n, np.nan))
+    parts = []
     program = (tau > 0.0) & (k > 0.0) & (l > 0.0)
     stock_out = np.where(program & (m == 0.0), 0.0, np.nan)
     capacity = np.flatnonzero(program & (m > 0.0) & (l * s0 > k))
@@ -749,31 +748,34 @@ def _vaccinate(s0, i0, beta_e, k, l, m, tau, T, tol: Tolerances):
     stock_out_form = (3, np.full(n, -1.0), -m)
     if len(capacity):
         # the rate kink: l*s falls through k
-        kink, stock = _advance(runs, capacity, T, k[capacity], 0.0, tol, [(0, l, k), stock_out_form], tau)
+        part, (kink, stock) = _advance(runs, capacity, T, k[capacity], 0.0, tol, [(0, l, k), stock_out_form], tau)
+        parts.append(part)
         # the willingness branch follows a kink before the stock-out and tau
         on = kink < np.minimum(stock, tau[capacity])
         out = ~on & (stock <= tau[capacity])
         stock_out[capacity[out]] = stock[out]
         willing = np.union1d(willing, capacity[on])
     if len(willing):
-        (stock,) = _advance(runs, willing, T, 0.0, l[willing], tol, [stock_out_form], tau)
+        part, (stock,) = _advance(runs, willing, T, 0.0, l[willing], tol, [stock_out_form], tau)
+        parts.append(part)
         out = stock <= tau[willing]
         stock_out[willing[out]] = stock[out]
     # the stock is used up: V stays m, bit for bit, without vaccination
     ran_out = ~np.isnan(stock_out)
     runs.y[ran_out, 3] = m[ran_out]
-    return runs, stock_out
+    return runs, stock_out, parts
 
 
-def _tail(runs: _Runs, rows, T, tol: Tolerances, pinned) -> None:
-    """The unvaccinated stage of ``rows``, from each row's cut up to its T.
+def _tail(runs: _Runs, rows, T, tol: Tolerances, pinned) -> list:
+    """The unvaccinated stage of ``rows``, from each row's cut up to its T: its parts, none or one.
 
     It is solved unless every row already ends at T; a row whose stock
     ran out at T (``pinned``) still takes an empty solve, whose steps hold
     its pinned V for the samples.
     """
     if np.any(runs.t[rows] < np.broadcast_to(T, runs.t.shape)[rows]) or np.any(pinned[rows]):
-        _advance(runs, rows, T, 0.0, 0.0, tol)
+        return [_advance(runs, rows, T, 0.0, 0.0, tol)[0]]
+    return []
 
 
 class _Runs(NamedTuple):
@@ -782,9 +784,8 @@ class _Runs(NamedTuple):
     Row j is at time ``t[j]`` in state ``y[j]`` (s, i, q, V), with the
     transmission rate ``beta_e[j]``.  ``peak_time`` and ``end_time`` are NaN
     until located, and ``peak_i`` holds i at a located peak, NaN until
-    read.  ``parts`` lists each stage's rows' starts and ends, its steps and
-    its rows' spans.  ``_advance`` moves the rows on in place, and
-    ``_close`` reads the results.
+    read.  ``_advance`` moves the rows on in place, and ``_close`` reads
+    the results.
     """
 
     beta_e: np.ndarray
@@ -793,7 +794,6 @@ class _Runs(NamedTuple):
     peak_time: np.ndarray
     peak_i: np.ndarray
     end_time: np.ndarray
-    parts: list
 
 
 def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(), stops=None):
@@ -810,14 +810,14 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
 
     Each row's cut is a time: it is mapped onto u once (``_to_u``), the row
     moves on to it with its dense output there, and ``_refuse_excursions``
-    checks its part up to it.  The peaks and ends are recorded where they
-    fall at or before the cut, and also past it within the cut's step
-    where the function is already at or below 0 at the cut: rounding can
-    put a cut just before a crossing.  i at a peak is read at the peak
-    time, on the part whose samples read it: past the cut, on the next.
-    Returns the times of the falls of ``cuts``, inf where there is none.
+    checks its part up to it.  A fall located in the last ulp below u = 1
+    lies at the row's end.  The peaks and ends are recorded where ``_kept``
+    keeps them.  i at a peak is read at the peak time, on the part whose
+    samples read it: past the cut, on the next.  Returns the part, as the
+    rows' starts and cuts, the steps and the rows' spans, and the times of
+    the falls of ``cuts``, inf where there is none.
     """
-    beta_e, t, y, peak_time, peak_i, end_time, parts = runs
+    beta_e, t, y, peak_time, peak_i, end_time = runs
     start = t[rows]
     t_end = np.broadcast_to(ends, t.shape)[rows]
     spans = t_end - start
@@ -852,27 +852,43 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
         # the step the terminal event cut short is searched in full
         edges, states = _edges(steps, sol.sol.interpolants[-1].t)
     # each fall's position in u as a time, inf where there is none
-    falls = _first_fall(edges, states, steps, g)
-    falls = np.where(np.isfinite(falls), start + np.minimum(falls, 1.0) * spans, np.inf)
+    u_falls = _first_fall(edges, states, steps, g)
+    falls = np.where(np.isfinite(u_falls), start + np.minimum(u_falls, 1.0) * spans, np.inf)
+    # start + u*span can put a fall in the last ulp below u = 1 an ulp before the end
+    falls = np.where(np.isfinite(u_falls) & (u_falls >= _LAST_U), t_end, falls)
     t_cut = np.minimum(stops, falls[:-2].min(axis=0)) if cuts else t_end
     u_cut = _to_u(t_cut, start, spans)
     _refuse_excursions(steps, u_cut, tol.atol)
     cols = np.arange(len(rows))[:, None] + len(rows) * np.arange(4)
-    last = _step_of(steps, u_cut)
-    at_cut = _dense(steps, last, u_cut, cols)
+    at_cut = _at(steps, u_cut, cols)
     marks = falls[-2:]
-    below = np.asarray(markers(at_cut.T[:, :, None], rows))[:, :, 0] <= 0.0
-    near = np.isfinite(marks) & below & (_step_of(steps, _to_u(marks, start, spans)) == last)
-    for fall, kept, found in zip(marks, (marks <= t_cut) | near, (peak_time, end_time)):
-        new = np.isnan(found[rows]) & kept
+    kept = _kept(marks, t_cut, at_cut, rows, markers, steps, start, spans)
+    for fall, keep, found in zip(marks, kept, (peak_time, end_time)):
+        new = np.isnan(found[rows]) & keep
         found[rows[new]] = fall[new]
     read = np.isnan(peak_i[rows]) & ~np.isnan(peak_time[rows]) & ((peak_time[rows] <= t_cut) | (not cuts))
     if read.any():
         u = _to_u(np.minimum(peak_time[rows[read]], t_cut[read]), start[read], spans[read])
         peak_i[rows[read]] = _clamp(_at(steps, u, cols[read]), tol.atol)[:, 1]
     y[rows], t[rows] = at_cut, t_cut
-    parts.append((start, t_cut, steps, spans))
-    return falls[:-2]
+    return (start, t_cut, steps, spans), falls[:-2]
+
+
+def _kept(falls, t_cut, at_cut, rows, markers, steps: _Steps, start, span):
+    """Which falls of ``markers`` (the peak's and the end's) a stage cut at ``t_cut`` keeps.
+
+    The one rounding rule at a cut: a stage keeps a fall at or before its
+    cut, and one past it that it located inside its last step (the cut's)
+    where the function at the cut is already at or below 0, as rounding can
+    put a cut just before a crossing.  ``falls`` holds the times, shape
+    (2, len(rows)), inf where there is none; ``at_cut`` holds each row's
+    state (s, i, q, V) at its cut, and ``steps`` the stage's solve of
+    t = start + u*span.
+    """
+    last = _step_of(steps, _to_u(t_cut, start, span))
+    same_step = _step_of(steps, _to_u(falls, start, span)) == last
+    below = np.asarray(markers(at_cut.T[:, :, None], rows))[:, :, 0] <= 0.0
+    return (falls <= t_cut) | (np.isfinite(falls) & below & same_step)
 
 
 def _close(runs: _Runs, T, atol: float):
@@ -1137,6 +1153,10 @@ _WEIGHTS = np.array([0.5, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -0.5])
 #: Bits to which the search narrows a crossing's position in [0, 1], below
 #: the spacing of doubles there.
 _BITS = 60
+
+#: u at the last ulp below 1: a fall located at or past it lies at its
+#: stage's end, where start + u*span could put it an ulp before that end.
+_LAST_U = 1.0 - np.spacing(1.0)
 
 #: Pieces per round of the search, shared by the stacked runs searched
 #: together: a lone run's crossings take 512 each, so few rounds, and those

@@ -219,14 +219,17 @@ class TestSupplyExhaustion:
 
     def test_stock_running_out_at_the_horizon(self, disease_free):
         # with no infection V = k*t, so m = k*T runs out at T, where the
-        # stock-out is located for this T; the empty unvaccinated segment
-        # after it holds V at m
-        T, k = 2.0, 0.3
-        traj = integrate(
-            dataclasses.replace(disease_free, T=T), VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
-        )
-        assert traj.exhaustion_time == T
-        assert traj.V[-1] == traj.state_at(T)[5] == k * T
+        # stock-out is located; the empty unvaccinated segment after it
+        # holds V at m.  At T = 2.02 the fall is located in the last ulp
+        # below u = 1 of the capacity stage.
+        k = 0.3
+        for T in (2.02, 2.0):
+            traj = integrate(
+                dataclasses.replace(disease_free, T=T), VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
+            )
+            assert traj.exhaustion_time == T
+            assert traj.segments[-1][:2] == (T, T)
+            assert traj.V[-1] == traj.state_at(T)[5] == k * T
 
     def test_zero_stock_never_vaccinates(self, scenario):
         policy = VaccinationPolicy(k=0.1, l=0.3, m=0.0, tau=15.0)

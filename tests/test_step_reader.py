@@ -123,13 +123,14 @@ def segment_edges(segment, solutions):
     return (*_edges(steps, u_end), steps, interpolants)
 
 
-def stock_out_at_the_horizon():
+def stock_out_at_the_horizon(T=2.02):
     """A disease-free run whose stock runs out at T and leaves an empty last segment.
 
-    With no infection V = k*t, so m = k*T runs out at T.
+    With no infection V = k*t, so m = k*T runs out at T.  At T = 2.02 the
+    stock-out is located in the last ulp below u = 1 of its stage.
     """
     variant1 = load_config("variant1").scenario
-    T, k = 2.0, 0.3
+    k = 0.3
     scenario = dataclasses.replace(variant1, initial=SirdState(s=0.999, i=0.0, rho=0.001, d=0.0), T=T)
     return scenario, VaccinationPolicy(k=k, l=1.0, m=k * T, tau=T)
 
@@ -150,6 +151,7 @@ def run_cases():
     short = VaccinationPolicy(variant1.k, variant1.l, math.inf, T - 1e-11)
     cases.append(("ends-just-before-T", variant1.scenario, short))
     cases.append(("stock-out-at-T", *stock_out_at_the_horizon()))
+    cases.append(("stock-out-at-T-2.0", *stock_out_at_the_horizon(2.0)))
     return [pytest.param(scenario, policy, id=name) for name, scenario, policy in cases]
 
 
@@ -171,15 +173,16 @@ class TestSamplesEqualScipy:
                 assert same_bits(_at(steps, np.array([t]))[0], sol(t))
 
     def test_the_empty_segment_after_a_stock_out_at_t_is_its_constant(self):
-        scenario, policy = stock_out_at_the_horizon()
-        with recorded_solves() as solutions:
-            traj = integrate(scenario, policy)
-        t_lo, t_hi, steps, span = traj.segments[-1]
-        assert t_lo == t_hi == scenario.T and span == 0.0
-        (constant,) = solutions[id(steps)][1].interpolants
-        assert not hasattr(constant, "F")
-        assert same_bits(_at(steps, np.array([0.0]))[0], constant(0.0))
-        assert traj.V[-1] == policy.m
+        for T in (2.02, 2.0):
+            scenario, policy = stock_out_at_the_horizon(T)
+            with recorded_solves() as solutions:
+                traj = integrate(scenario, policy)
+            t_lo, t_hi, steps, span = traj.segments[-1]
+            assert t_lo == t_hi == scenario.T and span == 0.0
+            (constant,) = solutions[id(steps)][1].interpolants
+            assert not hasattr(constant, "F")
+            assert same_bits(_at(steps, np.array([0.0]))[0], constant(0.0))
+            assert traj.V[-1] == policy.m
 
     def test_a_time_at_an_empty_segment_is_read_from_it(self):
         # the empty segment's constant, not the previous segment's end, is read at its start
