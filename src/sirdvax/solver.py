@@ -39,8 +39,12 @@ willingness branch, the stock-out pin), then ``_tail`` (no vaccination).
 ``Trajectory.segments``, and ``stacked_runs`` for many runs that differ in
 their parameters, not only in tau: each row of ``_solve_tails``, the one
 stacked solve, has its own transmission rate and vaccination rate.  The
-choice by row count is one fork: a solve of one row works on Python
-floats (``_stacked_branch``).
+choice by row count is one fork: a solve of one row, as every stage of a
+lone run is, steps on Python floats, its right-hand side
+(``_stacked_branch``) and its DOP853 step alike (``_FloatStepped``,
+straight-line code generated once from SciPy's tableau), and calls no
+BLAS, so a lone run's bits do not depend on the BLAS kernel.  n rows step
+on SciPy's DOP853.
 
 Until tau a run is the always-on run (tau = T) bit for bit, so
 ``stopped_program`` and ``stopped_programs`` cut that run's vaccinating
@@ -66,6 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from .errors import IntegrationError, ValidationError
 from .model import Scenario, VaccinationPolicy, _rhs_values, treatment_cost_rate
@@ -924,14 +929,38 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
     sensitivities ride on the steps the states choose: the error norm reads
     the states alone (``_StateControlled``), so the states' steps and values
     are those of the solve without them, bit for bit.
+
+    A solve of one row steps on Python floats (``_FloatStepped``), with
+    the float right-hand side ``_stacked_branch`` gives it; n rows step on
+    SciPy's DOP853 arrays.  Both are solve_ivp calls, on the same rules of
+    step control, so every solve's result, events and dense output read
+    alike.  A failed solve raises IntegrationError.
     """
     rows, width = start.shape
     rhs = _stacked_branch(spans, beta_e, rate, willingness, sensitivities=width > 4)
-    controlled = 4 * rows if width > 4 else None
-    u_end = 1.0 if np.max(spans) > 0.0 else 0.0
-    # a copy: the solver keeps y0 as its first step's start, and with one
-    # row ravel() would return a view of the caller's rows
-    return _solve(rhs, (0.0, u_end), start.T.flatten(), tol, dense=dense, events=events, controlled=controlled)
+    if rows == 1:
+        method, options = _FloatStepped, {"controlled": 4}
+    elif width == 4:
+        method, options = _METHOD, {}
+    else:
+        method, options = _StateControlled, {"controlled": 4 * rows}
+    span = (0.0, 1.0 if np.max(spans) > 0.0 else 0.0)
+    sol = solve_ivp(
+        rhs,
+        span,
+        # a copy: the solver keeps y0 as its first step's start, and with one
+        # row ravel() would return a view of the caller's rows
+        start.T.flatten(),
+        method=method,
+        rtol=tol.rtol,
+        atol=tol.atol,
+        dense_output=dense,
+        events=events,
+        **options,
+    )
+    if sol.status < 0:
+        raise IntegrationError(f"solver failed on [{span[0]}, {span[1]}]: {sol.message}")
+    return sol
 
 
 def _stacked_branch(spans, beta_e, rate, willingness, sensitivities=False):
@@ -944,29 +973,46 @@ def _stacked_branch(spans, beta_e, rate, willingness, sensitivities=False):
     cut a row's s is at least k/l > 0 or falls toward 0 on the willingness
     branch without reaching it, so there the clip would do nothing.
 
-    One row without sensitivities, as ``integrate`` solves, is worked on
-    Python floats, which give the same numbers as NumPy's arrays at a
-    fraction of the cost per call: the row of an n-row stack, bit for bit.
-
     With ``sensitivities`` an unvaccinated solve's state holds three more
     components per row, z = d(s, i, q)/dtau, which move by the Jacobian of
     the unvaccinated dynamics at the row's (clipped) s and i:
     z_s' = -beta_e*(i*z_s + s*z_i), z_i' = beta_e*(i*z_s + s*z_i) - z_i and
     z_q' = z_i, each times the row's span.  The states' derivatives are
     those of the solve without them, bit for bit.
+
+    The one fork by row count: one row is worked on Python floats, which
+    give the same numbers as NumPy's arrays at a fraction of the cost per
+    call, the row of an n-row stack bit for bit.  Its ``floats`` attribute
+    takes and returns the components as floats, and ``_FloatStepped``
+    steps on it; called on an array it returns one.
     """
     n = len(spans)
     vaccinating = bool(np.any(rate) or np.any(willingness))
-    if n == 1 and not sensitivities:
+    if n == 1:
         span, b, r, w = (float(np.ravel(x)[0]) for x in (spans, beta_e, rate, willingness))
 
-        def one_row(u, y):
-            s, i, _, _ = y.tolist()
+        def states(s, i, q, v):
             if not vaccinating:
-                s, i = min(max(s, 0.0), 1.0), min(max(i, 0.0), 1.0)
+                # np.clip's rule, which passes NaN and -0.0 on
+                s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
+                i = 0.0 if i < 0.0 else 1.0 if i > 1.0 else i
             ds, di, dq, dv = _rhs_values(s, i, r + w * s if vaccinating else 0.0, b)
-            return np.array((ds * span, di * span, dq * span, dv * span))
+            return ds * span, di * span, dq * span, dv * span
 
+        def riders(s, i, q, v, z_s, z_i, z_q):
+            derivatives = states(s, i, q, v)
+            if not vaccinating:
+                s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
+                i = 0.0 if i < 0.0 else 1.0 if i > 1.0 else i
+            flow = b * (i * z_s + s * z_i)
+            return (*derivatives, -flow * span, (flow - z_i) * span, z_i * span)
+
+        floats = riders if sensitivities else states
+
+        def one_row(u, y):
+            return np.array(floats(*y.tolist()))
+
+        one_row.floats = floats
         return one_row
     no_vaccination = np.zeros(n)
     width = 7 if sensitivities else 4
@@ -988,29 +1034,6 @@ def _stacked_branch(spans, beta_e, rate, willingness, sensitivities=False):
     return rhs
 
 
-def _solve(rhs, span, y0, tol: Tolerances, dense=True, events=None, controlled=None):
-    """The one solve_ivp call: DOP853 over ``span`` from ``y0``; a failed solve raises IntegrationError.
-
-    With ``controlled``, only the first ``controlled`` components control
-    the steps (``_StateControlled``).
-    """
-    options = {} if controlled is None else {"controlled": controlled}
-    sol = solve_ivp(
-        rhs,
-        span,
-        y0,
-        method=_METHOD if controlled is None else _StateControlled,
-        rtol=tol.rtol,
-        atol=tol.atol,
-        dense_output=dense,
-        events=events,
-        **options,
-    )
-    if sol.status < 0:
-        raise IntegrationError(f"solver failed on [{span[0]}, {span[1]}]: {sol.message}")
-    return sol
-
-
 class _StateControlled(DOP853):
     """SciPy's DOP853 with the first ``controlled`` components alone in its step control.
 
@@ -1026,17 +1049,21 @@ class _StateControlled(DOP853):
 
     def __init__(self, fun, t0, y0, t_bound, controlled, **options):
         self.controlled = controlled
-        # a first step SciPy takes as given, so it chooses none on all components
-        super().__init__(fun, t0, y0, t_bound, first_step=abs(t_bound - t0), **options)
-        self.h_abs = self._first_step(t_bound)
+        span = abs(t_bound - t0)
+        # a first step SciPy takes as given, so it chooses none on all
+        # components; on an empty span SciPy's rule gives 0 without a call
+        super().__init__(fun, t0, y0, t_bound, first_step=span or None, **options)
+        if span:
+            self.h_abs = self._first_step(t_bound)
+
+    @staticmethod
+    def _norm(x):
+        """SciPy's RMS norm."""
+        return np.linalg.norm(x) / x.size**0.5
 
     def _first_step(self, t_bound):
         """SciPy's ``select_initial_step`` on the controlled components, in its order of operations."""
-
-        def norm(x):
-            return np.linalg.norm(x) / x.size**0.5
-
-        c, direction = self.controlled, self.direction
+        norm, c, direction = self._norm, self.controlled, self.direction
         y0, f0 = self.y, self.f
         span = abs(t_bound - self.t)
         scale = self.atol + np.abs(y0[:c]) * self.rtol
@@ -1056,6 +1083,141 @@ class _StateControlled(DOP853):
         # NumPy sums a strided matrix product in another order
         c = self.controlled
         return super()._estimate_error_norm(np.ascontiguousarray(K[:, :c]), h, scale[:c])
+
+
+#: SciPy's step-size controller (``scipy.integrate._ivp.rk``): the safety
+#: factor, the bounds on a step's change and DOP853's error exponent.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 8
+
+
+class _FloatStepped(_StateControlled):
+    """DOP853 on Python floats, for a solve of one row: its (s, i, q, V) and any riders.
+
+    solve_ivp takes it as its method, so a one-row solve reads as any
+    other: its events, its ``OdeSolution`` of SciPy's ``Dop853DenseOutput``
+    steps, and ``nfev`` as SciPy counts it (12 per attempted step, 3 per
+    dense output).  The step is SciPy's, in straight-line float code
+    (``_float_dop853``), on the right-hand side's ``floats``; the first
+    step, the error norm on the four states and the step-size controller
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) are SciPy's
+    rules, so a solve takes SciPy's steps within rounding.  No sum calls
+    BLAS, the first step's norm included, so a solve is the same bits on
+    every BLAS kernel.  It steps forward only, as every solve of u in
+    [0, 1] does, with no maximum step.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, controlled, **options):
+        super().__init__(fun, t0, y0, t_bound, controlled, **options)
+        self.rhs, (self.float_step, self.float_dense) = fun.floats, _FLOAT_DOP853[self.n]
+        # Python floats throughout: NumPy scalars would cost the float code its speed
+        self.tols, self.h_abs = (float(self.rtol), float(self.atol)), float(self.h_abs)
+        self.f = tuple(self.f.tolist())
+
+    @staticmethod
+    def _norm(x):
+        """The RMS norm without BLAS, whose sums depend on its kernel: NumPy's sum, in one order on every machine."""
+        return np.sqrt(np.sum(x * x)) / x.size**0.5
+
+    def _step_impl(self):
+        t, y, f = self.t, self.y.tolist(), self.f
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
+            y_new, f_new, stages, error = self.float_step(self.rhs, h, y, f, *self.tols)
+            self.nfev += 12
+            if error < 1.0:
+                factor = _MAX_FACTOR if error == 0.0 else min(_MAX_FACTOR, _SAFETY * error**_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # NaN fails the test above and gives MIN_FACTOR here
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error**_EXPONENT)
+            rejected = True
+        self.h_previous, self.y_old, self.t, self.y = h, self.y, t_new, np.array(y_new)
+        self.h_abs, self.f, self.stages = h_abs, f_new, stages
+        return True, None
+
+    def _dense_output_impl(self):
+        F = self.float_dense(self.rhs, self.h_previous, self.y_old.tolist(), self.y.tolist(), self.stages)
+        self.nfev += 3
+        return Dop853DenseOutput(self.t_old, self.t, self.y_old, np.array(F).reshape(7, self.n))
+
+
+def _float_dop853(width: int):
+    """One DOP853 step and its dense output for ``width`` components, as straight-line float code.
+
+    Generated from the tableau of SciPy's ``DOP853`` class, its
+    coefficients written as literals and its exact zeros skipped, and
+    compiled once.  The right-hand side does not read the time, so the
+    nodes ``C`` and ``C_EXTRA`` enter no stage.
+    ``step(rhs, h, y, f, rtol, atol)`` returns y and f at the step's end,
+    the 13 stages (flat, stage first) and SciPy's error norm: E5 with the
+    E3 correction, on the first four components, with the scale
+    atol + max(|y|, |y_new|)*rtol.  ``dense(rhs, h, y_old, y, stages)``
+    returns the 7 x ``width`` dense-output coefficients F, flat, with the
+    three extra stages.  Products are written x * x and the maximum keeps
+    a NaN, so a diverging row fails its steps as SciPy's does.
+    """
+    comps = range(width)
+
+    def names(stage):
+        return ", ".join(f"k{stage}_{j}" for j in comps)
+
+    def combo(coefs, j):
+        return " + ".join(f"{c!r} * k{i}_{j}" for i, c in enumerate(coefs.tolist()) if c != 0.0)
+
+    def stage(s, a):
+        return f"    {names(s)}, = rhs({', '.join(f'y{j} + ({combo(a[:s], j)}) * h' for j in comps)})"
+
+    ys, new = ", ".join(f"y{j}" for j in comps), ", ".join(f"n{j}" for j in comps)
+    stages = ", ".join(names(s) for s in range(DOP853.n_stages + 1))
+    step = [
+        "def step(rhs, h, y, f, rtol, atol):",
+        f"    {ys}, = y",
+        f"    {names(0)}, = f",
+        *(stage(s, DOP853.A[s]) for s in range(1, DOP853.n_stages)),
+        f"    {new}, = {', '.join(f'y{j} + h * ({combo(DOP853.B, j)})' for j in comps)}",
+        f"    {names(DOP853.n_stages)}, = rhs({new})",
+    ]
+    for j in range(4):
+        step += [
+            f"    a, b = abs(y{j}), abs(n{j})",
+            "    scale = atol + (b if b > a or b != b else a) * rtol",
+            f"    e5_{j}, e3_{j} = ({combo(DOP853.E5, j)}) / scale, ({combo(DOP853.E3, j)}) / scale",
+        ]
+    step += [
+        f"    e5 = {' + '.join(f'e5_{j} * e5_{j}' for j in range(4))}",
+        f"    e3 = {' + '.join(f'e3_{j} * e3_{j}' for j in range(4))}",
+        "    error = h * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0",
+        f"    return ({new},), ({names(DOP853.n_stages)},), ({stages},), error",
+    ]
+    extra = range(DOP853.n_stages + 1, DOP853.n_stages + 1 + len(DOP853.A_EXTRA))
+    last = DOP853.n_stages
+    dense = [
+        "def dense(rhs, h, y, y_new, stages):",
+        f"    {ys}, = y",
+        f"    {new}, = y_new",
+        f"    {stages}, = stages",
+        *(stage(s, a) for s, a in zip(extra, DOP853.A_EXTRA)),
+        *(f"    d{j} = n{j} - y{j}" for j in comps),
+        "    return (",
+        *(f"        d{j}," for j in comps),
+        *(f"        h * k0_{j} - d{j}," for j in comps),
+        *(f"        2 * d{j} - h * (k{last}_{j} + k0_{j})," for j in comps),
+        *(f"        h * ({combo(row, j)})," for row in DOP853.D for j in comps),
+        "    )",
+    ]
+    namespace = {"math": math}
+    exec(compile("\n".join(step + dense) + "\n", f"<DOP853 on {width} floats>", "exec"), namespace)
+    return namespace["step"], namespace["dense"]
+
+
+#: The float steps of a one-row solve: (s, i, q, V), and with the sensitivities.
+_FLOAT_DOP853 = {width: _float_dop853(width) for width in (4, 7)}
 
 
 class _Steps(NamedTuple):
@@ -1158,11 +1320,10 @@ _BITS = 60
 #: stage's end, where start + u*span could put it an ulp before that end.
 _LAST_U = 1.0 - np.spacing(1.0)
 
-#: Pieces per round of the search, shared by the stacked runs searched
-#: together: a lone run's crossings take 512 each, so few rounds, and those
-#: of a chunk of 256 tails two, a bisection.  The run count alone sets
-#: them, so a crossing is located alike whichever others are searched with it.
-_PIECES = 512
+#: Each round of the search splits a bracket into 2**_PIECE_BITS equal
+#: pieces, whatever the number of crossings searched together: 10 rounds of
+#: 64 reach ``_BITS``.
+_PIECE_BITS = 6
 
 
 def _markers(beta_e: np.ndarray):
@@ -1206,48 +1367,47 @@ def _first_fall(edges, states, steps: _Steps, g):
     t0, t1 = edges[step, None], edges[step + 1, None]
     cols = run[:, None, None] + states.shape[1] * np.arange(len(states))
     nodes = _dense(steps, step[:, None], t0 + _NODES * (t1 - t0), cols).transpose(2, 0, 1)
-    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))], states.shape[1])
+    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
     times = np.full(values.shape[:2], np.inf)
     times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
     return times
 
 
-def _fall_position(node_values: np.ndarray, runs: int) -> np.ndarray:
+def _fall_position(node_values: np.ndarray) -> np.ndarray:
     """Where row j's polynomial through ``node_values[j]`` on ``_NODES`` falls through 0.
 
-    Each polynomial is >= 0 at 0 and <= 0 at 1.  Every round splits each
-    bracket into ``_PIECES``/``runs`` equal pieces (a power of 2), keeps the first piece that ends at or below
-    0 and re-expresses the polynomial by its values at that piece's nodes,
-    so a round is one matrix product and the fall found is the first at the
-    pieces' resolution.  Returns the bracket's right end.
+    Each polynomial is >= 0 at 0 and <= 0 at 1.  Every round evaluates
+    each bracket's polynomial at the ends of its 2**``_PIECE_BITS`` equal
+    pieces, keeps the first piece that ends at or below 0 and re-expresses
+    the polynomial by its values at that piece's nodes, so the fall found is
+    the first at the pieces' resolution.  Returns the right end of a bracket
+    2**-``_BITS`` wide.  The sums are einsum's, without BLAS: each row is
+    summed alone and in one order, so a row's result is the same bits
+    whichever rows share the call, on every BLAS kernel.
     """
-    rows = len(node_values)
-    if rows == 0:
-        return np.zeros(0)
-    bits = max(1, int(math.log2(_PIECES / runs)))
-    splits, to_pieces = 2**bits, _piece_basis(bits)
-    every = np.arange(rows)
-    lo, width = np.zeros(rows), 1.0
-    for _ in range(-(-_BITS // bits)):
-        pieces = (node_values @ to_pieces).reshape(rows, splits, len(_NODES))
-        fallen = pieces[:, :, -1] <= 0.0
+    ends, pieces = _piece_bases()
+    lo, width = np.zeros(len(node_values)), 1.0
+    for _ in range(-(-_BITS // _PIECE_BITS)):
+        fallen = np.einsum("rk,kp->rp", node_values, ends) <= 0.0
         # the last piece ends where the bracket does, at or below 0
         fallen[:, -1] = True
         first = fallen.argmax(axis=1)
-        node_values = pieces[every, first]
-        width /= splits
+        node_values = np.einsum("rk,rkn->rn", node_values, pieces[first])
+        width /= ends.shape[1]
         lo += first * width
     return lo + width
 
 
 @functools.cache
-def _piece_basis(bits: int) -> np.ndarray:
-    """Maps values at ``_NODES`` to values at the nodes of each of 2**bits equal pieces of [0, 1].
+def _piece_bases() -> tuple[np.ndarray, np.ndarray]:
+    """Maps from values at ``_NODES`` to each piece's end, shape (8, pieces), and to piece p's nodes, (pieces, 8, 8).
 
-    Shape (len(_NODES), 2**bits * len(_NODES)).
+    The pieces are the 2**``_PIECE_BITS`` equal pieces of [0, 1].
     """
-    splits = 2**bits
-    return _lagrange(((np.arange(splits)[:, None] + _NODES) / splits).ravel()).T
+    splits = 2**_PIECE_BITS
+    ends = _lagrange(np.arange(1, splits + 1) / splits).T.copy()
+    at_nodes = _lagrange(((np.arange(splits)[:, None] + _NODES) / splits).ravel())
+    return ends, np.ascontiguousarray(at_nodes.reshape(splits, len(_NODES), len(_NODES)).transpose(0, 2, 1))
 
 
 def _lagrange(x: np.ndarray) -> np.ndarray:

@@ -757,3 +757,44 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "summary.json").exists()
+
+
+def blas_kernel_skip_reason():
+    """Why the BLAS kernel cannot be switched here, or None where NumPy's BLAS is a DYNAMIC_ARCH OpenBLAS."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "this NumPy does not report its BLAS build"
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"NumPy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {blas.get('name')}"
+    return None
+
+
+class TestBlasKernel:
+    @pytest.mark.skipif(blas_kernel_skip_reason() is not None, reason=str(blas_kernel_skip_reason()))
+    @pytest.mark.parametrize("config, tau", [("variant1", "7.5"), ("variant2", "15")])
+    def test_simulate_does_not_depend_on_the_kernel(self, tmp_path, config, tau):
+        # OPENBLAS_CORETYPE picks the kernel of a DYNAMIC_ARCH OpenBLAS for one
+        # process; a lone run calls no BLAS, so its outputs are the same bytes
+        package_root = str(Path(sirdvax.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        outputs = []
+        for kernel in (None, "Nehalem"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, path]))}
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel:
+                env["OPENBLAS_CORETYPE"] = kernel
+            out = tmp_path / (kernel or "default")
+            proc = subprocess.run(
+                [sys.executable, "-m", "sirdvax.cli", "simulate", "--config", config, "--tau", tau, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert set(outputs[0]) == {"summary.json", "trajectory.csv"}
+        assert outputs[0] == outputs[1]
+

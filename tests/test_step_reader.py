@@ -1,9 +1,11 @@
-"""The step reader, the band rule and both right-hand sides against SciPy and the rules they replace.
+"""The step reader, the band rule, the float step and both right-hand sides against SciPy and the rules they replace.
 
 Every dense-output value the solver reads goes through ``_dense`` on
 arrays read once off SciPy's steps; these tests hold it to SciPy's own
 ``OdeSolution`` and per-step interpolants bit for bit.  The band rule
-(``_refuse_excursions``) reads the same steps in Bernstein form.
+(``_refuse_excursions``) reads the same steps in Bernstein form.  A
+one-row solve steps on Python floats (``_FloatStepped``); its steps are
+held to SciPy's DOP853 within rounding.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, solve_ivp
 
 import sirdvax.solver
 from sirdvax import IntegrationError, SirdState, Tolerances, VaccinationPolicy, integrate, load_config
@@ -30,6 +33,7 @@ from sirdvax.solver import (
     _dense,
     _drift_band,
     _edges,
+    _FLOAT_DOP853,
     _fall_position,
     _first_fall,
     _markers,
@@ -38,6 +42,7 @@ from sirdvax.solver import (
     _sample,
     _solve_tails,
     _stacked_branch,
+    _StateControlled,
     stopped_programs,
 )
 from oracles import random_cases
@@ -109,7 +114,7 @@ def scipy_first_fall(edges, states, interpolants, g):
         t0, t1 = edges[j], edges[j + 1]
         at_nodes = interpolants[j](t0 + _NODES * (t1 - t0))
         nodes[:, here] = at_nodes.reshape(len(states), -1, len(_NODES))[:, run[here]]
-    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))], states.shape[1])
+    x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
     times = np.full(values.shape[:2], np.inf)
     times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
     return times, step
@@ -509,6 +514,26 @@ class TestRightHandSides:
         for j, state in enumerate(EDGE_STATES):
             one = _stacked_branch(spans[j : j + 1], self.BETA_E, np.full(1, rate), np.full(1, willingness))
             assert same_bits(one(0.0, np.array(state)), dt[:, j]), state
+            # the float step's own call: a tuple of Python floats
+            floats = one.floats(*state)
+            assert all(type(value) is float for value in floats)
+            assert same_bits(floats, dt[:, j]), state
+
+    @pytest.mark.parametrize("branch", BRANCHES, ids=list(BRANCHES))
+    def test_one_row_with_sensitivities_is_its_row_of_a_stack(self, branch):
+        rate, willingness = BRANCHES[branch]
+        n = len(EDGE_STATES)
+        rng = np.random.default_rng(13)
+        spans = rng.uniform(0.5, 15.0, n)
+        states = np.column_stack((EDGE_STATES, rng.uniform(-1.0, 1.0, (n, 3))))
+        stacked = _stacked_branch(spans, self.BETA_E, np.full(n, rate), np.full(n, willingness), sensitivities=True)
+        dt = stacked(0.0, states.T.flatten()).reshape(7, n)
+        for j, state in enumerate(states):
+            one = _stacked_branch(
+                spans[j : j + 1], self.BETA_E, np.full(1, rate), np.full(1, willingness), sensitivities=True
+            )
+            assert same_bits(one(0.0, state), dt[:, j]), state
+            assert same_bits(one.floats(*state.tolist()), dt[:, j]), state
 
     def test_nan_reaches_the_clamp(self):
         # neither path clips NaN to a number, so the clamp refuses it
@@ -520,3 +545,140 @@ class TestRightHandSides:
             assert np.isnan(stacked(0.0, np.repeat(y, 2))).any()
             with pytest.raises(IntegrationError, match="not finite"):
                 _clamp(y[None], 1e-11)
+
+
+def recorded_one_row_solves():
+    """Every one-row ``_solve_tails`` call as (args, kwargs, result), in call order."""
+    calls = []
+    solve = sirdvax.solver._solve_tails
+
+    def recording(*args, **kwargs):
+        # copies: a caller may write a solve's result into the rows it started from
+        copied = tuple(np.copy(arg) if isinstance(arg, np.ndarray) else arg for arg in args)
+        sol = solve(*args, **kwargs)
+        if len(args[2]) == 1:
+            calls.append((copied, kwargs, sol))
+        return sol
+
+    return calls, mock.patch.object(sirdvax.solver, "_solve_tails", recording)
+
+
+def float_step_states():
+    """States (s, i, q, V) a step starts from: each segment's ends on both variants, and s and i at the edges of [0, 1]."""
+    states = []
+    for name in ("variant1", "variant2"):
+        config = load_config(name)
+        for m in (0.2, 0.4, math.inf):
+            run = integrate(config.scenario, VaccinationPolicy(config.k, config.l, m, config.scenario.T))
+            for _, _, steps, _ in run.segments:
+                states += [steps.y_old[0], steps.y_old[-1]]
+    finite = [v for v in EDGE_VALUES if not math.isnan(v)]
+    states += [np.array([s, i, 0.25, 0.125]) for s, i in itertools.product(finite, repeat=2)]
+    return states
+
+
+class TestFloatStep:
+    """The one-row step on Python floats against SciPy's DOP853.
+
+    The float code sums each stage, the error estimate and the dense output
+    left to right; SciPy sums them with BLAS.  Those sums cancel (the rows
+    of E5, E3 and D sum to 0), so the two agree to a few ulps of the terms
+    summed, not of the result: each quantity is compared on its terms'
+    size, h*max|K| for the stages K of the step.
+    """
+
+    @pytest.mark.parametrize("width", [4, 7])
+    @pytest.mark.parametrize("branch", BRANCHES, ids=list(BRANCHES))
+    def test_one_step_is_scipys(self, branch, width):
+        rate, willingness = (np.full(1, v) for v in BRANCHES[branch])
+        rhs = _stacked_branch(np.full(1, 7.5), 3.5, rate, willingness, sensitivities=width == 7)
+        step, dense = _FLOAT_DOP853[width]
+        tol = Tolerances()
+        compared = 0
+        for state, h in itertools.product(float_step_states(), (0.005, 0.02)):
+            y = np.concatenate((state, [-0.1, 0.02, 0.0]))[:width]
+            # SciPy's step from y at h, on the states' error norm
+            reference = _StateControlled(rhs, 0.0, y, 1.0, 4, rtol=tol.rtol, atol=tol.atol)
+            reference.h_abs = h
+            reference.step()
+            if reference.t != h:
+                continue  # rejected at h: no one step to compare
+            compared += 1
+            K = reference.K
+            size = h * np.abs(K).max(axis=0)
+            y_new, f_new, stages, error = step(rhs.floats, h, y.tolist(), rhs.floats(*y.tolist()), tol.rtol, tol.atol)
+            assert np.all(np.abs(np.subtract(y_new, reference.y)) <= 1e-14 * np.maximum(np.abs(y), size))
+            assert np.all(np.abs(np.subtract(stages, K.ravel())) <= 1e-12 * np.tile(size / h, len(K)))
+            scale = tol.atol + np.maximum(np.abs(y[:4]), np.abs(reference.y[:4])) * tol.rtol
+            expected = reference._estimate_error_norm(K, h, scale)
+            # the norm of the estimate's terms before they cancel
+            terms = h * np.linalg.norm((np.abs(DOP853.E5) @ np.abs(K[:, :4])) / scale) / 2
+            assert abs(error - expected) <= 1e-15 * terms
+            F = np.reshape(dense(rhs.floats, h, y.tolist(), y_new, stages), (7, width))
+            assert np.all(np.abs(F - reference.dense_output().F) <= 1e-11 * size)
+        assert compared >= 40
+
+    @pytest.mark.parametrize("name", ["variant1", "variant2"])
+    def test_a_one_row_solve_takes_scipys_steps(self, name):
+        # every stage of lone runs, and the one-duration tails of the sweep
+        # and of the planner's scan (with the sensitivities)
+        config = load_config(name)
+        scenario = config.scenario
+        calls, recording = recorded_one_row_solves()
+        with recording:
+            for m, tau in itertools.product((0.2, 0.4, math.inf), (2.5, 7.5, 15.0)):
+                integrate(scenario, VaccinationPolicy(config.k, config.l, m, tau))
+            always_on = integrate(scenario, VaccinationPolicy(*config.resources, tau=scenario.T))
+            for tau in (0.0, 5.0):
+                stopped_programs(always_on, [tau])
+                stopped_programs(always_on, [tau], crossings=True)
+        assert {len(args[2][0]) for args, _, _ in calls} == {4, 7}
+        for (tol, spans, start, beta_e, rate, willingness), kwargs, sol in calls:
+            rhs = _stacked_branch(spans, beta_e, rate, willingness, sensitivities=start.shape[1] > 4)
+            reference = solve_ivp(
+                rhs,
+                (0.0, 1.0 if spans[0] > 0.0 else 0.0),
+                start.ravel(),
+                method=_StateControlled,
+                controlled=4,
+                rtol=tol.rtol,
+                atol=tol.atol,
+                dense_output=kwargs.get("dense", True),
+                events=kwargs.get("events"),
+            )
+            assert sol.status == reference.status
+            assert len(sol.t) == len(reference.t)
+            assert sol.nfev == reference.nfev
+            # the steps' sizes follow the error estimates, which cancel to
+            # about 1e-6 of their terms' size, and a step to the 1/8th power
+            np.testing.assert_allclose(np.diff(sol.t), np.diff(reference.t), rtol=1e-6, atol=0.0)
+            np.testing.assert_allclose(sol.y[:, -1], reference.y[:, -1], rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_diverging_row_is_refused(self, rows):
+        # beta_e*span overflows a step's stage sums: the states turn inf, then
+        # NaN, every step is rejected, and the solve fails as SciPy's does
+        start = np.tile([0.5, 0.5, 0.0, 0.0], (rows, 1))
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="solver failed"):
+            _solve_tails(Tolerances(), np.full(rows, 15.0), start, 1e308, 0.0, 0.0)
+
+
+def falls(rng, rows):
+    """Node values of ``rows`` polynomials on ``_NODES`` with a root in (0, 1), >= 0 at 0, and those roots."""
+    root = rng.uniform(0.05, 0.95, (rows, 1))
+    slope, bend = rng.uniform(0.1, 10.0, (rows, 1)), rng.uniform(-1.0, 1.0, (rows, 1))
+    return (root - _NODES) * slope * (1.0 + bend * (_NODES - root) ** 2), root[:, 0]
+
+
+class TestFallPosition:
+    def test_a_crossing_is_located_alike_alone_and_among_others(self):
+        rng = np.random.default_rng(17)
+        for rows in [3] * 200 + [50, 600]:
+            node_values, _ = falls(rng, rows)
+            together = _fall_position(node_values)
+            for j in range(min(rows, 5)):
+                assert same_bits(_fall_position(node_values[j : j + 1]), together[j : j + 1])
+
+    def test_the_fall_is_the_root(self):
+        node_values, root = falls(np.random.default_rng(19), 500)
+        np.testing.assert_allclose(_fall_position(node_values), root, rtol=0.0, atol=1e-14)
