@@ -11,7 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +220,9 @@ def cmd_sweep(args) -> int:
         found = stopped_program_indicators(always_on, values)
     else:
         found = run_indicators(points, config.tolerances)
-    rows = [(args.param, value, *astuple(ind)) for value, ind in zip(values, found)]
+    # each row's fields read in column order: astuple would deep-copy them
+    read = attrgetter(*SWEEP_COLUMNS[2:])
+    rows = [(args.param, value, *read(ind)) for value, ind in zip(values, found)]
 
     out = _out_dir(args)
     template = ",".join(["%s"] + ["%.9g"] * (len(SWEEP_COLUMNS) - 1))

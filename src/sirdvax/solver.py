@@ -22,9 +22,11 @@ steps are read once into arrays (``_read_steps``), and one kernel,
 with SciPy's choice of step and its Horner order, so every value equals
 SciPy's dense output bit for bit.  One locator, ``_first_fall``, finds
 them all on a stage's steps: the rate kink and the stock-out that end a
-vaccinating stage, and the peak and the epidemic end.  solve_ivp only
-stops a vaccinating stage, with one terminal event; each row then ends at
-the earliest of its tau and its located kink and stock-out.  One rule,
+vaccinating stage, and the peak and the epidemic end.  A vaccinating
+stage's stepper stops itself, on the first step where the last row's
+first stop falls through 0 (``_StateControlled``), so solve_ivp gets no
+events and finds no root; each row then ends at the earliest of its tau
+and its located kink and stock-out.  One rule,
 ``_kept``, decides which peak and end a row cut within a few ulps of them
 keeps, in a stage and in the cut of the always-on run alike.
 
@@ -44,7 +46,7 @@ lone run is, steps on Python floats, its right-hand side
 (``_stacked_branch``) and its DOP853 step alike (``_FloatStepped``,
 straight-line code generated once from SciPy's tableau), and calls no
 BLAS, so a lone run's bits do not depend on the BLAS kernel.  n rows step
-on SciPy's DOP853.
+on SciPy's DOP853 (``_StateControlled``).
 
 Until tau a run is the always-on run (tau = T) bit for bit, so
 ``stopped_program`` and ``stopped_programs`` cut that run's vaccinating
@@ -86,8 +88,6 @@ EPIDEMIC_END_THRESHOLD = 1e-6
 
 #: Number of uniform sample points emitted per trajectory (event times extra).
 SAMPLE_POINTS = 1001
-
-_METHOD = "DOP853"
 
 #: Rows per stacked solve in ``stopped_programs`` and ``stacked_runs``;
 #: bounds the memory one solve and its dense output take, whatever the
@@ -438,21 +438,27 @@ def integrate(
     runs for each of its rows (``_vaccinate``): the capacity branch (rate
     k, while l*s > k), the willingness branch (rate l*s), then no
     vaccination up to T (``_program``).  Each vaccinating stage solves
-    toward T until solve_ivp stops it near the first of tau, the rate kink
-    and the stock-out, and ends at the earliest of tau and the kink and
-    stock-out that ``_first_fall`` locates on its steps, so until tau the
-    run is the always-on run (tau = T) bit for bit.  ``_program`` then
+    toward T until its stepper stops on the step of the first of tau, the
+    rate kink and the stock-out, and ends at the earliest of tau and the
+    kink and stock-out that ``_first_fall`` locates on its steps, so until
+    tau the run is the always-on run (tau = T) bit for bit.  ``_program`` then
     solves the unvaccinated rest as ``stopped_program`` does on the
     always-on run's segments.  A program with tau = 0 (or k = 0, l = 0 or
     m = 0) runs the uncontrolled epidemic.
 
     Raises ValidationError unless 0 <= tau <= T.
     """
-    tau = scenario.in_horizon("tau", policy.tau)
-    initial = scenario.initial
-    row = (initial.s, initial.i, scenario.epidemic.transmission_rate, policy.k, policy.l, policy.m, tau, scenario.T)
-    runs, stock_out, parts = _vaccinate(*np.array(row, dtype=float)[:, None], tol)
+    runs, stock_out, parts = _vaccinate(*np.array(_dynamics(scenario, policy), dtype=float)[:, None], tol)
     return _program(scenario, policy, tol, _segments(parts), runs, stock_out)
+
+
+def _dynamics(scenario: Scenario, policy: VaccinationPolicy) -> tuple[float, ...]:
+    """All that a run's dynamics read: (s0, i0, beta_e, k, l, m, tau, T).
+
+    Raises ValidationError unless 0 <= tau <= T.
+    """
+    initial, tau = scenario.initial, scenario.in_horizon("tau", policy.tau)
+    return (initial.s, initial.i, scenario.epidemic.transmission_rate, policy.k, policy.l, policy.m, tau, scenario.T)
 
 
 def _require_always_on(run: Trajectory) -> None:
@@ -680,22 +686,7 @@ def stacked_runs(points, tol: Tolerances = Tolerances()) -> StoppedPrograms:
     unvaccinated rest is solved at ``tol``.  Raises ValidationError unless
     every tau lies in [0, T].
     """
-    keys = np.array(
-        [
-            (
-                scenario.initial.s,
-                scenario.initial.i,
-                scenario.epidemic.transmission_rate,
-                policy.k,
-                policy.l,
-                policy.m,
-                scenario.in_horizon("tau", policy.tau),
-                scenario.T,
-            )
-            for scenario, policy in points
-        ],
-        dtype=float,
-    ).reshape(-1, 8)
+    keys = np.array([_dynamics(scenario, policy) for scenario, policy in points], dtype=float).reshape(-1, 8)
     unique, position = np.unique(keys, axis=0, return_inverse=True)
     position = position.ravel()
     at_end = np.empty((len(unique), 4))
@@ -811,7 +802,11 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
     (component, weight, level) with one weight and level per run:
     weight*y[component] - level.  A vaccinating stage has them, and stops
     each row at the first of its program end and those falls, once every
-    row has passed its own.  Without them each part runs to its end.
+    row has passed its own: its stepper ends the solve on the first step
+    where the stop function, the largest of the rows' first stops, falls
+    through 0 (``_StateControlled``), and the whole of that step is
+    searched.  The function has a float form for one row, as
+    ``_stacked_branch`` has.  Without them each part runs to its end.
 
     Each row's cut is a time: it is mapped onto u once (``_to_u``), the row
     moves on to it with its dense output there, and ``_refuse_excursions``
@@ -826,7 +821,7 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
     start = t[rows]
     t_end = np.broadcast_to(ends, t.shape)[rows]
     spans = t_end - start
-    part_tol, events, markers = tol, None, _markers(beta_e)
+    part_tol, stop, markers = tol, None, _markers(beta_e)
     forms = [(c, weight[rows], level[rows]) for c, weight, level in cuts]
     if cuts:
         stops = np.broadcast_to(stops, t.shape)[rows]
@@ -836,28 +831,32 @@ def _advance(runs: _Runs, rows, ends, rate, willingness, tol: Tolerances, cuts=(
         part_tol = Tolerances(max(tol.rtol / root, RTOL_FLOOR), tol.atol / root)
         u_stop = _to_u(stops, start, spans)
 
-        def events(u, state):
-            # the last row's first stop falls through 0 here
-            y, first = state.reshape(4, -1), u_stop - u
-            for c, weight, level in forms:
-                first = np.minimum(first, weight * y[c] - level)
-            return first.max()
+        def stop(u, state):
+            # the last row's first stop falls through 0 where this does
+            y = state.reshape(4, -1)
+            return np.min([u_stop - u, *(weight * y[c] - level for c, weight, level in forms)], axis=0).max()
 
-        events.terminal, events.direction = True, -1
+        if len(rows) == 1:
+            (u_one,), one = u_stop.tolist(), [(c, float(weight[0]), float(level[0])) for c, weight, level in forms]
+
+            def floats(u, *y):
+                first = u_one - u
+                for c, weight, level in one:
+                    value = weight * y[c] - level
+                    # np.min's rule, which passes NaN on
+                    first = first if first <= value or first != first else value
+                return first
+
+            stop.floats = floats
 
     def g(state, r):
         cut = [weight[r, None] * state[c] - level[r, None] for c, weight, level in forms]
         return [*cut, *markers(state, rows[r])]
 
-    sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, events=events)
+    sol = _solve_tails(part_tol, spans, y[rows], beta_e[rows], rate, willingness, stop=stop)
     steps = _read_steps(sol.sol)
-    if not cuts:
-        edges, states = sol.t, sol.y.reshape(4, len(rows), -1)
-    else:
-        # the step the terminal event cut short is searched in full
-        edges, states = _edges(steps, sol.sol.interpolants[-1].t)
     # each fall's position in u as a time, inf where there is none
-    u_falls = _first_fall(edges, states, steps, g)
+    u_falls = _first_fall(sol.t, sol.y.reshape(4, len(rows), -1), steps, g)
     falls = np.where(np.isfinite(u_falls), start + np.minimum(u_falls, 1.0) * spans, np.inf)
     # start + u*span can put a fall in the last ulp below u = 1 an ulp before the end
     falls = np.where(np.isfinite(u_falls) & (u_falls >= _LAST_U), t_end, falls)
@@ -911,7 +910,7 @@ def _close(runs: _Runs, T, atol: float):
     return final, (peak_time, peak_i, end_time)
 
 
-def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense=True, events=None):
+def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense=True, stop=None):
     """The one stacked solve: row j from ``start[j]`` over an interval of length ``spans[j]``.
 
     Row j has the transmission rate ``beta_e[j]`` and vaccinates at
@@ -932,18 +931,13 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
 
     A solve of one row steps on Python floats (``_FloatStepped``), with
     the float right-hand side ``_stacked_branch`` gives it; n rows step on
-    SciPy's DOP853 arrays.  Both are solve_ivp calls, on the same rules of
-    step control, so every solve's result, events and dense output read
-    alike.  A failed solve raises IntegrationError.
+    SciPy's DOP853 arrays (``_StateControlled``).  Both are solve_ivp
+    calls, on the same rules of step control, so every solve's result and
+    dense output read alike.  With ``stop``, a function of (u, state) as
+    ``_advance`` gives it, the stepper ends the solve on the first step
+    where it falls through 0.  A failed solve raises IntegrationError.
     """
-    rows, width = start.shape
-    rhs = _stacked_branch(spans, beta_e, rate, willingness, sensitivities=width > 4)
-    if rows == 1:
-        method, options = _FloatStepped, {"controlled": 4}
-    elif width == 4:
-        method, options = _METHOD, {}
-    else:
-        method, options = _StateControlled, {"controlled": 4 * rows}
+    rhs = _stacked_branch(spans, beta_e, rate, willingness, sensitivities=start.shape[1] > 4)
     span = (0.0, 1.0 if np.max(spans) > 0.0 else 0.0)
     sol = solve_ivp(
         rhs,
@@ -951,12 +945,12 @@ def _solve_tails(tol: Tolerances, spans, start, beta_e, rate, willingness, dense
         # a copy: the solver keeps y0 as its first step's start, and with one
         # row ravel() would return a view of the caller's rows
         start.T.flatten(),
-        method=method,
+        method=_FloatStepped if len(start) == 1 else _StateControlled,
         rtol=tol.rtol,
         atol=tol.atol,
         dense_output=dense,
-        events=events,
-        **options,
+        controlled=4 * len(start),
+        stop=stop,
     )
     if sol.status < 0:
         raise IntegrationError(f"solver failed on [{span[0]}, {span[1]}]: {sol.message}")
@@ -1044,17 +1038,40 @@ class _StateControlled(DOP853):
     the controlled components alone, bit for bit.  The riders are the
     forward sensitivities of the planner's scans: an explicit Runge-Kutta
     step of the variational equation is the derivative of the state's own
-    step, so on the same steps they are the derivatives of the solve.
+    step, so on the same steps they are the derivatives of the solve.  With
+    no riders every component is controlled, and the steps are SciPy's
+    DOP853's bit for bit.
+
+    A ``stop`` function of (t, y) ends the solve on the first accepted step
+    at whose start it is at or above 0 and at whose end it is at or below
+    0: solve_ivp's rule for a terminal event of direction -1, so the solve
+    ends on the step such an event would end it on, and a NaN never stops
+    it.  The stepper ends it by setting ``t_bound`` to that step's end,
+    where ``OdeSolver.step`` finishes a solve; solve_ivp finds no root.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, controlled, **options):
-        self.controlled = controlled
+    def __init__(self, fun, t0, y0, t_bound, controlled, stop=None, **options):
+        self.controlled, self.stop = controlled, stop
         span = abs(t_bound - t0)
         # a first step SciPy takes as given, so it chooses none on all
         # components; on an empty span SciPy's rule gives 0 without a call
         super().__init__(fun, t0, y0, t_bound, first_step=span or None, **options)
         if span:
             self.h_abs = self._first_step(t_bound)
+        # the stop function at the start of the next step
+        self.g = None if stop is None else stop(t0, self.y)
+
+    def _step_impl(self):
+        success, message = super()._step_impl()
+        if success and self.stop is not None:
+            self._stop_on(self.stop(self.t, self.y))
+        return success, message
+
+    def _stop_on(self, g):
+        """End the solve at the step just taken if the stop function fell through 0 on it, to ``g``."""
+        if self.g >= 0.0 and g <= 0.0:
+            self.t_bound = self.t
+        self.g = g
 
     @staticmethod
     def _norm(x):
@@ -1076,7 +1093,12 @@ class _StateControlled(DOP853):
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
-        return min(100 * h0, h1, span, self.max_step)
+        h = min(100 * h0, h1, span, self.max_step)
+        # a NaN step, as a NaN right-hand side at the start gives, never
+        # falls below the minimum step, so every rejection would keep it
+        if not math.isfinite(h):
+            raise IntegrationError(f"first step is not finite: {h}")
+        return h
 
     def _estimate_error_norm(self, K, h, scale):
         # contiguous, as the stages of a solve of the controlled components are:
@@ -1094,10 +1116,11 @@ class _FloatStepped(_StateControlled):
     """DOP853 on Python floats, for a solve of one row: its (s, i, q, V) and any riders.
 
     solve_ivp takes it as its method, so a one-row solve reads as any
-    other: its events, its ``OdeSolution`` of SciPy's ``Dop853DenseOutput``
-    steps, and ``nfev`` as SciPy counts it (12 per attempted step, 3 per
-    dense output).  The step is SciPy's, in straight-line float code
-    (``_float_dop853``), on the right-hand side's ``floats``; the first
+    other: its ``OdeSolution`` of SciPy's ``Dop853DenseOutput`` steps, and
+    ``nfev`` as SciPy counts it (12 per attempted step, 3 per dense
+    output).  The step is SciPy's, in straight-line float code
+    (``_float_dop853``), on the right-hand side's ``floats``, and the stop
+    function's ``floats`` decide where the solve stops; the first
     step, the error norm on the four states and the step-size controller
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5) are SciPy's
     rules, so a solve takes SciPy's steps within rounding.  No sum calls
@@ -1139,6 +1162,8 @@ class _FloatStepped(_StateControlled):
             rejected = True
         self.h_previous, self.y_old, self.t, self.y = h, self.y, t_new, np.array(y_new)
         self.h_abs, self.f, self.stages = h_abs, f_new, stages
+        if self.stop is not None:
+            self._stop_on(self.stop.floats(t_new, *y_new))
         return True, None
 
     def _dense_output_impl(self):
@@ -1292,20 +1317,6 @@ def _step_of(steps: _Steps, u: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(steps.t_old, u) - 1, 0, len(steps.t_old) - 1)
 
 
-def _edges(steps: _Steps, end: float):
-    """A solve's steps up to ``end`` as ``_first_fall`` takes them: their edges and the state there.
-
-    The edges are the start of each step that starts before ``end``, then
-    ``end``; the states, shape (4, width, edges) for a solve of ``width``
-    stacked runs, are each step's ``y_old``, which DOP853's dense output
-    returns exactly there, and the dense output at ``end``.
-    """
-    kept = np.searchsorted(steps.t_old, end)
-    edges = np.append(steps.t_old[:kept], end)
-    states = np.vstack((steps.y_old[:kept], _at(steps, np.array([end]))))
-    return edges, states.T.reshape(4, -1, len(edges))
-
-
 #: Chebyshev points of the second kind on [0, 1], as many as a DOP853 dense
 #: output step has coefficients (it is a polynomial of degree 7 in time), and
 #: their barycentric weights.
@@ -1355,12 +1366,15 @@ def _first_fall(edges, states, steps: _Steps, g):
     stacked tails or of stacked runs.
 
     Returns each crossing's time, shape (n, width), inf where g does not
-    fall through 0.  The state at a crossing is read off the dense output
-    there, as any other value is.
+    fall through 0, without reading any node when none does.  The state at
+    a crossing is read off the dense output there, as any other value is.
     """
     values = np.asarray(g(states, np.arange(states.shape[1])))
     down = (values[..., :-1] >= 0.0) & (values[..., 1:] <= 0.0)
+    times = np.full(values.shape[:2], np.inf)
     func, run = np.nonzero(down.any(axis=-1))
+    if not len(func):
+        return times
     step = down[func, run].argmax(axis=-1)
     # the state at the Chebyshev nodes of each crossing's step: its run's
     # four components, shape (4, crossings, nodes)
@@ -1368,7 +1382,6 @@ def _first_fall(edges, states, steps: _Steps, g):
     cols = run[:, None, None] + states.shape[1] * np.arange(len(states))
     nodes = _dense(steps, step[:, None], t0 + _NODES * (t1 - t0), cols).transpose(2, 0, 1)
     x = _fall_position(np.asarray(g(nodes, run))[func, np.arange(len(step))])
-    times = np.full(values.shape[:2], np.inf)
     times[func, run] = edges[step] + x * (edges[step + 1] - edges[step])
     return times
 

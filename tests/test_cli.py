@@ -386,6 +386,39 @@ class TestSweep:
         assert len(rows) == 31
 
     @pytest.mark.parametrize(
+        "param, values", [("tau", "0:0.25:15"), ("m", "0,0.05,0.2,0.4,inf")], ids=["tau", "m"]
+    )
+    def test_sweep_csv_is_the_one_astuple_rows_write(self, tmp_path, monkeypatch, param, values):
+        # the reference builds each row as dataclasses.astuple did, from the
+        # indicators the command computed, and writes them with its template
+        import sirdvax.cli as cli_module
+
+        found = []
+        for name in ("stopped_program_indicators", "run_indicators"):
+            compute = getattr(cli_module, name)
+
+            def recording(*args, compute=compute, **kwargs):
+                found.append(compute(*args, **kwargs))
+                return found[-1]
+
+            monkeypatch.setattr(cli_module, name, recording)
+        out = tmp_path / "run"
+        rc = main(["sweep", "--config", "variant1", "--param", param, "--values", values,
+                   "--tau", "15", "--out", str(out)])
+        assert rc == 0
+        (rows,) = found
+        numbers = cli_module.parse_values(values)
+        template = ",".join(["%s"] + ["%.9g"] * (len(cli_module.SWEEP_COLUMNS) - 1))
+        expected = tmp_path / "expected.csv"
+        cli_module._write_csv(
+            expected,
+            cli_module.SWEEP_COLUMNS,
+            template,
+            [(param, value, *astuple(ind)) for value, ind in zip(numbers, rows)],
+        )
+        assert (out / "sweep.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
         "param, values", [("m", "0,0.1,0.2,0.4,inf"), ("eps", "0.2,0.3"), ("c", "100")]
     )
     def test_other_sweeps_never_integrate(self, tmp_path, monkeypatch, param, values):

@@ -14,6 +14,10 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +25,15 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 import sirdvax.solver
-from sirdvax import IntegrationError, SirdState, Tolerances, VaccinationPolicy, integrate, load_config
+from sirdvax import (
+    IntegrationError,
+    SirdState,
+    Tolerances,
+    VaccinationPolicy,
+    integrate,
+    load_config,
+    minimize_tau,
+)
 from sirdvax.model import _rhs_values
 from sirdvax.analysis import run_indicators
 from sirdvax.solver import (
@@ -32,8 +44,8 @@ from sirdvax.solver import (
     _clamp,
     _dense,
     _drift_band,
-    _edges,
     _FLOAT_DOP853,
+    _FloatStepped,
     _fall_position,
     _first_fall,
     _markers,
@@ -43,6 +55,7 @@ from sirdvax.solver import (
     _solve_tails,
     _stacked_branch,
     _StateControlled,
+    stacked_runs,
     stopped_programs,
 )
 from oracles import random_cases
@@ -121,11 +134,20 @@ def scipy_first_fall(edges, states, interpolants, g):
 
 
 def segment_edges(segment, solutions):
-    """A segment's steps up to its end as ``_edges`` gives them, with SciPy's interpolants of those steps."""
+    """A segment's steps up to its end as ``_first_fall`` takes them, with SciPy's interpolants of those steps.
+
+    The edges are the start of each step that starts before the end, then
+    the end; the states, shape (4, 1, edges), are each step's ``y_old``,
+    which DOP853's dense output returns exactly there, and the dense output
+    at the end.
+    """
     start, end, steps, span = segment
     u_end = float(on_segment(np.array(end), start, span))
+    kept = np.searchsorted(steps.t_old, u_end)
+    edges = np.append(steps.t_old[:kept], u_end)
+    states = np.vstack((steps.y_old[:kept], _at(steps, np.array([u_end]))))
     interpolants = [step for step in solutions[id(steps)][1].interpolants if step.t_old < u_end]
-    return (*_edges(steps, u_end), steps, interpolants)
+    return edges, states.T.reshape(4, -1, len(edges)), steps, interpolants
 
 
 def stock_out_at_the_horizon(T=2.02):
@@ -225,15 +247,14 @@ class TestSamplesEqualScipy:
         assert same_bits(_at(steps, grid), sol(grid).T)
 
     def test_a_stopped_stacked_solve_and_its_cut_states(self, tails):
-        # the terminal event ends the solve's times at its root, inside the last step
+        # the stepper ends the solve's times at the end of the step the stop falls through 0 on
         beta_e, spans, start = tails
 
         def stop(u, y):
             return 0.6 - u
 
-        stop.terminal = True
-        sol = _solve_tails(Tolerances(), spans, start, beta_e, 0.1, 0.0, events=stop).sol
-        assert sol.ts[-1] < sol.interpolants[-1].t
+        sol = _solve_tails(Tolerances(), spans, start, beta_e, 0.1, 0.0, stop=stop).sol
+        assert sol.interpolants[-1].t_old <= 0.6 <= sol.ts[-1] == sol.interpolants[-1].t < 1.0
         steps = _read_steps(sol)
         grid = np.linspace(0.0, 1.0, 1001)
         assert same_bits(_at(steps, grid), sol(grid).T)
@@ -547,8 +568,8 @@ class TestRightHandSides:
                 _clamp(y[None], 1e-11)
 
 
-def recorded_one_row_solves():
-    """Every one-row ``_solve_tails`` call as (args, kwargs, result), in call order."""
+def recorded_stage_solves():
+    """Every ``_solve_tails`` call as (args, kwargs, result), in call order."""
     calls = []
     solve = sirdvax.solver._solve_tails
 
@@ -556,11 +577,22 @@ def recorded_one_row_solves():
         # copies: a caller may write a solve's result into the rows it started from
         copied = tuple(np.copy(arg) if isinstance(arg, np.ndarray) else arg for arg in args)
         sol = solve(*args, **kwargs)
-        if len(args[2]) == 1:
-            calls.append((copied, kwargs, sol))
+        calls.append((copied, kwargs, sol))
         return sol
 
     return calls, mock.patch.object(sirdvax.solver, "_solve_tails", recording)
+
+
+def terminal_event(stop):
+    """A stage's stop function as solve_ivp's terminal event of direction -1, as stages were stopped before."""
+    if stop is None:
+        return None
+
+    def event(u, y):
+        return stop(u, y)
+
+    event.terminal, event.direction = True, -1
+    return event
 
 
 def float_step_states():
@@ -624,7 +656,7 @@ class TestFloatStep:
         # and of the planner's scan (with the sensitivities)
         config = load_config(name)
         scenario = config.scenario
-        calls, recording = recorded_one_row_solves()
+        calls, recording = recorded_stage_solves()
         with recording:
             for m, tau in itertools.product((0.2, 0.4, math.inf), (2.5, 7.5, 15.0)):
                 integrate(scenario, VaccinationPolicy(config.k, config.l, m, tau))
@@ -632,9 +664,12 @@ class TestFloatStep:
             for tau in (0.0, 5.0):
                 stopped_programs(always_on, [tau])
                 stopped_programs(always_on, [tau], crossings=True)
+        assert {len(args[2]) for args, _, _ in calls} == {1}
         assert {len(args[2][0]) for args, _, _ in calls} == {4, 7}
         for (tol, spans, start, beta_e, rate, willingness), kwargs, sol in calls:
             rhs = _stacked_branch(spans, beta_e, rate, willingness, sensitivities=start.shape[1] > 4)
+            # SciPy's DOP853 steps, stopped by solve_ivp's terminal event
+            event = terminal_event(kwargs.get("stop"))
             reference = solve_ivp(
                 rhs,
                 (0.0, 1.0 if spans[0] > 0.0 else 0.0),
@@ -644,15 +679,23 @@ class TestFloatStep:
                 rtol=tol.rtol,
                 atol=tol.atol,
                 dense_output=kwargs.get("dense", True),
-                events=kwargs.get("events"),
+                events=event,
             )
-            assert sol.status == reference.status
+            # both succeed; an event that stops the reference reads as status 1
+            assert sol.status == 0 and reference.status in (0, 1)
             assert len(sol.t) == len(reference.t)
             assert sol.nfev == reference.nfev
+            # the reference's times end at the event's root, inside the step
+            # the solve ends on
+            ends, at_end = reference.t.copy(), reference.y[:, -1]
+            if event is not None:
+                # and its state where the solve ends, read on that step
+                last = reference.sol.interpolants[-1]
+                ends[-1], at_end = last.t, last(sol.t[-1])
             # the steps' sizes follow the error estimates, which cancel to
             # about 1e-6 of their terms' size, and a step to the 1/8th power
-            np.testing.assert_allclose(np.diff(sol.t), np.diff(reference.t), rtol=1e-6, atol=0.0)
-            np.testing.assert_allclose(sol.y[:, -1], reference.y[:, -1], rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(np.diff(sol.t), np.diff(ends), rtol=1e-6, atol=0.0)
+            np.testing.assert_allclose(sol.y[:, -1], at_end, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_a_diverging_row_is_refused(self, rows):
@@ -661,6 +704,153 @@ class TestFloatStep:
         start = np.tile([0.5, 0.5, 0.0, 0.0], (rows, 1))
         with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="solver failed"):
             _solve_tails(Tolerances(), np.full(rows, 15.0), start, 1e308, 0.0, 0.0)
+
+
+def lone_runs_and_an_m_sweep():
+    """Lone runs of both variants at three stocks and three durations, then stacked runs of a 12-value m sweep."""
+    for name in ("variant1", "variant2"):
+        config = load_config(name)
+        for m, tau in itertools.product((0.2, 0.4, math.inf), (2.5, 7.5, 15.0)):
+            integrate(config.scenario, VaccinationPolicy(config.k, config.l, m, tau))
+    config = load_config("variant1")
+    stocks = np.linspace(0.05, 0.6, 12)
+    stacked_runs([(config.scenario, VaccinationPolicy(config.k, config.l, m, config.scenario.T)) for m in stocks])
+
+
+def stop_values(stop, sol):
+    """The stop function at each of a solve's step edges, by its array form and by its float form (or None)."""
+    array = np.array([stop(u, y) for u, y in zip(sol.t, sol.y.T)])
+    if not hasattr(stop, "floats"):
+        return array, None
+    return array, np.array([stop.floats(u, *y.tolist()) for u, y in zip(sol.t, sol.y.T)])
+
+
+def falls_through_0(g):
+    """Per step, solve_ivp's rule for an event of direction -1: g >= 0 at its start and <= 0 at its end."""
+    return (g[:-1] >= 0.0) & (g[1:] <= 0.0)
+
+
+class TestStopInTheStepper:
+    """A vaccinating stage's stepper stops its own solve, where solve_ivp's terminal event stopped it."""
+
+    @pytest.fixture(scope="class")
+    def stage_solves(self):
+        calls, recording = recorded_stage_solves()
+        with recording:
+            lone_runs_and_an_m_sweep()
+        return calls
+
+    def test_every_stage_takes_the_steps_of_a_terminal_event(self, stage_solves):
+        # the reference is the old path: one-row solves on the float stepper,
+        # n rows on SciPy's DOP853, stopped by solve_ivp's terminal event
+        stopped = [0, 0]
+        for (tol, spans, start, beta_e, rate, willingness), kwargs, sol in stage_solves:
+            rows, width = start.shape
+            stop = kwargs.get("stop")
+            if rows == 1:
+                method, options = _FloatStepped, {"controlled": 4}
+            else:
+                method, options = "DOP853", {}
+            reference = solve_ivp(
+                _stacked_branch(spans, beta_e, rate, willingness),
+                (0.0, 1.0 if np.max(spans) > 0.0 else 0.0),
+                start.T.flatten(),
+                method=method,
+                rtol=tol.rtol,
+                atol=tol.atol,
+                dense_output=kwargs.get("dense", True),
+                events=terminal_event(stop),
+                **options,
+            )
+            assert width == 4
+            assert sol.nfev == reference.nfev
+            for got, expected in zip(_read_steps(sol.sol), _read_steps(reference.sol)):
+                assert same_bits(got, expected)
+            if stop is not None and sol.t[-1] < 1.0:
+                stopped[rows > 1] += 1
+        # stages stopped short of u = 1, of one row and of many
+        assert stopped[0] >= 20 and stopped[1] >= 1
+
+    def test_float_and_array_forms_stop_alike(self, stage_solves):
+        compared = 0
+        for _, kwargs, sol in stage_solves:
+            stop = kwargs.get("stop")
+            if stop is None:
+                continue
+            array, floats = stop_values(stop, sol)
+            stops = falls_through_0(array)
+            # the solve ends on the first step where the stop falls through 0, or at u = 1
+            assert not stops[:-1].any()
+            assert stops[-1] or sol.t[-1] == 1.0
+            if floats is not None:
+                compared += 1
+                assert np.array_equal(falls_through_0(floats), stops)
+                np.testing.assert_array_equal(floats, array)
+                # and on s and V, the components the stops read, at the
+                # edges of [0, 1] and NaN: both pass a NaN on, so that it
+                # never stops a solve
+                for u, s, v in itertools.product((0.0, 0.5, 1.0), EDGE_VALUES, EDGE_VALUES):
+                    state = np.array([s, 0.01, 0.25, v])
+                    np.testing.assert_array_equal(stop.floats(u, *state.tolist()), stop(u, state))
+        assert compared >= 20
+
+    def test_no_package_call_passes_events(self):
+        spy = mock.MagicMock(wraps=solve_ivp)
+        modules = [
+            module
+            for name, module in sys.modules.items()
+            if name.startswith("sirdvax") and getattr(module, "solve_ivp", None) is solve_ivp
+        ]
+        assert modules
+        with contextlib.ExitStack() as patches:
+            for module in modules:
+                patches.enter_context(mock.patch.object(module, "solve_ivp", spy))
+            lone_runs_and_an_m_sweep()
+            config = load_config("variant1")
+            always_on = integrate(config.scenario, VaccinationPolicy(*config.resources, tau=config.scenario.T))
+            stopped_programs(always_on, np.linspace(0.0, 15.0, 5), crossings=True)
+            minimize_tau(config.scenario, (config.k, config.l, 0.4), config.tolerances)
+        assert spy.call_count > 50
+        for call in spy.call_args_list:
+            # events is solve_ivp's seventh parameter
+            assert len(call.args) < 7 and "events" not in call.kwargs
+
+    def test_no_crossing_reads_no_node(self):
+        config = load_config("variant1")
+        start = np.array([[config.scenario.initial.s, config.scenario.initial.i, 0.0, 0.0]] * 3)
+        sol = _solve_tails(Tolerances(), np.full(3, 15.0), start, 3.5, 0.0, 0.0)
+
+        def g(y, rows):
+            return [y[0] + 1.0, y[1] + 1.0]
+
+        refuse = mock.Mock(side_effect=AssertionError("a node was read"))
+        with mock.patch.object(sirdvax.solver, "_fall_position", refuse), mock.patch.object(
+            sirdvax.solver, "_dense", refuse
+        ):
+            times = _first_fall(sol.t, sol.y.reshape(4, 3, -1), _read_steps(sol.sol), g)
+        assert same_bits(times, np.full((2, 3), np.inf))
+        refuse.assert_not_called()
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_nan_start_fails_the_solve(self, rows):
+        # a NaN rate makes the first step NaN, which no rejection ends; a
+        # subprocess with a timeout fails the test rather than hanging it
+        code = (
+            "import math, numpy as np\n"
+            "from sirdvax import IntegrationError, Tolerances\n"
+            "from sirdvax.solver import _solve_tails\n"
+            f"start = np.tile([0.5, 0.01, 0.0, 0.0], ({rows}, 1))\n"
+            "try:\n"
+            f"    _solve_tails(Tolerances(), np.full({rows}, 15.0), start, 3.5, math.nan, 0.0)\n"
+            "except IntegrationError as exc:\n"
+            "    print(f'IntegrationError: {exc}')\n"
+        )
+        package_root = str(Path(sirdvax.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, path]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "IntegrationError: first step is not finite: nan\n"
 
 
 def falls(rng, rows):
